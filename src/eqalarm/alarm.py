@@ -23,9 +23,25 @@ import numpy as np
 
 from ._random import as_generator
 from .catalog import Catalog, Event, StudyVolume, _as_utc
-from .geo import GeoPoint, cap_area_km2, great_circle_km, great_circle_km_arrays
+from .geo import (
+    GeoPoint,
+    cap_area_km2,
+    great_circle_km,
+    great_circle_km_arrays,
+    pairs_within_km,
+)
 
 SECONDS_PER_DAY = 86400.0
+
+# Working memory the batched kernels (the alarm x target join, the count
+# kernel and the replicate blocks) may hold at once; each divides it by its
+# own bytes per element to size its chunks.
+MEMORY_BUDGET_BYTES = 256 * 2**20
+
+
+def rows_within_budget(bytes_per_row: int) -> int:
+    """Rows of a batch whose working arrays fit MEMORY_BUDGET_BYTES (at least 1)."""
+    return max(1, MEMORY_BUDGET_BYTES // max(bytes_per_row, 1))
 
 
 class FloorRule(str, Enum):
@@ -179,17 +195,25 @@ class AlarmTargetIndex:
     exclusions do not depend on event times, so they are resolved once into
     a pair list; evaluating a new assignment of times is then a few
     vectorised comparisons. This is what makes time-permutation replicates
-    cheap.
+    cheap. Target ids must be unique, since an alarm's trigger is found
+    among the targets by id.
     """
 
-    def __init__(self, targets: Catalog, alarm_set: AlarmSet, block: int = 512):
+    # peak working bytes per (row, pair) in the count kernel: the gathered
+    # float64 pair times plus the comparison and covered masks
+    BYTES_PER_PAIR = 11
+
+    def __init__(self, targets: Catalog, alarm_set: AlarmSet):
         self.n_targets = len(targets)
         self.n_alarms = len(alarm_set)
-        t_lat = targets.latitudes()
-        t_lon = targets.longitudes()
         t_mag = targets.magnitudes()
-        t_ids = targets.source_ids()
-        id_of = {s: i for i, s in enumerate(t_ids)}
+        id_of: dict[str, int] = {}
+        for i, s in enumerate(targets.source_ids()):
+            if id_of.setdefault(s, i) != i:
+                raise ValueError(
+                    f"target id {s!r} repeats (positions {id_of[s]} and {i}); "
+                    "ids must be unique"
+                )
 
         a_lat = np.array([a.center.lat for a in alarm_set], dtype=float)
         a_lon = np.array([a.center.lon for a in alarm_set], dtype=float)
@@ -208,70 +232,57 @@ class AlarmTargetIndex:
             dtype=np.int64,
         )
 
-        pk_parts: list[np.ndarray] = []
-        pj_parts: list[np.ndarray] = []
-        for lo in range(0, self.n_targets, block):
-            hi = min(lo + block, self.n_targets)
-            d = great_circle_km_arrays(
-                t_lat[lo:hi, None], t_lon[lo:hi, None], a_lat[None, :], a_lon[None, :]
-            )
-            within = d <= a_radius[None, :]
-            if within.any():
-                rows, cols = np.nonzero(within)
-                keep = a_trig[cols] != rows + lo
-                pk_parts.append((rows + lo)[keep].astype(np.int64))
-                pj_parts.append(cols[keep].astype(np.int64))
-        if pk_parts:
-            self._pk = np.concatenate(pk_parts)
-            self._pj = np.concatenate(pj_parts)
-        else:
-            self._pk = np.empty(0, dtype=np.int64)
-            self._pj = np.empty(0, dtype=np.int64)
+        pk, pj = pairs_within_km(
+            targets.latitudes(), targets.longitudes(), a_lat, a_lon, a_radius,
+            budget_bytes=MEMORY_BUDGET_BYTES,
+        )
+        keep = a_trig[pj] != pk
+        self._pk = pk[keep]
+        self._pj = pj[keep]
         self._pair_start = self._alarm_start[self._pj]
         self._pair_end = self._alarm_end[self._pj]
         with np.errstate(invalid="ignore"):
             self._pair_floor_ok = t_mag[self._pk] >= a_floor[self._pj]
-        # pairs are built in ascending target order; segment boundaries for reduceat
+        # pairs come sorted by target; segment boundaries for reduceat
         self._uniq_k, self._seg_idx = np.unique(self._pk, return_index=True)
 
     @property
     def n_pairs(self) -> int:
         return int(self._pk.size)
 
+    def _predicted_rows(self, times_rows: np.ndarray) -> np.ndarray:
+        """Prediction flags of the paired targets (columns ``_uniq_k``) for
+        each row of event times; needs at least one pair."""
+        t_pair = times_rows[:, self._pk]
+        covered = (t_pair > self._pair_start) & (t_pair <= self._pair_end)
+        del t_pair
+        good = np.logical_or.reduceat(covered & self._pair_floor_ok, self._seg_idx, axis=1)
+        bad = np.logical_or.reduceat(covered & ~self._pair_floor_ok, self._seg_idx, axis=1)
+        return good & ~bad
+
     def predicted_mask(self, times_s: np.ndarray) -> np.ndarray:
         """Per-target prediction flags for one assignment of event times."""
         mask = np.zeros(self.n_targets, dtype=bool)
-        if self.n_pairs == 0:
-            return mask
-        t_pair = np.asarray(times_s, dtype=float)[self._pk]
-        covered = (t_pair > self._pair_start) & (t_pair <= self._pair_end)
-        good = covered & self._pair_floor_ok
-        bad = covered & ~self._pair_floor_ok
-        good_any = np.logical_or.reduceat(good, self._seg_idx)
-        bad_any = np.logical_or.reduceat(bad, self._seg_idx)
-        mask[self._uniq_k] = good_any & ~bad_any
+        if self.n_pairs:
+            row = np.asarray(times_s, dtype=float)[None, :]
+            mask[self._uniq_k] = self._predicted_rows(row)[0]
         return mask
 
     def count_predicted(self, times_s: np.ndarray) -> int:
         return int(self.predicted_mask(times_s).sum())
 
     def counts_for_time_matrix(self, times_matrix: np.ndarray) -> np.ndarray:
-        """Predicted-event counts for a batch of time assignments (rows)."""
+        """Predicted-event counts for a batch of time assignments (rows),
+        evaluated in chunks of rows that fit the memory budget."""
         times_matrix = np.asarray(times_matrix, dtype=float)
         n_rows = times_matrix.shape[0]
         if self.n_pairs == 0 or n_rows == 0:
             return np.zeros(n_rows, dtype=np.int64)
         counts = np.empty(n_rows, dtype=np.int64)
-        chunk = max(1, 32_000_000 // max(self.n_pairs, 1))
+        chunk = rows_within_budget(self.n_pairs * self.BYTES_PER_PAIR)
         for lo in range(0, n_rows, chunk):
             hi = min(lo + chunk, n_rows)
-            t_pair = times_matrix[lo:hi][:, self._pk]
-            covered = (t_pair > self._pair_start) & (t_pair <= self._pair_end)
-            good = covered & self._pair_floor_ok
-            bad = covered & ~self._pair_floor_ok
-            good_any = np.logical_or.reduceat(good, self._seg_idx, axis=1)
-            bad_any = np.logical_or.reduceat(bad, self._seg_idx, axis=1)
-            counts[lo:hi] = (good_any & ~bad_any).sum(axis=1)
+            counts[lo:hi] = self._predicted_rows(times_matrix[lo:hi]).sum(axis=1)
         return counts
 
     def successful_alarms(self, times_s: np.ndarray) -> int:

@@ -219,7 +219,8 @@ def parse_csv(source: bytes | str | IO, magnitude_selector: str = "mb") -> Catal
     Header must be exactly ``time,lat,lon,depth_km,mb,ms,id``. Times are
     ISO-8601 UTC. Empty magnitude cells mean "absent"; a row with both
     magnitudes absent is rejected. Rows are re-sorted by time, equal times
-    keeping file order; empty ids get stable row-number ids.
+    keeping file order; empty ids get stable row-number ids, and an id may
+    appear only once.
     """
     text = _decode(source)
     reader = csv.reader(io.StringIO(text))
@@ -234,6 +235,7 @@ def parse_csv(source: bytes | str | IO, magnitude_selector: str = "mb") -> Catal
             f"line 1: bad header {','.join(header)!r}; expected {','.join(CSV_COLUMNS)!r}"
         )
     events: list[Event] = []
+    line_of_id: dict[str, int] = {}
     for line_no, row in enumerate(reader, start=2):
         if not row:
             continue
@@ -265,6 +267,11 @@ def parse_csv(source: bytes | str | IO, magnitude_selector: str = "mb") -> Catal
             )
         except ValueError as exc:
             raise CatalogParseError(f"line {line_no}: {exc}") from exc
+        first = line_of_id.setdefault(event.source_id, line_no)
+        if first != line_no:
+            raise CatalogParseError(
+                f"line {line_no}: id {event.source_id!r} repeats line {first}"
+            )
         events.append(event)
     events = _sorted_events(events)
     return Catalog(tuple(events), _envelope_span(events), magnitude_selector)

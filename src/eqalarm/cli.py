@@ -197,13 +197,13 @@ def cmd_table1(args) -> int:
             targets, mag_threshold, args.window_days, args.radius_km, FloorRule.TRIGGER
         )
         succ = count_predicted(targets, threshold_alarms)
-        succ_wo = count_predicted(targets, trigger_alarms)
+        # the test's observed statistic is the trigger-floor success count
         report = permutation_test_fixed_alarms(
             targets, trigger_alarms, args.reps, Rng(args.seed)
         )
         v = alarm_volume_fraction(trigger_alarms, sv)
         lines.append(
-            f"{label},{mag_threshold},{len(targets)},{succ},{succ_wo},"
+            f"{label},{mag_threshold},{len(targets)},{succ},{report.observed:.0f},"
             f"{report.max_sim:.0f},{report.p_display()},{v:.1e}"
         )
         print(f"row {label} M>={mag_threshold}: {lines[-1]}", file=sys.stderr)

@@ -57,6 +57,69 @@ def great_circle_km(a: GeoPoint, b: GeoPoint) -> float:
     return float(great_circle_km_arrays(a.lat, a.lon, b.lat, b.lon))
 
 
+# peak working bytes per candidate pair in pairs_within_km (about 88 under
+# tracemalloc): the two index arrays, four gathered coordinates, their
+# radians and the haversine temporaries
+JOIN_BYTES_PER_CANDIDATE = 96
+
+
+def pairs_within_km(
+    lat_t, lon_t, lat_a, lon_a, radius_km_a, budget_bytes: int | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Every (target, alarm) index pair whose haversine distance is at most
+    the alarm's radius, sorted by target then alarm.
+
+    Latitudes must lie in [-90, 90]. Targets are sorted by latitude once;
+    each alarm's candidates are the targets whose latitude differs by at
+    most its radius in degrees (great-circle distance is never below
+    R * |dlat|) plus a slack of 1e-5 degrees: near the antipode the
+    haversine's arcsin loses up to about sqrt(eps), some 5e-7 degrees of
+    computed distance, and the slack keeps every pair it accepts. Every
+    candidate is then re-checked with :func:`great_circle_km_arrays`
+    against ``<= radius``, so the pair set is exactly the dense haversine
+    join's. ``budget_bytes`` caps the candidates evaluated at once; alarms
+    are processed in blocks that fit it (a block holds at least one alarm).
+    """
+    lat_t = np.asarray(lat_t, dtype=float)
+    lon_t = np.asarray(lon_t, dtype=float)
+    lat_a = np.asarray(lat_a, dtype=float)
+    lon_a = np.asarray(lon_a, dtype=float)
+    radius = np.broadcast_to(np.asarray(radius_km_a, dtype=float), lat_a.shape)
+    order = np.argsort(lat_t)
+    lat_sorted = lat_t[order]
+    half_band = np.degrees(radius / EARTH_RADIUS_KM) + 1e-5
+    lo = np.searchsorted(lat_sorted, lat_a - half_band, side="left")
+    n_cand = np.searchsorted(lat_sorted, lat_a + half_band, side="right") - lo
+    cum = np.cumsum(n_cand)
+    if budget_bytes is None:
+        max_candidates = np.inf
+    else:
+        max_candidates = max(1, budget_bytes // JOIN_BYTES_PER_CANDIDATE)
+
+    t_parts: list[np.ndarray] = []
+    a_parts: list[np.ndarray] = []
+    j0 = 0
+    while j0 < lat_a.size:
+        done = cum[j0 - 1] if j0 else 0
+        j1 = max(j0 + 1, int(np.searchsorted(cum, done + max_candidates, side="right")))
+        counts = n_cand[j0:j1]
+        a_idx = np.repeat(np.arange(j0, j1), counts)
+        # candidate c of alarm j sits at sorted position lo[j] + c
+        run_start = np.cumsum(counts) - counts
+        t_idx = order[np.arange(a_idx.size) + np.repeat(lo[j0:j1] - run_start, counts)]
+        d = great_circle_km_arrays(lat_t[t_idx], lon_t[t_idx], lat_a[a_idx], lon_a[a_idx])
+        keep = d <= radius[a_idx]
+        t_parts.append(t_idx[keep])
+        a_parts.append(a_idx[keep])
+        j0 = j1
+    if not t_parts:
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+    t_idx = np.concatenate(t_parts).astype(np.int64, copy=False)
+    a_idx = np.concatenate(a_parts).astype(np.int64, copy=False)
+    by_target = np.lexsort((a_idx, t_idx))
+    return t_idx[by_target], a_idx[by_target]
+
+
 def cap_area_km2(radius_km: float) -> float:
     """Area in km^2 of a spherical cap of the given great-circle radius.
 

@@ -15,7 +15,7 @@ from datetime import datetime, timedelta, timezone
 
 import numpy as np
 
-from ._random import Rng, as_generator, substream
+from ._random import Rng, as_generator
 from .catalog import Catalog, Event, StudyVolume, _as_utc
 from .geo import GeoPoint, GlobalSphere, Region
 
@@ -248,8 +248,3 @@ def gen_gamma_renewal(
             if elapsed > horizon:
                 return instants
             instants.append(t_start + timedelta(seconds=elapsed))
-
-
-def replicate_generator(seed: int, stream_id: int, replicate: int) -> np.random.Generator:
-    """Stream for one replicate of a parallel experiment: key (seed, stream, r)."""
-    return substream(seed, stream_id, replicate)

@@ -21,10 +21,16 @@ from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
-from scipy import stats
+from scipy.special import bdtrc, pdtrc
 
 from ._random import Rng, as_generator, substream
-from .alarm import AlarmSet, AlarmTargetIndex, FloorRule, generate_alarms
+from .alarm import (
+    AlarmSet,
+    AlarmTargetIndex,
+    FloorRule,
+    generate_alarms,
+    rows_within_budget,
+)
 from .catalog import Catalog, _as_utc, filter_catalog
 from .geo import GeoPoint, great_circle_km
 
@@ -82,11 +88,12 @@ def _simulated_counts(
 
     Replicate r draws its permutation from the stream keyed by
     (seed, stream_id, r), so results are independent of evaluation order
-    and safe to split across workers.
+    and safe to split across workers. Replicates are evaluated in blocks
+    whose times and count-kernel arrays fit the memory budget together.
     """
     n = times_s.size
     counts = np.empty(n_reps, dtype=np.int64)
-    chunk = max(1, 32_000_000 // max(index.n_pairs, 1))
+    chunk = rows_within_budget(8 * n + index.BYTES_PER_PAIR * index.n_pairs)
     for lo in range(0, n_reps, chunk):
         hi = min(lo + chunk, n_reps)
         block = np.empty((hi - lo, n), dtype=float)
@@ -210,7 +217,7 @@ def binomial_tail_pvalue(s: int, q: int, pi: float) -> float:
         raise ValueError(f"pi must be in [0, 1], got {pi!r}")
     if s == 0:
         return 1.0
-    return float(stats.binom.sf(s - 1, q, pi))
+    return float(bdtrc(s - 1, q, pi))
 
 
 def poisson_binomial_pvalue(
@@ -250,7 +257,7 @@ def poisson_binomial_pvalue(
         sums = (g.random((n_reps, probs.size)) < probs).sum(axis=1)
         return float((sums >= s_obs).mean())
     if method == "poisson_approx":
-        return float(stats.poisson.sf(s_obs - 1, probs.sum()))
+        return float(pdtrc(s_obs - 1, probs.sum()))
     raise ValueError(f"unknown method {method!r}")
 
 

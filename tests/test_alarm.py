@@ -189,6 +189,16 @@ class TestCounts:
         assert count_successful_alarms(threshold, cat) == 1
         assert count_successful_alarms(trigger, cat) == 0
 
+    def test_repeated_target_id_rejected(self):
+        # two M6.0 events a day apart at one epicenter: the first predicts the
+        # second, unless a shared id makes the second look like its trigger
+        first = make_event(0, 10.0, 20.0, 6.0, "x")
+        cat = make_catalog([]).with_events([first, make_event(1, 10.0, 20.0, 6.0, "y")])
+        assert count_predicted(cat, generate_alarms(cat, 5.5)) == 1
+        dup = cat.with_events([first, make_event(1, 10.0, 20.0, 6.0, "x")])
+        with pytest.raises(ValueError, match="'x' repeats"):
+            count_predicted(dup, generate_alarms(dup, 5.5))
+
 
 class TestScore:
     def test_degenerate_all_zero(self):

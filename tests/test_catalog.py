@@ -162,6 +162,16 @@ class TestParseCsv:
         cat = parse_csv(text)
         assert [e.source_id for e in cat.events] == ["row000001", "row000002"]
 
+    def test_repeated_id_cites_both_lines(self):
+        text = (
+            CSV_HEADER
+            + "2004-01-02T00:00:00Z,0,0,10,5.5,,a\n"
+            + "2004-01-03T00:00:00Z,0,0,10,5.5,,b\n"
+            + "2004-01-04T00:00:00Z,0,0,10,5.5,,a\n"
+        )
+        with pytest.raises(CatalogParseError, match="line 4: id 'a' repeats line 2"):
+            parse_csv(text)
+
     def test_accepts_bytes(self):
         text = CSV_HEADER + "2004-01-02T03:04:05Z,10.0,20.0,33.0,5.5,,a\n"
         assert len(parse_csv(text.encode())) == 1

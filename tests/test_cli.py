@@ -1,6 +1,9 @@
 import json
 import math
+from datetime import datetime, timedelta, timezone
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from eqalarm import dumps_csv, exact_permutation_pvalue, parse_csv
@@ -21,6 +24,8 @@ FIVE_EVENT_ROWS = [
 CHAIN_ROWS = [(0.0, 0.0, 0.0, 6.0), (5.0, 0.0, 0.0, 5.5), (13.0, 0.0, 0.0, 5.0)]
 
 WINDOW_TABLE = "mag_min,time_days,distance_km\n-inf,10,20\n"
+
+DATA_DIR = Path(__file__).resolve().parent / "data"
 
 
 @pytest.fixture
@@ -114,6 +119,16 @@ class TestEval:
         payload = json.loads(out)
         assert payload["Q"] == 0 and payload["P"] == 0
         assert "no events pass" in err
+
+    def test_repeated_id_is_parse_error(self, tmp_path, capsys):
+        path = tmp_path / "dup.csv"
+        path.write_text(dumps_csv(make_catalog(THREE_EVENT_ROWS)).replace("ev001", "ev000"))
+        code, out, err = run(
+            capsys, "eval", "--input", str(path), "--mag-threshold", "5.5", "--deterministic"
+        )
+        assert code == 2
+        assert out == ""
+        assert "'ev000' repeats line 2" in err
 
     def test_timestamp_present_without_deterministic(self, capsys, csv_path):
         src = csv_path(THREE_EVENT_ROWS)
@@ -287,6 +302,33 @@ def synthetic_ndk_2000_2004():
     return ndk_file(records)
 
 
+def clustered_ndk_2000_2004(n_mainshocks: int = 150, seed: int = 2004) -> str:
+    """Five-year NDK file: mainshocks in four belts, each followed by up to
+    three aftershocks within 20 days and a few tens of km, with
+    Gutenberg-Richter magnitudes (b = 1) above M5.0 in 0.1 steps."""
+    rng = np.random.default_rng(seed)
+    t0 = datetime(2000, 1, 1, tzinfo=timezone.utc)
+    belts = ((35.0, 140.0), (-20.0, -70.0), (0.0, 100.0), (55.0, -150.0))
+    records = []
+    for _ in range(n_mainshocks):
+        lat, lon = belts[rng.integers(len(belts))] + rng.normal(0.0, 3.0, 2)
+        t = rng.uniform(1.0, 1826.0)
+        shocks = [(t, lat, lon)] + [
+            (t + rng.uniform(0.1, 20.0), lat + rng.normal(0.0, 0.2), lon + rng.normal(0.0, 0.2))
+            for _ in range(rng.integers(0, 4))
+        ]
+        for t_days, s_lat, s_lon in shocks:
+            when = t0 + timedelta(days=float(t_days))
+            mb = min(7.9, 5.0 + rng.exponential(1.0 / math.log(10.0)))
+            records.append(
+                ndk_record(
+                    date=when.strftime("%Y/%m/%d"), time=when.strftime("%H:%M:%S.0"),
+                    lat=float(s_lat), lon=float(s_lon), mb=round(mb, 1),
+                )
+            )
+    return ndk_file(records)
+
+
 class TestTable1:
     def test_four_rows_and_composition(self, tmp_path, capsys):
         path = tmp_path / "synthetic.ndk"
@@ -321,6 +363,19 @@ class TestTable1:
         )
         test_payload = json.loads(test_out)
         assert int(first[5]) == int(test_payload["max_sim"])
+
+    def test_deterministic_output_matches_golden_file(self, tmp_path, capsys):
+        # tests/data/table1_golden.csv holds this command's output from before
+        # the latitude-band join; any change to the bytes must be deliberate
+        path = tmp_path / "clustered.ndk"
+        path.write_text(clustered_ndk_2000_2004())
+        code, out, _ = run(
+            capsys,
+            "table1", "--input", str(path), "--format", "ndk",
+            "--reps", "200", "--deterministic",
+        )
+        assert code == 0
+        assert out == (DATA_DIR / "table1_golden.csv").read_text(encoding="utf-8")
 
     def test_non_covering_catalog_rejected(self, tmp_path, capsys):
         path = tmp_path / "short.ndk"

@@ -1,0 +1,222 @@
+"""The alarm x target pair join against the dense haversine oracle, and the
+memory budget of the batched kernels."""
+
+import tracemalloc
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import eqalarm.alarm
+from eqalarm import AlarmTargetIndex, FloorRule, generate_alarms
+from eqalarm.geo import (
+    EARTH_RADIUS_KM,
+    HALF_CIRCUMFERENCE_KM,
+    great_circle_km_arrays,
+    pairs_within_km,
+)
+
+from conftest import make_catalog
+
+
+def dense_pairs_within_km(lat_t, lon_t, lat_a, lon_a, radius_km_a, block=512):
+    """Reference join: every target x alarm haversine distance, in blocks of
+    target rows; pairs come out sorted by target then alarm."""
+    lat_t, lon_t, lat_a, lon_a = (
+        np.asarray(x, dtype=float) for x in (lat_t, lon_t, lat_a, lon_a)
+    )
+    radius = np.broadcast_to(np.asarray(radius_km_a, dtype=float), lat_a.shape)
+    t_parts = [np.empty(0, dtype=np.int64)]
+    a_parts = [np.empty(0, dtype=np.int64)]
+    for lo in range(0, lat_t.size, block):
+        hi = min(lo + block, lat_t.size)
+        d = great_circle_km_arrays(
+            lat_t[lo:hi, None], lon_t[lo:hi, None], lat_a[None, :], lon_a[None, :]
+        )
+        rows, cols = np.nonzero(d <= radius[None, :])
+        t_parts.append((rows + lo).astype(np.int64))
+        a_parts.append(cols.astype(np.int64))
+    return np.concatenate(t_parts), np.concatenate(a_parts)
+
+
+def dense_index_pairs(targets, alarm_set):
+    """Reference pair list of AlarmTargetIndex: the dense join minus each
+    alarm's own trigger, found by position."""
+    t, a = dense_pairs_within_km(
+        targets.latitudes(),
+        targets.longitudes(),
+        [x.center.lat for x in alarm_set],
+        [x.center.lon for x in alarm_set],
+        [x.radius_km for x in alarm_set],
+    )
+    trig = np.array([x.trigger_index for x in alarm_set], dtype=np.int64)
+    keep = trig[a] != t
+    return t[keep], a[keep]
+
+
+def assert_same_pairs(got, expected):
+    assert got[0].dtype == np.int64 and got[1].dtype == np.int64
+    np.testing.assert_array_equal(got[0], expected[0])
+    np.testing.assert_array_equal(got[1], expected[1])
+
+
+lat_st = st.one_of(
+    st.sampled_from([-90.0, 90.0, 0.0]), st.floats(min_value=-90.0, max_value=90.0)
+)
+lon_st = st.one_of(
+    st.sampled_from([-180.0, 180.0, 179.99, -179.99]),
+    st.floats(min_value=-180.0, max_value=180.0),
+)
+radius_st = st.one_of(
+    st.floats(min_value=0.5, max_value=500.0),
+    st.floats(min_value=500.0, max_value=HALF_CIRCUMFERENCE_KM),
+)
+
+
+@st.composite
+def join_inputs(draw):
+    """Targets, then alarms either anywhere or a small step from a target,
+    with some radii set to exactly one target's distance."""
+    n = draw(st.integers(0, 25))
+    m = draw(st.integers(0, 25))
+    lat_t = [draw(lat_st) for _ in range(n)]
+    lon_t = [draw(lon_st) for _ in range(n)]
+    lat_a, lon_a, radius = [], [], []
+    for _ in range(m):
+        if n and draw(st.booleans()):
+            k = draw(st.integers(0, n - 1))
+            dlat = draw(st.floats(-1.0, 1.0))
+            lat_a.append(float(np.clip(lat_t[k] + dlat, -90.0, 90.0)))
+            lon_a.append(lon_t[k] + draw(st.floats(-1.0, 1.0)))
+        else:
+            lat_a.append(draw(lat_st))
+            lon_a.append(draw(lon_st))
+        radius.append(draw(radius_st))
+    if n and m:
+        for j in draw(st.lists(st.integers(0, m - 1), max_size=m)):
+            k = draw(st.integers(0, n - 1))
+            exact = float(great_circle_km_arrays(lat_t[k], lon_t[k], lat_a[j], lon_a[j]))
+            radius[j] = max(exact, 1e-6)
+    return lat_t, lon_t, lat_a, lon_a, radius
+
+
+class TestPairsWithinKm:
+    @settings(max_examples=400, deadline=None)
+    @given(join_inputs())
+    def test_matches_dense_oracle(self, inputs):
+        assert_same_pairs(pairs_within_km(*inputs), dense_pairs_within_km(*inputs))
+
+    @settings(max_examples=100, deadline=None)
+    @given(join_inputs(), st.integers(1, 3000))
+    def test_budget_blocks_do_not_change_pairs(self, inputs, budget_bytes):
+        assert_same_pairs(
+            pairs_within_km(*inputs, budget_bytes=budget_bytes), dense_pairs_within_km(*inputs)
+        )
+
+    def test_exactly_at_radius_counts_as_inside(self):
+        d = float(great_circle_km_arrays(0.0, 0.0, 0.3, 0.4))
+        t, a = pairs_within_km([0.0], [0.0], [0.3], [0.4], d)
+        assert (t.tolist(), a.tolist()) == ([0], [0])
+        t, a = pairs_within_km([0.0], [0.0], [0.3], [0.4], np.nextafter(d, 0.0))
+        assert t.size == 0
+
+    def test_near_antipodes_at_exact_radius(self):
+        # on one meridian near opposite poles the computed distance can fall
+        # short of R * |dlat| by some 5e-7 degrees; such pairs still count
+        rng = np.random.default_rng(4)
+        lat_t = 90.0 - rng.uniform(0.0, 1e-5, 20000)
+        lat_a = -90.0 + rng.uniform(0.0, 1e-5, 20000)
+        lon = rng.uniform(-180.0, 180.0, 20000)
+        radius = great_circle_km_arrays(lat_t, lon, lat_a, lon)
+        shortfall = (lat_t - lat_a) - np.degrees(radius / EARTH_RADIUS_KM)
+        worst = np.argsort(shortfall)[-50:]
+        assert shortfall[worst].max() > 2e-7
+        args = (lat_t[worst], lon[worst], lat_a[worst], lon[worst], radius[worst])
+        got = pairs_within_km(*args)
+        assert_same_pairs(got, dense_pairs_within_km(*args))
+        assert set(range(50)) <= {t for t, a in zip(*got) if t == a}
+
+    def test_pole_and_dateline(self):
+        # every meridian meets at the pole; the dateline is no boundary
+        lat_t, lon_t = [90.0, 89.8, 0.0, 0.0], [0.0, 180.0, 179.9, -179.9]
+        t, _ = pairs_within_km(lat_t, lon_t, [90.0], [37.0], 30.0)
+        assert t.tolist() == [0, 1]
+        t, _ = pairs_within_km([0.0, 0.0], [179.9, -179.9], [0.0], [-180.0], 12.0)
+        assert t.tolist() == [0, 1]
+
+    def test_empty_and_single_inputs(self):
+        empty_cases = (
+            ([], [], [], [], 50.0),
+            ([1.0], [2.0], [], [], []),
+            ([], [], [1.0], [2.0], 50.0),
+        )
+        for args in empty_cases:
+            t, a = pairs_within_km(*args)
+            assert t.size == a.size == 0 and t.dtype == a.dtype == np.int64
+        t, a = pairs_within_km([1.0], [2.0], [1.0], [2.0], 50.0)
+        assert (t.tolist(), a.tolist()) == ([0], [0])
+
+
+class TestIndexPairs:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.floats(0.0, 60.0), lat_st, lon_st, st.floats(5.5, 7.5)),
+            max_size=25,
+        ),
+        radius_st,
+    )
+    def test_matches_dense_oracle(self, rows, radius_km):
+        cat = make_catalog(rows, span_days=61.0)
+        for rule in (FloorRule.THRESHOLD, FloorRule.TRIGGER):
+            aset = generate_alarms(cat, 5.5, radius_km=radius_km, floor_rule=rule)
+            index = AlarmTargetIndex(cat, aset)
+            assert_same_pairs((index._pk, index._pj), dense_index_pairs(cat, aset))
+
+
+def _traced_peak(fn):
+    """Result of fn() and the peak bytes it allocated above the start."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = fn()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak - base
+
+
+class TestMemoryBudget:
+    BUDGET = 2 * 2**20
+
+    def test_one_latitude_band_join(self, monkeypatch):
+        # 1200 targets and alarms on the equator: every alarm's band holds
+        # every target, so the unblocked candidates would take ~130 MB
+        monkeypatch.setattr(eqalarm.alarm, "MEMORY_BUDGET_BYTES", self.BUDGET)
+        rows = [(i * 0.01, 0.0, -180.0 + 0.3 * i, 6.0) for i in range(1200)]
+        cat = make_catalog(rows, span_days=20.0)
+        aset = generate_alarms(cat, 5.5, radius_km=50.0)
+        index, peak = _traced_peak(lambda: AlarmTargetIndex(cat, aset))
+        assert peak <= 2 * self.BUDGET + 1_000_000
+        assert_same_pairs((index._pk, index._pj), dense_index_pairs(cat, aset))
+        assert index.n_pairs > 2000
+
+    def test_large_count_batch(self, monkeypatch):
+        monkeypatch.setattr(eqalarm.alarm, "MEMORY_BUDGET_BYTES", self.BUDGET)
+        rng = np.random.default_rng(3)
+        rows = [
+            (float(t), float(lat), float(lon), 6.0)
+            for t, lat, lon in zip(
+                rng.uniform(0, 300, 300), rng.normal(0, 0.2, 300), rng.normal(0, 0.2, 300)
+            )
+        ]
+        cat = make_catalog(rows, span_days=301.0)
+        index = AlarmTargetIndex(cat, generate_alarms(cat, 5.5))
+        times = cat.times_s()
+        matrix = np.stack([rng.permutation(times) for _ in range(400)])
+        # the unchunked kernel would hold rows x pairs x 11 B, about 390 MB
+        assert matrix.shape[0] * index.n_pairs * index.BYTES_PER_PAIR > 100 * self.BUDGET
+        counts, peak = _traced_peak(lambda: index.counts_for_time_matrix(matrix))
+        assert peak <= 2 * self.BUDGET + counts.nbytes
+        expected = [index.count_predicted(row) for row in matrix[:40]]
+        assert counts[:40].tolist() == expected
