@@ -14,7 +14,6 @@ from .alarm import (
     count_successful_alarms,
     dumps_alarms_csv,
     generate_alarms,
-    is_predicted,
     score,
     union_volume_fraction_mc,
 )

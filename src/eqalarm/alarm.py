@@ -22,14 +22,8 @@ from enum import Enum
 import numpy as np
 
 from ._random import as_generator
-from .catalog import Catalog, Event, StudyVolume, _as_utc
-from .geo import (
-    GeoPoint,
-    cap_area_km2,
-    great_circle_km,
-    great_circle_km_arrays,
-    pairs_within_km,
-)
+from .catalog import Catalog, StudyVolume, _as_utc
+from .geo import JOIN_BYTES_PER_CANDIDATE, GeoPoint, cap_area_km2, pairs_within_km
 
 SECONDS_PER_DAY = 86400.0
 
@@ -42,6 +36,22 @@ MEMORY_BUDGET_BYTES = 256 * 2**20
 def rows_within_budget(bytes_per_row: int) -> int:
     """Rows of a batch whose working arrays fit MEMORY_BUDGET_BYTES (at least 1)."""
     return max(1, MEMORY_BUDGET_BYTES // max(bytes_per_row, 1))
+
+
+def pair_blocks(lat_t, lon_t, lat_a, lon_a, radius_km_a):
+    """:func:`pairs_within_km` over consecutive blocks of targets, each small
+    enough that its pairs fit MEMORY_BUDGET_BYTES even when every alarm
+    covers every target. Yields (target, alarm) index arrays block by block
+    in target order, each sorted by target then alarm."""
+    # the join's bytes per candidate also bound its callers' reductions of a
+    # block: decluster, alarm_measure_pi and union_volume_fraction_mc peak at
+    # about 88 B per pair under tracemalloc when every candidate is a pair
+    step = rows_within_budget(JOIN_BYTES_PER_CANDIDATE * len(lat_a))
+    for lo in range(0, len(lat_t), step):
+        t, a = pairs_within_km(
+            lat_t[lo : lo + step], lon_t[lo : lo + step], lat_a, lon_a, radius_km_a
+        )
+        yield t + lo, a
 
 
 class FloorRule(str, Enum):
@@ -87,13 +97,6 @@ class Alarm:
     def duration_s(self) -> float:
         return (self.t_end - self.t_start).total_seconds()
 
-    def covers(self, time: datetime, point: GeoPoint) -> bool:
-        """Space-time containment; the left time endpoint is excluded."""
-        t = _as_utc(time)
-        if not (self.t_start < t <= self.t_end):
-            return False
-        return great_circle_km(self.center, point) <= self.radius_km
-
 
 @dataclass(frozen=True)
 class AlarmConfig:
@@ -120,6 +123,19 @@ class AlarmSet:
 
     def __iter__(self):
         return iter(self.alarms)
+
+
+def _alarm_arrays(alarm_set: AlarmSet) -> tuple[np.ndarray, ...]:
+    """Per-alarm centre latitude and longitude, radius (km), and window
+    start and end (POSIX seconds)."""
+    alarms = alarm_set.alarms
+    return (
+        np.array([a.center.lat for a in alarms], dtype=float),
+        np.array([a.center.lon for a in alarms], dtype=float),
+        np.array([a.radius_km for a in alarms], dtype=float),
+        np.array([a.t_start.timestamp() for a in alarms], dtype=float),
+        np.array([a.t_end.timestamp() for a in alarms], dtype=float),
+    )
 
 
 def generate_alarms(
@@ -170,24 +186,6 @@ def generate_alarms(
     )
 
 
-def is_predicted(event: Event, alarm_set: AlarmSet, selector: str = "mb") -> bool:
-    """Max-floor membership: covered by some alarm and at or above every
-    covering alarm's floor. Alarms triggered by this same event (matching
-    trigger id) are ignored."""
-    covering_floors = [
-        a.mag_floor
-        for a in alarm_set.alarms
-        if not (a.trigger_id is not None and a.trigger_id == event.source_id)
-        and a.covers(event.time, event.epicenter)
-    ]
-    if not covering_floors:
-        return False
-    magnitude = event.magnitude(selector)
-    if magnitude is None:
-        return False
-    return magnitude >= max(covering_floors)
-
-
 class AlarmTargetIndex:
     """Precomputed spatial join between a fixed alarm set and target events.
 
@@ -215,13 +213,7 @@ class AlarmTargetIndex:
                     "ids must be unique"
                 )
 
-        a_lat = np.array([a.center.lat for a in alarm_set], dtype=float)
-        a_lon = np.array([a.center.lon for a in alarm_set], dtype=float)
-        a_radius = np.array([a.radius_km for a in alarm_set], dtype=float)
-        self._alarm_start = np.array(
-            [a.t_start.timestamp() for a in alarm_set], dtype=float
-        )
-        self._alarm_end = np.array([a.t_end.timestamp() for a in alarm_set], dtype=float)
+        a_lat, a_lon, a_radius, a_start, a_end = _alarm_arrays(alarm_set)
         a_floor = np.array([a.mag_floor for a in alarm_set], dtype=float)
         # trigger id resolved to a target position, or -1 when not a target
         a_trig = np.array(
@@ -239,8 +231,8 @@ class AlarmTargetIndex:
         keep = a_trig[pj] != pk
         self._pk = pk[keep]
         self._pj = pj[keep]
-        self._pair_start = self._alarm_start[self._pj]
-        self._pair_end = self._alarm_end[self._pj]
+        self._pair_start = a_start[self._pj]
+        self._pair_end = a_end[self._pj]
         with np.errstate(invalid="ignore"):
             self._pair_floor_ok = t_mag[self._pk] >= a_floor[self._pj]
         # pairs come sorted by target; segment boundaries for reduceat
@@ -298,7 +290,8 @@ def count_predicted(targets: Catalog, alarm_set: AlarmSet) -> int:
     """Number of target events predicted by the alarm set.
 
     Targets are expected to be pre-filtered to the study threshold and
-    window; prediction uses the same max-floor rule as :func:`is_predicted`.
+    window; a target is predicted when some alarm covers it and its
+    magnitude reaches the largest floor among the covering alarms.
     """
     index = AlarmTargetIndex(targets, alarm_set)
     return index.count_predicted(targets.times_s())
@@ -407,16 +400,11 @@ def union_volume_fraction_mc(
     lat, lon = sv.region.sample(n_samples, g)
     t0 = sv.t_start.timestamp()
     times = t0 + g.uniform(0.0, sv.duration_s, size=n_samples)
+    a_lat, a_lon, a_radius, a_start, a_end = _alarm_arrays(alarm_set)
     hit = np.zeros(n_samples, dtype=bool)
-    for a in alarm_set.alarms:
-        in_time = (times > a.t_start.timestamp()) & (times <= a.t_end.timestamp())
-        if not in_time.any():
-            continue
-        idx = np.nonzero(in_time & ~hit)[0]
-        if idx.size == 0:
-            continue
-        d = great_circle_km_arrays(lat[idx], lon[idx], a.center.lat, a.center.lon)
-        hit[idx[d <= a.radius_km]] = True
+    for k, j in pair_blocks(lat, lon, a_lat, a_lon, a_radius):
+        in_time = (times[k] > a_start[j]) & (times[k] <= a_end[j])
+        hit[k[in_time]] = True
     p_hat = float(hit.mean())
     stderr = math.sqrt(p_hat * (1.0 - p_hat) / n_samples)
     return VolumeEstimate(p_hat, stderr, n_samples)

@@ -41,6 +41,7 @@ from .decluster import WindowTable, decluster, decluster_stats
 from .geo import GlobalSphere, LatLonBox
 from .nullmodels import (
     CellGrid,
+    _resample_marks,
     gen_gamma_renewal,
     gen_heterogeneous_poisson,
     gen_homogeneous_poisson,
@@ -304,22 +305,13 @@ def cmd_simulate(args) -> int:
         )
         sv = StudyVolume(GlobalSphere(), *interval)
         marks = _load_catalog(args.input, args.format) if args.input else None
-        events = []
-        if marks is not None and len(marks) > 0:
-            g = rng.replicate(1).generator()
-            picks = g.integers(0, len(marks), size=len(instants))
-            for i, t in enumerate(instants):
-                events.append(
-                    replace(marks.events[int(picks[i])], time=t, source_id=f"sim{i:06d}")
-                )
-        else:
-            from .catalog import Event
-            from .geo import GeoPoint
-
-            for i, t in enumerate(instants):
-                events.append(
-                    Event(t, GeoPoint(0.0, 0.0), 10.0, 5.0, None, f"sim{i:06d}")
-                )
+        templates = _resample_marks(
+            marks, len(instants), GlobalSphere(), rng.replicate(1).generator()
+        )
+        events = (
+            replace(e, time=t, source_id=f"sim{i:06d}")
+            for i, (e, t) in enumerate(zip(templates, instants))
+        )
         out_catalog = Catalog(tuple(events), sv)
     else:  # pragma: no cover - argparse restricts choices
         raise _UsageError(f"unknown model {args.model!r}")

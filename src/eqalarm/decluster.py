@@ -23,7 +23,7 @@ from typing import IO
 import numpy as np
 
 from .catalog import Catalog, CatalogParseError, _decode
-from .geo import great_circle_km_arrays
+from .alarm import pair_blocks
 
 SECONDS_PER_DAY = 86400.0
 
@@ -134,26 +134,20 @@ def decluster(
     )
 
     deleted = np.zeros(n, dtype=bool)
-    for k in range(1, n):
-        if np.isnan(mags[k]):
-            continue
-        earlier = np.arange(k)
-        if retained_only:
-            earlier = earlier[~deleted[:k]]
-        if earlier.size == 0:
-            continue
-        larger = mags[earlier] > mags[k]
-        if not larger.any():
-            continue
-        cand = earlier[larger]
-        dt = times[k] - times[cand]
-        in_time = (dt > 0.0) & (dt <= time_windows_s[cand])
-        cand = cand[in_time]
-        if cand.size == 0:
-            continue
-        d = great_circle_km_arrays(lats[cand], lons[cand], lats[k], lons[k])
-        if np.any(d <= dist_windows_km[cand]):
+    # target k, "alarm" j: j's window holds k; with NaN magnitudes the
+    # comparison is False, so such events neither punch nor get deleted
+    for k, j in pair_blocks(lats, lons, lats, lons, dist_windows_km):
+        dt = times[k] - times[j]
+        punch = (mags[j] > mags[k]) & (dt > 0.0) & (dt <= time_windows_s[j])
+        k, j = k[punch], j[punch]
+        if not retained_only:
             deleted[k] = True
+            continue
+        # pairs come sorted by k, and on a time-sorted catalog every puncher
+        # j precedes its k, so j's own fate is settled when k is reached
+        for kk, jj in zip(k.tolist(), j.tolist()):
+            if not deleted[jj]:
+                deleted[kk] = True
 
     kept = tuple(e for i, e in enumerate(catalog.events) if not deleted[i])
     return DeclusterResult(

@@ -158,17 +158,18 @@ def historical_cell_rates(catalog: Catalog, cells: list[Region]) -> CellGrid:
     Cells must jointly cover every epicenter; an event matching no cell is a
     partition violation. Boundary points go to the first matching cell.
     """
-    counts = np.zeros(len(cells), dtype=np.int64)
-    for i, event in enumerate(catalog.events):
-        for j, cell in enumerate(cells):
-            if cell.contains(event.epicenter):
-                counts[j] += 1
-                break
-        else:
-            raise ValueError(
-                f"event {i} ({event.source_id}) falls in no cell; "
-                "cells must partition the region"
-            )
+    lat, lon = catalog.latitudes(), catalog.longitudes()
+    cell_of = np.full(len(catalog), -1, dtype=np.int64)
+    for j, cell in enumerate(cells):
+        cell_of[(cell_of < 0) & cell.contains_arrays(lat, lon)] = j
+    uncovered = np.flatnonzero(cell_of < 0)
+    if uncovered.size:
+        i = int(uncovered[0])
+        raise ValueError(
+            f"event {i} ({catalog.events[i].source_id}) falls in no cell; "
+            "cells must partition the region"
+        )
+    counts = np.bincount(cell_of, minlength=len(cells))
     duration = catalog.span.duration_s
     return CellGrid(tuple(cells), tuple(float(c) / duration for c in counts))
 
@@ -191,14 +192,19 @@ def gen_heterogeneous_poisson(
     sv = StudyVolume(GlobalSphere(), t_start, t_end)
     events: list[Event] = []
     serial = 0
+    has_marks = marks is not None and len(marks) > 0
+    if has_marks:
+        mark_lat, mark_lon = marks.latitudes(), marks.longitudes()
     for cell, rate in zip(grid.cells, grid.rates_per_s):
         n = int(g.poisson(rate * sv.duration_s))
         if n == 0:
             continue
         cell_marks = None
-        if marks is not None and len(marks) > 0:
-            inside = [e for e in marks.events if cell.contains(e.epicenter)]
-            cell_marks = marks.with_events(inside) if inside else marks
+        if has_marks:
+            inside = np.flatnonzero(cell.contains_arrays(mark_lat, mark_lon))
+            cell_marks = (
+                marks.with_events([marks.events[i] for i in inside]) if inside.size else marks
+            )
         templates = _resample_marks(cell_marks, n, cell, g)
         lat, lon = cell.sample(n, g)
         offsets = g.uniform(0.0, sv.duration_s, size=n)

@@ -28,11 +28,13 @@ from .alarm import (
     AlarmSet,
     AlarmTargetIndex,
     FloorRule,
+    _alarm_arrays,
     generate_alarms,
+    pair_blocks,
     rows_within_budget,
 )
 from .catalog import Catalog, _as_utc, filter_catalog
-from .geo import GeoPoint, great_circle_km
+from .geo import GeoPoint
 
 MAX_EXACT_EVENTS = 8
 
@@ -254,8 +256,14 @@ def poisson_binomial_pvalue(
         if n_reps < 1:
             raise ValueError("n_reps must be >= 1")
         g = as_generator(rng)
-        sums = (g.random((n_reps, probs.size)) < probs).sum(axis=1)
-        return float((sums >= s_obs).mean())
+        # consecutive row blocks draw the same stream as one (n_reps, A)
+        # draw; a row holds A float64 uniforms and their bool mask
+        step = rows_within_budget(9 * probs.size)
+        hits = 0
+        for lo in range(0, n_reps, step):
+            sums = (g.random((min(step, n_reps - lo), probs.size)) < probs).sum(axis=1)
+            hits += int((sums >= s_obs).sum())
+        return hits / n_reps
     if method == "poisson_approx":
         return float(pdtrc(s_obs - 1, probs.sum()))
     raise ValueError(f"unknown method {method!r}")
@@ -279,27 +287,36 @@ def alarm_measure_pi(
     t1 = t_end.timestamp()
     if not t0 < t1:
         raise ValueError("t_interval is empty")
+    lat = np.array([p.lat for p in historical_epicenters], dtype=float)
+    lon = np.array([p.lon for p in historical_epicenters], dtype=float)
+    a_lat, a_lon, a_radius, a_start, a_end = _alarm_arrays(alarm_set)
     total = 0.0
-    for point in historical_epicenters:
-        segments = []
-        for a in alarm_set.alarms:
-            lo = max(a.t_start.timestamp(), t0)
-            hi = min(a.t_end.timestamp(), t1)
-            if hi <= lo:
-                continue
-            if great_circle_km(a.center, point) <= a.radius_km:
-                segments.append((lo, hi))
-        covered = 0.0
-        end = -math.inf
-        for lo, hi in sorted(segments):
-            if lo > end:
-                covered += hi - lo
-                end = hi
-            elif hi > end:
-                covered += hi - end
-                end = hi
-        total += covered / (t1 - t0)
+    for k, j in pair_blocks(lat, lon, a_lat, a_lon, a_radius):
+        lo = np.maximum(a_start[j], t0)
+        hi = np.minimum(a_end[j], t1)
+        keep = hi > lo
+        k, lo, hi = k[keep], lo[keep], hi[keep]
+        order = np.lexsort((hi, lo, k))
+        # one sorted segment list per epicenter, in epicenter order; an
+        # epicenter without segments adds 0.0, which leaves the sum as is
+        groups = np.flatnonzero(np.diff(k[order])) + 1
+        for starts, ends in zip(np.split(lo[order], groups), np.split(hi[order], groups)):
+            total += _union_length(starts.tolist(), ends.tolist()) / (t1 - t0)
     return total / len(historical_epicenters)
+
+
+def _union_length(starts: list[float], ends: list[float]) -> float:
+    """Length of the union of intervals sorted by (start, end)."""
+    covered = 0.0
+    end = -math.inf
+    for lo, hi in zip(starts, ends):
+        if lo > end:
+            covered += hi - lo
+            end = hi
+        elif hi > end:
+            covered += hi - end
+            end = hi
+    return covered
 
 
 @dataclass(frozen=True)

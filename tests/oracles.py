@@ -1,0 +1,127 @@
+"""Slow scalar and per-alarm reference implementations, kept as test oracles
+for the vectorised paths in ``eqalarm``: the membership rule, declustering,
+the alarm measure and the Monte-Carlo union volume."""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from eqalarm import great_circle_km
+from eqalarm._random import as_generator
+from eqalarm.catalog import _as_utc
+from eqalarm.geo import great_circle_km_arrays
+
+SECONDS_PER_DAY = 86400.0
+
+
+def alarm_covers(alarm, time, point) -> bool:
+    """Space-time containment; the left time endpoint is excluded."""
+    t = _as_utc(time)
+    if not (alarm.t_start < t <= alarm.t_end):
+        return False
+    return great_circle_km(alarm.center, point) <= alarm.radius_km
+
+
+def is_predicted(event, alarm_set, selector: str = "mb") -> bool:
+    """Max-floor membership: covered by some alarm and at or above every
+    covering alarm's floor. Alarms triggered by this same event (matching
+    trigger id) are ignored."""
+    covering_floors = [
+        a.mag_floor
+        for a in alarm_set.alarms
+        if not (a.trigger_id is not None and a.trigger_id == event.source_id)
+        and alarm_covers(a, event.time, event.epicenter)
+    ]
+    if not covering_floors:
+        return False
+    magnitude = event.magnitude(selector)
+    if magnitude is None:
+        return False
+    return magnitude >= max(covering_floors)
+
+
+def decluster_deleted(catalog, windows, retained_only: bool = False) -> tuple[int, ...]:
+    """Indices ``decluster`` deletes, by a per-event sweep over all earlier events."""
+    n = len(catalog)
+    if n == 0:
+        return ()
+    times = catalog.times_s()
+    lats = catalog.latitudes()
+    lons = catalog.longitudes()
+    mags = catalog.magnitudes()
+    time_windows_s = np.array(
+        [
+            windows.lookup(m).time_days * SECONDS_PER_DAY if not np.isnan(m) else 0.0
+            for m in mags
+        ]
+    )
+    dist_windows_km = np.array(
+        [windows.lookup(m).distance_km if not np.isnan(m) else 0.0 for m in mags]
+    )
+    deleted = np.zeros(n, dtype=bool)
+    for k in range(1, n):
+        if np.isnan(mags[k]):
+            continue
+        earlier = np.arange(k)
+        if retained_only:
+            earlier = earlier[~deleted[:k]]
+        if earlier.size == 0:
+            continue
+        larger = mags[earlier] > mags[k]
+        if not larger.any():
+            continue
+        cand = earlier[larger]
+        dt = times[k] - times[cand]
+        in_time = (dt > 0.0) & (dt <= time_windows_s[cand])
+        cand = cand[in_time]
+        if cand.size == 0:
+            continue
+        d = great_circle_km_arrays(lats[cand], lons[cand], lats[k], lons[k])
+        if np.any(d <= dist_windows_km[cand]):
+            deleted[k] = True
+    return tuple(int(i) for i in np.flatnonzero(deleted))
+
+
+def alarm_measure_pi(alarm_set, historical_epicenters, t_interval) -> float:
+    """``sigtests.alarm_measure_pi`` by a scalar epicenter x alarm loop."""
+    t0, t1 = (_as_utc(t).timestamp() for t in t_interval)
+    total = 0.0
+    for point in historical_epicenters:
+        segments = []
+        for a in alarm_set.alarms:
+            lo = max(a.t_start.timestamp(), t0)
+            hi = min(a.t_end.timestamp(), t1)
+            if hi <= lo:
+                continue
+            if great_circle_km(a.center, point) <= a.radius_km:
+                segments.append((lo, hi))
+        covered = 0.0
+        end = -math.inf
+        for lo, hi in sorted(segments):
+            if lo > end:
+                covered += hi - lo
+                end = hi
+            elif hi > end:
+                covered += hi - end
+                end = hi
+        total += covered / (t1 - t0)
+    return total / len(historical_epicenters)
+
+
+def union_volume_hit_fraction(alarm_set, sv, n_samples: int, rng) -> float:
+    """``union_volume_fraction_mc``'s estimate by a per-alarm loop over the
+    same samples."""
+    g = as_generator(rng)
+    lat, lon = sv.region.sample(n_samples, g)
+    times = sv.t_start.timestamp() + g.uniform(0.0, sv.duration_s, size=n_samples)
+    hit = np.zeros(n_samples, dtype=bool)
+    for a in alarm_set.alarms:
+        in_time = (times > a.t_start.timestamp()) & (times <= a.t_end.timestamp())
+        idx = np.nonzero(in_time & ~hit)[0]
+        if idx.size == 0:
+            continue
+        d = great_circle_km_arrays(lat[idx], lon[idx], a.center.lat, a.center.lon)
+        hit[idx[d <= a.radius_km]] = True
+    return float(hit.mean())

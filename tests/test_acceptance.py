@@ -24,7 +24,6 @@ from eqalarm import (
     exact_permutation_pvalue,
     filter_catalog,
     generate_alarms,
-    is_predicted,
     parse_instant,
     permutation_test,
     permutation_test_fixed_alarms,
@@ -40,6 +39,7 @@ from eqalarm.decluster import WindowTable
 from eqalarm.geo import GlobalSphere
 
 from conftest import make_catalog, random_catalog
+from oracles import is_predicted
 from test_alarm import eligibility_predicted
 
 TABLE_WINDOWS = {

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from datetime import timedelta
 
 import numpy as np
@@ -22,12 +23,12 @@ from eqalarm import (
     filter_catalog,
     generate_alarms,
     great_circle_km,
-    is_predicted,
     score,
     union_volume_fraction_mc,
 )
 
 from conftest import T0, day, make_catalog, make_event, random_catalog
+from oracles import alarm_covers, is_predicted
 
 
 def eligibility_predicted(catalog, k, mag_threshold, window_days, radius_km):
@@ -78,9 +79,15 @@ class TestGenerateAlarms:
         e = cat.events[0]
         assert alarm.t_start == e.time
         assert alarm.t_end == e.time + timedelta(days=21)
-        assert not alarm.covers(e.time, e.epicenter)
-        assert alarm.covers(e.time + timedelta(seconds=1), e.epicenter)
-        assert alarm.covers(alarm.t_end, e.epicenter)
+        cases = ((e.time, False), (e.time + timedelta(seconds=1), True), (alarm.t_end, True))
+        for t, inside in cases:
+            assert alarm_covers(alarm, t, e.epicenter) == inside
+        # the same three instants through the kernel, for a target that is
+        # not the trigger itself
+        target = cat.with_events([replace(e, source_id="target")])
+        index = AlarmTargetIndex(target, AlarmSet((alarm,)))
+        for t, inside in cases:
+            assert index.predicted_mask(np.array([t.timestamp()])).tolist() == [inside]
 
     def test_event_never_predicted_by_own_alarm(self):
         cat = make_catalog([(10, 5, 5, 6.0)])

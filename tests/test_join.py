@@ -1,14 +1,33 @@
-"""The alarm x target pair join against the dense haversine oracle, and the
-memory budget of the batched kernels."""
+"""The pair join against the dense haversine oracle, its callers
+(declustering, the alarm measure, the union volume) against their old
+loops, and the memory budget of the batched kernels."""
 
+import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import eqalarm.alarm
-from eqalarm import AlarmTargetIndex, FloorRule, generate_alarms
+from eqalarm import (
+    Alarm,
+    AlarmSet,
+    AlarmTargetIndex,
+    FloorRule,
+    GeoPoint,
+    GlobalSphere,
+    LatLonBox,
+    SphericalCap,
+    StudyVolume,
+    alarm_measure_pi,
+    decluster,
+    generate_alarms,
+    poisson_binomial_pvalue,
+    union_volume_fraction_mc,
+)
+from eqalarm.decluster import WindowRow, WindowTable
 from eqalarm.geo import (
     EARTH_RADIUS_KM,
     HALF_CIRCUMFERENCE_KM,
@@ -16,7 +35,8 @@ from eqalarm.geo import (
     pairs_within_km,
 )
 
-from conftest import make_catalog
+import oracles
+from conftest import T0, day, make_catalog
 
 
 def dense_pairs_within_km(lat_t, lon_t, lat_a, lon_a, radius_km_a, block=512):
@@ -174,6 +194,121 @@ class TestIndexPairs:
             assert_same_pairs((index._pk, index._pj), dense_index_pairs(cat, aset))
 
 
+mag_st = st.one_of(
+    st.none(), st.sampled_from([5.0, 5.5, 6.0, 6.5]), st.floats(min_value=4.0, max_value=8.0)
+)
+# whole days give tied times and gaps exactly at a window's length
+days_st = st.one_of(st.integers(0, 6).map(float), st.floats(min_value=0.0, max_value=30.0))
+length_st = st.one_of(st.integers(1, 6).map(float), st.floats(min_value=0.01, max_value=40.0))
+
+
+def _point_near(draw, points):
+    """A fresh point, or one within a degree of one of ``points``."""
+    if points and draw(st.booleans()):
+        lat, lon = draw(st.sampled_from(points))
+        lat = float(np.clip(lat + draw(st.floats(-1.0, 1.0)), -90.0, 90.0))
+        return lat, lon + draw(st.floats(-1.0, 1.0))
+    return draw(lat_st), draw(lon_st)
+
+
+def _radius_to_a_point(draw, lat, lon, points):
+    """A radius from ``radius_st``, or exactly the distance from (lat, lon)
+    to one of ``points`` (lat, lon pairs)."""
+    if points and draw(st.booleans()):
+        p_lat, p_lon = draw(st.sampled_from(points))
+        return max(float(great_circle_km_arrays(p_lat, p_lon, lat, lon)), 1e-6)
+    return draw(radius_st)
+
+
+@st.composite
+def decluster_inputs(draw):
+    """A catalog of up to 25 events and a window table of up to three rows,
+    some window radii exactly the distance between two events."""
+    rows = []
+    for _ in range(draw(st.integers(0, 25))):
+        lat, lon = _point_near(draw, [(r[1], r[2]) for r in rows])
+        rows.append((draw(days_st), lat, lon, draw(mag_st)))
+    cat = make_catalog(rows, span_days=31.0)
+    points = list(zip(cat.latitudes().tolist(), cat.longitudes().tolist()))
+
+    def row(mag_min):
+        lat, lon = draw(st.sampled_from(points)) if points else (0.0, 0.0)
+        return WindowRow(mag_min, draw(length_st), _radius_to_a_point(draw, lat, lon, points))
+
+    mag_mins = sorted(set(draw(st.lists(st.sampled_from([5.0, 5.5, 6.0, 6.5]), max_size=2))))
+    return cat, WindowTable(tuple(row(m) for m in [-math.inf, *mag_mins]))
+
+
+@st.composite
+def alarm_inputs(draw):
+    """Up to 15 epicenters, up to 15 alarms (some centred a small step from an
+    epicenter, some with radius exactly the distance to one), and an
+    interval that may clip the alarm windows."""
+    points = draw(st.lists(st.tuples(lat_st, lon_st), min_size=1, max_size=15))
+    epicenters = [GeoPoint(lat, lon) for lat, lon in points]
+    points = [(p.lat, p.lon) for p in epicenters]
+    alarms = []
+    for _ in range(draw(st.integers(0, 15))):
+        center = GeoPoint(*_point_near(draw, points))
+        radius = _radius_to_a_point(draw, center.lat, center.lon, points)
+        start = draw(days_st)
+        alarms.append(Alarm(center, radius, T0 + day(start), T0 + day(start + draw(length_st)), 5.5))
+    start = draw(st.floats(min_value=-5.0, max_value=30.0))
+    interval = (T0 + day(start), T0 + day(start + draw(length_st)))
+    return AlarmSet(tuple(alarms)), epicenters, interval
+
+
+# the default (one block), one target per block, and a few targets per block;
+# a pytest fixture is not reset between hypothesis examples, so tests patch
+budget_st = st.sampled_from([eqalarm.alarm.MEMORY_BUDGET_BYTES, 1, 10_000])
+
+
+def _budget(budget_bytes):
+    return mock.patch.object(eqalarm.alarm, "MEMORY_BUDGET_BYTES", budget_bytes)
+
+
+class TestJoinCallersMatchLoops:
+    @settings(max_examples=300, deadline=None)
+    @given(decluster_inputs(), st.booleans(), budget_st)
+    def test_decluster(self, inputs, retained_only, budget_bytes):
+        cat, windows = inputs
+        with _budget(budget_bytes):
+            got = decluster(cat, windows, retained_only=retained_only).deleted_indices
+        assert got == oracles.decluster_deleted(cat, windows, retained_only)
+
+    @settings(max_examples=300, deadline=None)
+    @given(alarm_inputs(), budget_st)
+    def test_alarm_measure_pi(self, inputs, budget_bytes):
+        with _budget(budget_bytes):
+            got = alarm_measure_pi(*inputs)
+        assert got == oracles.alarm_measure_pi(*inputs)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        alarm_inputs(),
+        st.sampled_from(
+            [GlobalSphere(), LatLonBox(-10.0, 10.0, 170.0, -170.0),
+             SphericalCap(GeoPoint(89.5, 0.0), 300.0)]
+        ),
+        st.integers(1, 300),
+        st.integers(0, 2**32 - 1),
+        budget_st,
+    )
+    def test_union_volume(self, inputs, region, n_samples, seed, budget_bytes):
+        alarm_set, _, interval = inputs
+        sv = StudyVolume(region, *interval)
+        with _budget(budget_bytes):
+            got = union_volume_fraction_mc(alarm_set, sv, n_samples, seed).estimate
+        assert got == oracles.union_volume_hit_fraction(alarm_set, sv, n_samples, seed)
+
+    def test_empty_and_one_event_catalogs(self):
+        windows = WindowTable.uniform(10.0, HALF_CIRCUMFERENCE_KM)
+        for rows in ([], [(1.0, 90.0, -180.0, 6.0)]):
+            cat = make_catalog(rows)
+            for retained_only in (False, True):
+                assert decluster(cat, windows, retained_only=retained_only).deleted_indices == ()
+
+
 def _traced_peak(fn):
     """Result of fn() and the peak bytes it allocated above the start."""
     tracemalloc.start()
@@ -220,3 +355,50 @@ class TestMemoryBudget:
         assert peak <= 2 * self.BUDGET + counts.nbytes
         expected = [index.count_predicted(row) for row in matrix[:40]]
         assert counts[:40].tolist() == expected
+
+    def test_decluster_half_circumference_window(self, monkeypatch):
+        # 1200 events on the equator with a 20,000 km window: every event
+        # pairs with every other, ~130 MB of join candidates unblocked
+        monkeypatch.setattr(eqalarm.alarm, "MEMORY_BUDGET_BYTES", self.BUDGET)
+        rows = [(i * 0.01, 0.0, -180.0 + 0.3 * i, 5.0 + 0.1 * (i % 20)) for i in range(1200)]
+        cat = make_catalog(rows, span_days=20.0)
+        windows = WindowTable.uniform(30.0, 20_000.0)
+        for retained_only in (False, True):
+            result, peak = _traced_peak(
+                lambda: decluster(cat, windows, retained_only=retained_only)
+            )
+            assert peak <= 2 * self.BUDGET + 1_000_000
+            expected = oracles.decluster_deleted(cat, windows, retained_only)
+            assert result.deleted_indices == expected
+            assert len(expected) > 100
+
+    def test_union_volume_half_circumference_radius(self, monkeypatch):
+        # 3000 samples in an equatorial band and 600 alarms of 20,000 km:
+        # ~170 MB of join candidates unblocked
+        monkeypatch.setattr(eqalarm.alarm, "MEMORY_BUDGET_BYTES", self.BUDGET)
+        alarm_set = AlarmSet(
+            tuple(
+                Alarm(GeoPoint(0.0, -180.0 + 0.6 * i), 20_000.0, T0, T0 + day(5.0 + 0.01 * i), 5.5)
+                for i in range(600)
+            )
+        )
+        sv = StudyVolume(LatLonBox(-1.0, 1.0, -180.0, 180.0), T0, T0 + day(20.0))
+        est, peak = _traced_peak(lambda: union_volume_fraction_mc(alarm_set, sv, 3000, 9))
+        assert peak <= 2 * self.BUDGET + 1_000_000
+        assert est.estimate == oracles.union_volume_hit_fraction(alarm_set, sv, 3000, 9)
+        assert 0.2 < est.estimate < 0.8
+
+    def test_simulated_poisson_binomial_blocks(self, monkeypatch):
+        probs = np.linspace(0.001, 0.01, 2013)
+        n_reps = 2000
+        # the single draw this replaces held n_reps x A x 9 B, about 36 MB
+        draws = np.random.default_rng(5).random((n_reps, probs.size))
+        expected = float(((draws < probs).sum(axis=1) >= 12).mean())
+        del draws
+        monkeypatch.setattr(eqalarm.alarm, "MEMORY_BUDGET_BYTES", self.BUDGET)
+        p, peak = _traced_peak(
+            lambda: poisson_binomial_pvalue(12, probs, "simulate", n_reps, np.random.default_rng(5))
+        )
+        assert peak <= 2 * self.BUDGET + 100_000
+        assert p == expected
+        assert 0.0 < p < 1.0
