@@ -30,7 +30,7 @@ class Rng:
 
 
 def substream(seed: int, *path: int) -> np.random.Generator:
-    """Generator keyed by (seed, *path); used for per-replicate streams."""
+    """Generator keyed by (seed, *path); used for per-block replicate streams."""
     return np.random.default_rng(tuple(x & _MASK64 for x in (seed, *path)))
 
 

@@ -123,15 +123,13 @@ def decluster(
     lats = catalog.latitudes()
     lons = catalog.longitudes()
     mags = catalog.magnitudes()
-    time_windows_s = np.array(
-        [
-            windows.lookup(m).time_days * SECONDS_PER_DAY if not np.isnan(m) else 0.0
-            for m in mags
-        ]
-    )
-    dist_windows_km = np.array(
-        [windows.lookup(m).distance_km if not np.isnan(m) else 0.0 for m in mags]
-    )
+    # WindowTable.lookup for every event at once; absent magnitudes get no window
+    row = np.searchsorted([r.mag_min for r in windows.rows], mags, side="right") - 1
+    absent = np.isnan(mags)
+    time_days = np.array([r.time_days for r in windows.rows])
+    distance_km = np.array([r.distance_km for r in windows.rows])
+    time_windows_s = np.where(absent, 0.0, time_days[row] * SECONDS_PER_DAY)
+    dist_windows_km = np.where(absent, 0.0, distance_km[row])
 
     deleted = np.zeros(n, dtype=bool)
     # target k, "alarm" j: j's window holds k; with NaN magnitudes the

@@ -38,6 +38,14 @@ from .geo import GeoPoint
 
 MAX_EXACT_EVENTS = 8
 
+# permutation replicates per keyed random stream; changing it changes every
+# seed's replicates
+REPLICATE_BLOCK = 1024
+# peak working bytes per (replicate, cell) of an R-score baseline block,
+# measured with tracemalloc on scheme 3 (the largest): uniforms, arrivals,
+# their sort order and the prediction flags
+BASELINE_BYTES_PER_CELL = 32
+
 
 @dataclass(frozen=True)
 class TestReport:
@@ -88,21 +96,30 @@ def _simulated_counts(
 ) -> np.ndarray:
     """Predicted-event counts under n_reps random time permutations.
 
-    Replicate r draws its permutation from the stream keyed by
-    (seed, stream_id, r), so results are independent of evaluation order
-    and safe to split across workers. Replicates are evaluated in blocks
-    whose times and count-kernel arrays fit the memory budget together.
+    Replicates come in blocks of REPLICATE_BLOCK rows; block b draws from
+    the stream keyed by (seed, stream_id, b), one row permutation after
+    another. Replicate r therefore depends only on the key and r: not on
+    n_reps beyond r, the memory budget or the evaluation order, and blocks
+    are safe to split across workers. Each chunk of a block holds the
+    tiled times, shuffled in place, and the count kernel's arrays within
+    the memory budget.
     """
     n = times_s.size
     counts = np.empty(n_reps, dtype=np.int64)
-    chunk = rows_within_budget(8 * n + index.BYTES_PER_PAIR * index.n_pairs)
-    for lo in range(0, n_reps, chunk):
-        hi = min(lo + chunk, n_reps)
-        block = np.empty((hi - lo, n), dtype=float)
-        for r in range(lo, hi):
-            g = substream(key.seed, key.stream_id, r)
-            block[r - lo] = times_s[g.permutation(n)]
-        counts[lo:hi] = index.counts_for_time_matrix(block)
+    chunk = min(
+        REPLICATE_BLOCK,
+        rows_within_budget(8 * n + index.BYTES_PER_PAIR * index.n_pairs),
+    )
+    for block_lo in range(0, n_reps, REPLICATE_BLOCK):
+        g = substream(key.seed, key.stream_id, block_lo // REPLICATE_BLOCK)
+        block_hi = min(block_lo + REPLICATE_BLOCK, n_reps)
+        # consecutive permuted calls on row chunks draw the same stream as
+        # one call on the whole block
+        for lo in range(block_lo, block_hi, chunk):
+            hi = min(lo + chunk, block_hi)
+            rows = np.tile(times_s, (hi - lo, 1))
+            g.permuted(rows, axis=1, out=rows)
+            counts[lo:hi] = index.counts_for_time_matrix(rows)
     return counts
 
 
@@ -337,16 +354,22 @@ class GridOutcome:
         return len(self.predicted)
 
 
-def r_score(outcome: GridOutcome) -> float:
-    """Hit rate over occupied cells minus false-alarm rate over aseismic cells."""
-    predicted = np.asarray(outcome.predicted)
-    occurred = np.asarray(outcome.occurred)
+def _r_score_denominators(occurred: np.ndarray) -> tuple[int, int]:
+    """Numbers of occupied and aseismic cells, the R-score's denominators."""
     n_occurred = int(occurred.sum())
-    n_aseismic = int((~occurred).sum())
+    n_aseismic = int(occurred.size) - n_occurred
     if n_occurred == 0:
         raise ValueError("no cells with earthquakes: hit-rate denominator is zero")
     if n_aseismic == 0:
         raise ValueError("no aseismic cells: false-alarm denominator is zero")
+    return n_occurred, n_aseismic
+
+
+def r_score(outcome: GridOutcome) -> float:
+    """Hit rate over occupied cells minus false-alarm rate over aseismic cells."""
+    predicted = np.asarray(outcome.predicted, dtype=bool)
+    occurred = np.asarray(outcome.occurred, dtype=bool)
+    n_occurred, n_aseismic = _r_score_denominators(occurred)
     hits = int((predicted & occurred).sum())
     false_alarms = int((predicted & ~occurred).sum())
     return hits / n_occurred - false_alarms / n_aseismic
@@ -388,23 +411,31 @@ def _scheme_probs(
     return np.clip(raw, 0.0, 1.0), clipped
 
 
-def _weighted_sample_without_replacement(
-    weights: np.ndarray, k: int, g: np.random.Generator
+def _draw_predicted(
+    g: np.random.Generator,
+    scheme: int,
+    rows: int,
+    n_cells: int,
+    n_predicted: int,
+    probs: np.ndarray | None,
 ) -> np.ndarray:
-    """Sequential draws with renormalization among the remaining cells."""
-    weights = weights.astype(float).copy()
-    chosen = np.empty(k, dtype=np.int64)
-    for i in range(k):
-        total = weights.sum()
-        if total <= 0.0:
-            remaining = np.flatnonzero(weights >= 0.0)
-            pool = np.setdiff1d(remaining, chosen[:i], assume_unique=False)
-            chosen[i:] = g.choice(pool, size=k - i, replace=False)
-            break
-        pick = int(g.choice(weights.size, p=weights / total))
-        chosen[i] = pick
-        weights[pick] = 0.0
-    return chosen
+    """Prediction flags, shape (rows, n_cells), of a block of baseline replicates."""
+    u = g.random((rows, n_cells))
+    if scheme == 2:
+        return u < probs
+    if scheme == 1:
+        order = np.argsort(u, axis=1)
+    else:
+        # exponential keys (Efraimidis & Spirakis 2006): cells ordered by
+        # arrival E / p, E ~ Exp(1), come out in the order of sequential
+        # draws renormalised among the remaining cells; zero-weight cells
+        # arrive last, in uniform order by u
+        arrival = np.full_like(u, np.inf)
+        np.divide(-np.log1p(-u), probs, out=arrival, where=probs > 0.0)
+        order = np.lexsort((u, arrival), axis=-1)
+    predicted = np.zeros((rows, n_cells), dtype=bool)
+    np.put_along_axis(predicted, order[:, :n_predicted], True, axis=1)
+    return predicted
 
 
 def r_score_baseline(
@@ -423,7 +454,8 @@ def r_score_baseline(
     scheme 2 tosses an independent coin per cell with probability
     proportional to its historical rate; scheme 3 draws n_predicted cells
     without replacement with those same probabilities as weights
-    (sequential renormalized draws).
+    (sequential renormalized draws, sampled by exponential keys). Replicates
+    are drawn in row blocks that fit the memory budget from one generator.
     """
     if n_reps < 1:
         raise ValueError(f"n_reps must be >= 1, got {n_reps}")
@@ -443,20 +475,21 @@ def r_score_baseline(
             raise ValueError("rates and outcomes differ in length")
         probs, n_clipped = _scheme_probs(rates_arr, n_predicted, avg_occupied_cells)
 
+    n_occurred, n_aseismic = _r_score_denominators(occurred)
+
     key = _resolve_key(rng) if not isinstance(rng, np.random.Generator) else None
     g = as_generator(rng)
-    scores = np.empty(n_reps, dtype=float)
+    hits = np.empty(n_reps, dtype=np.int64)
     n_predicted_cells = np.empty(n_reps, dtype=np.int64)
-    for rep in range(n_reps):
-        predicted = np.zeros(n_cells, dtype=bool)
-        if scheme == 1:
-            predicted[g.choice(n_cells, size=n_predicted, replace=False)] = True
-        elif scheme == 2:
-            predicted = g.random(n_cells) < probs
-        else:
-            predicted[_weighted_sample_without_replacement(probs, n_predicted, g)] = True
-        n_predicted_cells[rep] = predicted.sum()
-        scores[rep] = r_score(GridOutcome(tuple(predicted), tuple(occurred)))
+    # consecutive row blocks draw the same stream as one (n_reps, n_cells) draw
+    step = rows_within_budget(BASELINE_BYTES_PER_CELL * n_cells)
+    for lo in range(0, n_reps, step):
+        hi = min(lo + step, n_reps)
+        predicted = _draw_predicted(g, scheme, hi - lo, n_cells, n_predicted, probs)
+        n_predicted_cells[lo:hi] = predicted.sum(axis=1)
+        hits[lo:hi] = (predicted & occurred).sum(axis=1)
+    # r_score's expression, row by row
+    scores = hits / n_occurred - (n_predicted_cells - hits) / n_aseismic
 
     quantile_levels = {"q025": 0.025, "q25": 0.25, "q50": 0.5, "q75": 0.75, "q975": 0.975}
     return BaselineReport(

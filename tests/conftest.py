@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+import tracemalloc
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
@@ -51,6 +52,18 @@ def make_catalog(rows, span_days: float = 365.0, t_start: datetime = T0) -> Cata
     )
     span = StudyVolume(GlobalSphere(), t_start, t_start + timedelta(days=span_days))
     return Catalog(tuple(events), span)
+
+
+def traced_peak(fn):
+    """Result of fn() and the peak bytes it allocated above the start."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = fn()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak - base
 
 
 def random_catalog(

@@ -1,9 +1,11 @@
 """Slow scalar and per-alarm reference implementations, kept as test oracles
 for the vectorised paths in ``eqalarm``: the membership rule, declustering,
-the alarm measure and the Monte-Carlo union volume."""
+the alarm measure, the Monte-Carlo union volume and the scheme-3 weighted
+sampling of R-score baselines."""
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -125,3 +127,48 @@ def union_volume_hit_fraction(alarm_set, sv, n_samples: int, rng) -> float:
         d = great_circle_km_arrays(lat[idx], lon[idx], a.center.lat, a.center.lon)
         hit[idx[d <= a.radius_km]] = True
     return float(hit.mean())
+
+
+def weighted_sample_without_replacement(weights, k: int, g) -> np.ndarray:
+    """Sequential draws with renormalization among the remaining cells; once
+    the positive weights are used up, the rest uniformly among the others."""
+    weights = np.asarray(weights, dtype=float).copy()
+    chosen = np.empty(k, dtype=np.int64)
+    for i in range(k):
+        total = weights.sum()
+        if total <= 0.0:
+            remaining = np.flatnonzero(weights >= 0.0)
+            pool = np.setdiff1d(remaining, chosen[:i], assume_unique=False)
+            chosen[i:] = g.choice(pool, size=k - i, replace=False)
+            break
+        pick = int(g.choice(weights.size, p=weights / total))
+        chosen[i] = pick
+        weights[pick] = 0.0
+    return chosen
+
+
+def sequential_set_probabilities(weights, k: int) -> dict[frozenset, float]:
+    """Exact probability of each k-set under ``weighted_sample_without_replacement``,
+    by enumerating its draw sequences."""
+    weights = [float(w) for w in weights]
+    probs: dict[frozenset, float] = {}
+
+    def walk(chosen: tuple[int, ...], p: float) -> None:
+        if len(chosen) == k:
+            key = frozenset(chosen)
+            probs[key] = probs.get(key, 0.0) + p
+            return
+        remaining = [i for i in range(len(weights)) if i not in chosen]
+        total = sum(weights[i] for i in remaining)
+        if total <= 0.0:
+            rest = list(itertools.combinations(remaining, k - len(chosen)))
+            for combo in rest:
+                key = frozenset(chosen + combo)
+                probs[key] = probs.get(key, 0.0) + p / len(rest)
+            return
+        for i in remaining:
+            if weights[i] > 0.0:
+                walk(chosen + (i,), p * weights[i] / total)
+
+    walk((), 1.0)
+    return probs

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 from datetime import datetime, timedelta, timezone
@@ -365,8 +367,17 @@ class TestTable1:
         assert int(first[5]) == int(test_payload["max_sim"])
 
     def test_deterministic_output_matches_golden_file(self, tmp_path, capsys):
-        # tests/data/table1_golden.csv holds this command's output from before
-        # the latitude-band join; any change to the bytes must be deliberate
+        # tests/data/table1_golden.csv holds this command's output; any change
+        # to the bytes must be deliberate. It was written again when the
+        # permutation replicates moved to streams keyed by (seed, stream,
+        # block): only max_sim and p_est moved. The columns no replicate draw
+        # touches must still equal those of the file the join was checked on.
+        undrawn = [
+            ("2004", "5.5", "32", "8", "4", "2.8e-05"),
+            ("2004", "5.8", "22", "4", "3", "1.9e-05"),
+            ("2000-2004", "5.5", "134", "31", "16", "2.4e-05"),
+            ("2000-2004", "5.8", "72", "12", "7", "1.3e-05"),
+        ]
         path = tmp_path / "clustered.ndk"
         path.write_text(clustered_ndk_2000_2004())
         code, out, _ = run(
@@ -375,6 +386,8 @@ class TestTable1:
             "--reps", "200", "--deterministic",
         )
         assert code == 0
+        rows = list(csv.reader(io.StringIO(out)))[1:]
+        assert [(*r[:5], r[7]) for r in rows] == undrawn
         assert out == (DATA_DIR / "table1_golden.csv").read_text(encoding="utf-8")
 
     def test_non_covering_catalog_rejected(self, tmp_path, capsys):

@@ -3,7 +3,6 @@
 loops, and the memory budget of the batched kernels."""
 
 import math
-import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -36,7 +35,7 @@ from eqalarm.geo import (
 )
 
 import oracles
-from conftest import T0, day, make_catalog
+from conftest import T0, day, make_catalog, traced_peak
 
 
 def dense_pairs_within_km(lat_t, lon_t, lat_a, lon_a, radius_km_a, block=512):
@@ -309,18 +308,6 @@ class TestJoinCallersMatchLoops:
                 assert decluster(cat, windows, retained_only=retained_only).deleted_indices == ()
 
 
-def _traced_peak(fn):
-    """Result of fn() and the peak bytes it allocated above the start."""
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        result = fn()
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    return result, peak - base
-
-
 class TestMemoryBudget:
     BUDGET = 2 * 2**20
 
@@ -331,7 +318,7 @@ class TestMemoryBudget:
         rows = [(i * 0.01, 0.0, -180.0 + 0.3 * i, 6.0) for i in range(1200)]
         cat = make_catalog(rows, span_days=20.0)
         aset = generate_alarms(cat, 5.5, radius_km=50.0)
-        index, peak = _traced_peak(lambda: AlarmTargetIndex(cat, aset))
+        index, peak = traced_peak(lambda: AlarmTargetIndex(cat, aset))
         assert peak <= 2 * self.BUDGET + 1_000_000
         assert_same_pairs((index._pk, index._pj), dense_index_pairs(cat, aset))
         assert index.n_pairs > 2000
@@ -351,7 +338,7 @@ class TestMemoryBudget:
         matrix = np.stack([rng.permutation(times) for _ in range(400)])
         # the unchunked kernel would hold rows x pairs x 11 B, about 390 MB
         assert matrix.shape[0] * index.n_pairs * index.BYTES_PER_PAIR > 100 * self.BUDGET
-        counts, peak = _traced_peak(lambda: index.counts_for_time_matrix(matrix))
+        counts, peak = traced_peak(lambda: index.counts_for_time_matrix(matrix))
         assert peak <= 2 * self.BUDGET + counts.nbytes
         expected = [index.count_predicted(row) for row in matrix[:40]]
         assert counts[:40].tolist() == expected
@@ -364,7 +351,7 @@ class TestMemoryBudget:
         cat = make_catalog(rows, span_days=20.0)
         windows = WindowTable.uniform(30.0, 20_000.0)
         for retained_only in (False, True):
-            result, peak = _traced_peak(
+            result, peak = traced_peak(
                 lambda: decluster(cat, windows, retained_only=retained_only)
             )
             assert peak <= 2 * self.BUDGET + 1_000_000
@@ -383,7 +370,7 @@ class TestMemoryBudget:
             )
         )
         sv = StudyVolume(LatLonBox(-1.0, 1.0, -180.0, 180.0), T0, T0 + day(20.0))
-        est, peak = _traced_peak(lambda: union_volume_fraction_mc(alarm_set, sv, 3000, 9))
+        est, peak = traced_peak(lambda: union_volume_fraction_mc(alarm_set, sv, 3000, 9))
         assert peak <= 2 * self.BUDGET + 1_000_000
         assert est.estimate == oracles.union_volume_hit_fraction(alarm_set, sv, 3000, 9)
         assert 0.2 < est.estimate < 0.8
@@ -396,7 +383,7 @@ class TestMemoryBudget:
         expected = float(((draws < probs).sum(axis=1) >= 12).mean())
         del draws
         monkeypatch.setattr(eqalarm.alarm, "MEMORY_BUDGET_BYTES", self.BUDGET)
-        p, peak = _traced_peak(
+        p, peak = traced_peak(
             lambda: poisson_binomial_pvalue(12, probs, "simulate", n_reps, np.random.default_rng(5))
         )
         assert peak <= 2 * self.BUDGET + 100_000

@@ -1,0 +1,194 @@
+"""The replicate engines: permutation replicates keyed by (seed, stream,
+block) and R-score baselines drawn in row blocks, against their stream
+properties, the memory budget and the sequential weighted-sampling oracle."""
+
+from collections import Counter
+
+import numpy as np
+import pytest
+from scipy import stats
+
+import eqalarm.alarm
+from eqalarm import (
+    AlarmTargetIndex,
+    GridOutcome,
+    Rng,
+    filter_catalog,
+    generate_alarms,
+    permutation_test_fixed_alarms,
+    r_score,
+    r_score_baseline,
+)
+from eqalarm.sigtests import (
+    REPLICATE_BLOCK,
+    _draw_predicted,
+    _scheme_probs,
+    _simulated_counts,
+)
+
+import oracles
+from conftest import make_catalog, random_catalog, traced_peak
+
+BUDGET = 2 * 2**20
+
+
+def _sims(targets, alarms, n_reps, key=Rng(77, 3)):
+    return permutation_test_fixed_alarms(targets, alarms, n_reps, key, return_sims=True)[1]
+
+
+@pytest.fixture(scope="module")
+def small_case():
+    rng = np.random.default_rng(41)
+    targets = filter_catalog(random_catalog(rng, n=30, span_days=60.0), 5.5)
+    return targets, generate_alarms(targets, 5.5, radius_km=200.0, window_days=10.0)
+
+
+class TestPermutationReplicates:
+    def test_prefix_across_block_edges(self, small_case):
+        full = _sims(*small_case, 3000)
+        assert np.unique(full).size > 2
+        for m in (1, REPLICATE_BLOCK - 1, REPLICATE_BLOCK, REPLICATE_BLOCK + 1, 2500):
+            assert np.array_equal(_sims(*small_case, m), full[:m]), m
+
+    def test_budget_does_not_change_replicates(self, small_case, monkeypatch):
+        full = _sims(*small_case, 3000)
+        # one block per chunk, chunks that do not divide a block, one row per chunk
+        for budget in (BUDGET, 10_000, 1):
+            monkeypatch.setattr(eqalarm.alarm, "MEMORY_BUDGET_BYTES", budget)
+            assert np.array_equal(_sims(*small_case, 3000), full), budget
+
+    def test_every_row_is_a_permutation_of_the_times(self, small_case, monkeypatch):
+        targets, alarms = small_case
+        rows = []
+        counts = AlarmTargetIndex.counts_for_time_matrix
+
+        def spy(index, matrix):
+            rows.append(np.array(matrix))
+            return counts(index, matrix)
+
+        monkeypatch.setattr(AlarmTargetIndex, "counts_for_time_matrix", spy)
+        _sims(targets, alarms, 2500)
+        rows = np.concatenate(rows)
+        times = targets.times_s()
+        assert rows.shape == (2500, times.size)
+        assert np.array_equal(np.sort(rows, axis=1), np.tile(np.sort(times), (2500, 1)))
+        assert np.unique(rows, axis=0).shape[0] == 2500
+
+    def test_memory_budget_at_two_thousand_targets(self, monkeypatch):
+        rng = np.random.default_rng(8)
+        centers = rng.uniform(-50.0, 50.0, size=(400, 2))
+        rows = [
+            (float(rng.uniform(0.0, 300.0)), float(lat), float(lon), float(rng.uniform(5.5, 7.0)))
+            for lat, lon in centers[rng.integers(400, size=2000)] + rng.normal(0.0, 0.2, (2000, 2))
+        ]
+        targets = make_catalog(rows, span_days=301.0)
+        alarms = generate_alarms(targets, 5.5)
+        expected = _sims(targets, alarms, 1100)
+        # a whole block of tiled times alone would take 16 MB
+        assert 8 * len(targets) * REPLICATE_BLOCK > 4 * BUDGET
+        index = AlarmTargetIndex(targets, alarms)
+        times = targets.times_s()
+        monkeypatch.setattr(eqalarm.alarm, "MEMORY_BUDGET_BYTES", BUDGET)
+        sims, peak = traced_peak(lambda: _simulated_counts(index, times, 1100, Rng(77, 3)))
+        assert peak <= 2 * BUDGET + sims.nbytes
+        assert np.array_equal(sims, expected)
+        assert np.unique(sims).size > 2
+
+
+OUTCOMES = tuple(bool(x) for x in np.random.default_rng(12).random(3000) < 0.2)
+RATES = np.random.default_rng(13).gamma(0.5, 0.2, size=3000)
+
+
+class TestRScoreBaselineBlocks:
+    @pytest.mark.parametrize("scheme", [1, 2, 3])
+    def test_budget_does_not_change_report(self, scheme, monkeypatch):
+        rates = None if scheme == 1 else RATES
+        report = r_score_baseline(scheme, rates, 40, OUTCOMES, 300, Rng(21, scheme))
+        # budgets of a few rows per block and of one row per block
+        for budget in (BUDGET, 1):
+            monkeypatch.setattr(eqalarm.alarm, "MEMORY_BUDGET_BYTES", budget)
+            assert r_score_baseline(scheme, rates, 40, OUTCOMES, 300, Rng(21, scheme)) == report
+
+    @pytest.mark.parametrize("scheme", [1, 2, 3])
+    def test_rows_scored_like_r_score(self, scheme):
+        outcomes = OUTCOMES[:50]
+        rates = None if scheme == 1 else RATES[:50]
+        report = r_score_baseline(
+            scheme, rates, 8, outcomes, 200, Rng(22, scheme), avg_occupied_cells=10.0
+        )
+        probs = None if scheme == 1 else _scheme_probs(RATES[:50], 8, 10.0)[0]
+        rows = _draw_predicted(Rng(22, scheme).generator(), scheme, 200, 50, 8, probs)
+        scores = np.array([r_score(GridOutcome(row, outcomes)) for row in rows])
+        assert report.mean == scores.mean()
+        assert report.quantiles["q50"] == np.quantile(scores, 0.5)
+        assert report.mean_predicted_cells == rows.sum(axis=1).mean()
+
+    def test_denominator_errors_before_drawing(self):
+        class NoDraws:
+            def integers(self, *args, **kwargs):
+                raise AssertionError("drew")
+
+            random = integers
+
+        with pytest.raises(ValueError, match="no cells with earthquakes"):
+            r_score_baseline(1, None, 1, (False, False), 10, NoDraws())
+        with pytest.raises(ValueError, match="aseismic"):
+            r_score_baseline(1, None, 1, (True, True), 10, NoDraws())
+
+
+SCHEME3_CASES = [
+    ([0.0, 0.1, 0.5, 0.9, 0.3, 0.0], 5),
+    ([0.0, 0.1, 0.5, 0.9, 0.3, 0.0], 2),
+    ([0.2, 0.2, 1.0, 0.05], 2),
+    ([0.0, 0.0, 0.4, 0.4, 1.0], 4),
+    ([0.3, 0.3, 0.3], 3),
+]
+
+
+def _set_frequencies(chosen_rows, n_cells):
+    """Counter of chosen sets, each as a bit code over the cells."""
+    return Counter((np.asarray(chosen_rows, dtype=np.int64) @ (1 << np.arange(n_cells))).tolist())
+
+
+def _chi_square_pvalue(counts: Counter, expected: dict, n_rows: int) -> float:
+    codes = {sum(1 << i for i in s): p for s, p in expected.items()}
+    assert set(counts) <= set(codes), "a set of probability zero was drawn"
+    observed = [counts.get(c, 0) for c in codes]
+    if len(codes) == 1:
+        return 1.0
+    return stats.chisquare(observed, [p * n_rows for p in codes.values()]).pvalue
+
+
+class TestScheme3Sampling:
+    @pytest.mark.parametrize("weights,k", SCHEME3_CASES)
+    def test_set_frequencies_match_sequential_draws(self, weights, k):
+        expected = oracles.sequential_set_probabilities(weights, k)
+        assert sum(expected.values()) == pytest.approx(1.0, abs=1e-12)
+        n_rows = 400_000
+        predicted = _draw_predicted(
+            Rng(2006).generator(), 3, n_rows, len(weights), k, np.array(weights)
+        )
+        assert (predicted.sum(axis=1) == k).all()
+        counts = _set_frequencies(predicted, len(weights))
+        assert _chi_square_pvalue(counts, expected, n_rows) > 1e-3
+
+    @pytest.mark.parametrize("weights,k", SCHEME3_CASES)
+    def test_zero_weight_cells_wait_for_positive_weight(self, weights, k):
+        weights = np.array(weights)
+        predicted = _draw_predicted(Rng(2007).generator(), 3, 20_000, weights.size, k, weights)
+        n_positive = int((weights > 0).sum())
+        if k <= n_positive:
+            assert not predicted[:, weights == 0].any()
+        else:
+            assert predicted[:, weights > 0].all()
+
+    @pytest.mark.parametrize("weights,k", SCHEME3_CASES[:3])
+    def test_oracle_sampler_matches_exact_probabilities(self, weights, k):
+        g = np.random.default_rng(2008)
+        n_rows = 4000
+        picks = np.zeros((n_rows, len(weights)), dtype=bool)
+        for row in picks:
+            row[oracles.weighted_sample_without_replacement(np.array(weights), k, g)] = True
+        counts = _set_frequencies(picks, len(weights))
+        expected = oracles.sequential_set_probabilities(weights, k)
+        assert _chi_square_pvalue(counts, expected, n_rows) > 1e-3
