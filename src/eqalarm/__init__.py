@@ -45,7 +45,6 @@ from .nullmodels import (
     gen_heterogeneous_poisson,
     gen_homogeneous_poisson,
     historical_cell_rates,
-    permutation_indices,
     permute_times,
     randomize_times_uniform,
 )

@@ -154,13 +154,15 @@ def decluster(
 
 
 def decluster_stats(before: Catalog, after: Catalog) -> tuple[int, float]:
-    """(n_deleted, fraction_deleted) between a catalog and its declustering."""
-    from collections import Counter
+    """(n_deleted, fraction_deleted) between a catalog and its declustering.
 
-    before_counts = Counter(before.events)
-    after_counts = Counter(after.events)
-    if any(after_counts[e] > before_counts[e] for e in after_counts):
-        raise ValueError("after is not a subset of before")
+    ``after`` must keep ``before``'s order, as ``decluster`` guarantees; one
+    pass checks that it is an ordered subsequence of ``before``.
+    """
+    remaining = iter(before.events)
+    for e in after.events:
+        if not any(b is e or b == e for b in remaining):
+            raise ValueError("after is not an ordered subset of before")
     n_deleted = len(before) - len(after)
     fraction = n_deleted / len(before) if len(before) else 0.0
     return n_deleted, fraction

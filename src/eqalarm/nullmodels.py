@@ -22,7 +22,6 @@ from .geo import GeoPoint, GlobalSphere, Region
 __all__ = [
     "Rng",
     "CellGrid",
-    "permutation_indices",
     "permute_times",
     "randomize_times_uniform",
     "gen_homogeneous_poisson",
@@ -35,20 +34,6 @@ _PLACEHOLDER_MB = 5.0
 _PLACEHOLDER_DEPTH_KM = 10.0
 
 
-def permutation_indices(n: int, rng) -> np.ndarray:
-    """Uniform random permutation by the descending-index swap shuffle.
-
-    Reference draw order, for trace tests with injected draws: for
-    i = n-1 down to 1, draw j = integers(0, i+1) and swap positions i, j.
-    """
-    g = as_generator(rng)
-    idx = np.arange(n)
-    for i in range(n - 1, 0, -1):
-        j = int(g.integers(0, i + 1))
-        idx[i], idx[j] = idx[j], idx[i]
-    return idx
-
-
 def permute_times(catalog: Catalog, rng) -> Catalog:
     """Reassign event times by a uniformly random permutation.
 
@@ -57,10 +42,8 @@ def permute_times(catalog: Catalog, rng) -> Catalog:
     is re-sorted by time.
     """
     events = catalog.events
-    perm = permutation_indices(len(events), rng)
-    shuffled = [
-        replace(e, time=events[perm[k]].time) for k, e in enumerate(events)
-    ]
+    perm = as_generator(rng).permutation(len(events)).tolist()
+    shuffled = [replace(e, time=events[p].time) for e, p in zip(events, perm)]
     shuffled.sort(key=lambda e: e.time)
     return catalog.with_events(shuffled)
 

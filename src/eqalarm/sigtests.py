@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 from scipy.special import bdtrc, pdtrc
 
-from ._random import Rng, as_generator, substream
+from ._random import Rng, substream
 from .alarm import (
     AlarmSet,
     AlarmTargetIndex,
@@ -88,7 +88,26 @@ def _resolve_key(rng) -> Rng:
         return rng
     if isinstance(rng, (int, np.integer)):
         return Rng(int(rng))
-    raise TypeError("permutation engines need an Rng key or an integer seed")
+    raise TypeError("Monte-Carlo engines need an Rng key or an integer seed")
+
+
+def _replicate_chunks(key: Rng, n_reps: int, bytes_per_row: int):
+    """Yield (lo, hi, g) over the rows of n_reps replicates: the one replicate
+    stream scheme of every Monte-Carlo engine.
+
+    Replicates come in blocks of REPLICATE_BLOCK rows; block b draws from
+    the stream keyed by (seed, stream_id, b), in chunks of rows whose
+    working arrays of bytes_per_row each fit the memory budget. A caller
+    that draws its chunk's rows one after another from g makes replicate r
+    depend only on the key and r: not on n_reps beyond r, the memory budget
+    or the evaluation order, so blocks are safe to split across workers.
+    """
+    chunk = min(REPLICATE_BLOCK, rows_within_budget(bytes_per_row))
+    for block_lo in range(0, n_reps, REPLICATE_BLOCK):
+        g = substream(key.seed, key.stream_id, block_lo // REPLICATE_BLOCK)
+        block_hi = min(block_lo + REPLICATE_BLOCK, n_reps)
+        for lo in range(block_lo, block_hi, chunk):
+            yield lo, min(lo + chunk, block_hi), g
 
 
 def _simulated_counts(
@@ -96,30 +115,17 @@ def _simulated_counts(
 ) -> np.ndarray:
     """Predicted-event counts under n_reps random time permutations.
 
-    Replicates come in blocks of REPLICATE_BLOCK rows; block b draws from
-    the stream keyed by (seed, stream_id, b), one row permutation after
-    another. Replicate r therefore depends only on the key and r: not on
-    n_reps beyond r, the memory budget or the evaluation order, and blocks
-    are safe to split across workers. Each chunk of a block holds the
-    tiled times, shuffled in place, and the count kernel's arrays within
-    the memory budget.
+    Each chunk holds the tiled times, shuffled in place row by row, and the
+    count kernel's arrays; consecutive permuted calls on row chunks draw the
+    same stream as one call on the whole block.
     """
     n = times_s.size
     counts = np.empty(n_reps, dtype=np.int64)
-    chunk = min(
-        REPLICATE_BLOCK,
-        rows_within_budget(8 * n + index.BYTES_PER_PAIR * index.n_pairs),
-    )
-    for block_lo in range(0, n_reps, REPLICATE_BLOCK):
-        g = substream(key.seed, key.stream_id, block_lo // REPLICATE_BLOCK)
-        block_hi = min(block_lo + REPLICATE_BLOCK, n_reps)
-        # consecutive permuted calls on row chunks draw the same stream as
-        # one call on the whole block
-        for lo in range(block_lo, block_hi, chunk):
-            hi = min(lo + chunk, block_hi)
-            rows = np.tile(times_s, (hi - lo, 1))
-            g.permuted(rows, axis=1, out=rows)
-            counts[lo:hi] = index.counts_for_time_matrix(rows)
+    bytes_per_row = 8 * n + index.BYTES_PER_PAIR * index.n_pairs
+    for lo, hi, g in _replicate_chunks(key, n_reps, bytes_per_row):
+        rows = np.tile(times_s, (hi - lo, 1))
+        g.permuted(rows, axis=1, out=rows)
+        counts[lo:hi] = index.counts_for_time_matrix(rows)
     return counts
 
 
@@ -244,13 +250,14 @@ def poisson_binomial_pvalue(
     probs: Sequence[float],
     method: str = "exact_dp",
     n_reps: int = 100_000,
-    rng=0,
+    rng: Rng | int = 0,
 ) -> float:
     """P(S >= s_obs) where S sums independent Bernoulli(p_j) alarm successes.
 
     Methods: ``exact_dp`` runs the O(A^2) convolution of the probability
-    mass function; ``simulate`` draws the Bernoulli sums; ``poisson_approx``
-    uses a Poisson tail with mean sum(p_j).
+    mass function; ``simulate`` draws the Bernoulli sums as keyed replicate
+    blocks of ``rng``; ``poisson_approx`` uses a Poisson tail with mean
+    sum(p_j).
     """
     probs = np.asarray(probs, dtype=float)
     if probs.ndim != 1:
@@ -272,13 +279,10 @@ def poisson_binomial_pvalue(
     if method == "simulate":
         if n_reps < 1:
             raise ValueError("n_reps must be >= 1")
-        g = as_generator(rng)
-        # consecutive row blocks draw the same stream as one (n_reps, A)
-        # draw; a row holds A float64 uniforms and their bool mask
-        step = rows_within_budget(9 * probs.size)
         hits = 0
-        for lo in range(0, n_reps, step):
-            sums = (g.random((min(step, n_reps - lo), probs.size)) < probs).sum(axis=1)
+        # a row holds A float64 uniforms and their bool mask
+        for lo, hi, g in _replicate_chunks(_resolve_key(rng), n_reps, 9 * probs.size):
+            sums = (g.random((hi - lo, probs.size)) < probs).sum(axis=1)
             hits += int((sums >= s_obs).sum())
         return hits / n_reps
     if method == "poisson_approx":
@@ -444,7 +448,7 @@ def r_score_baseline(
     n_predicted: int,
     outcomes: Sequence[bool],
     n_reps: int,
-    rng,
+    rng: Rng | int,
     observed_r: float | None = None,
     avg_occupied_cells: float | None = None,
 ) -> BaselineReport:
@@ -455,7 +459,7 @@ def r_score_baseline(
     proportional to its historical rate; scheme 3 draws n_predicted cells
     without replacement with those same probabilities as weights
     (sequential renormalized draws, sampled by exponential keys). Replicates
-    are drawn in row blocks that fit the memory budget from one generator.
+    are drawn as keyed blocks of ``rng``, like permutation replicates.
     """
     if n_reps < 1:
         raise ValueError(f"n_reps must be >= 1, got {n_reps}")
@@ -477,14 +481,11 @@ def r_score_baseline(
 
     n_occurred, n_aseismic = _r_score_denominators(occurred)
 
-    key = _resolve_key(rng) if not isinstance(rng, np.random.Generator) else None
-    g = as_generator(rng)
+    key = _resolve_key(rng)
     hits = np.empty(n_reps, dtype=np.int64)
     n_predicted_cells = np.empty(n_reps, dtype=np.int64)
-    # consecutive row blocks draw the same stream as one (n_reps, n_cells) draw
-    step = rows_within_budget(BASELINE_BYTES_PER_CELL * n_cells)
-    for lo in range(0, n_reps, step):
-        hi = min(lo + step, n_reps)
+    bytes_per_row = BASELINE_BYTES_PER_CELL * n_cells
+    for lo, hi, g in _replicate_chunks(key, n_reps, bytes_per_row):
         predicted = _draw_predicted(g, scheme, hi - lo, n_cells, n_predicted, probs)
         n_predicted_cells[lo:hi] = predicted.sum(axis=1)
         hits[lo:hi] = (predicted & occurred).sum(axis=1)
@@ -504,7 +505,7 @@ def r_score_baseline(
         observed_r=observed_r,
         mean_predicted_cells=float(n_predicted_cells.mean()),
         n_clipped_probs=n_clipped,
-        seed=key.seed if key is not None else -1,
+        seed=key.seed,
         config={
             "scheme": scheme,
             "n_predicted": n_predicted,

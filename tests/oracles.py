@@ -1,7 +1,7 @@
 """Slow scalar and per-alarm reference implementations, kept as test oracles
 for the vectorised paths in ``eqalarm``: the membership rule, declustering,
-the alarm measure, the Monte-Carlo union volume and the scheme-3 weighted
-sampling of R-score baselines."""
+the alarm measure, the Monte-Carlo union volume, the scheme-3 weighted
+sampling of R-score baselines and the reference time-permutation shuffle."""
 
 from __future__ import annotations
 
@@ -127,6 +127,19 @@ def union_volume_hit_fraction(alarm_set, sv, n_samples: int, rng) -> float:
         d = great_circle_km_arrays(lat[idx], lon[idx], a.center.lat, a.center.lon)
         hit[idx[d <= a.radius_km]] = True
     return float(hit.mean())
+
+
+def permutation_indices(n: int, g) -> np.ndarray:
+    """Uniform random permutation by the descending-index swap shuffle.
+
+    Reference draw order, for trace tests with injected draws: for
+    i = n-1 down to 1, draw j = g.integers(0, i+1) and swap positions i, j.
+    """
+    idx = np.arange(n)
+    for i in range(n - 1, 0, -1):
+        j = int(g.integers(0, i + 1))
+        idx[i], idx[j] = idx[j], idx[i]
+    return idx
 
 
 def weighted_sample_without_replacement(weights, k: int, g) -> np.ndarray:

@@ -208,6 +208,12 @@ class TestDeclusterStats:
         with pytest.raises(ValueError, match="subset"):
             decluster_stats(cat, other)
 
+    def test_repeated_event_rejected(self):
+        cat = chain_catalog()
+        twice = cat.with_events((cat.events[0], cat.events[0], cat.events[1]))
+        with pytest.raises(ValueError, match="subset"):
+            decluster_stats(cat, twice)
+
     def test_empty_before(self):
         cat = make_catalog([])
         assert decluster_stats(cat, cat) == (0, 0.0)

@@ -18,6 +18,7 @@ from eqalarm import (
     GeoPoint,
     GlobalSphere,
     LatLonBox,
+    Rng,
     SphericalCap,
     StudyVolume,
     alarm_measure_pi,
@@ -378,13 +379,11 @@ class TestMemoryBudget:
     def test_simulated_poisson_binomial_blocks(self, monkeypatch):
         probs = np.linspace(0.001, 0.01, 2013)
         n_reps = 2000
-        # the single draw this replaces held n_reps x A x 9 B, about 36 MB
-        draws = np.random.default_rng(5).random((n_reps, probs.size))
-        expected = float(((draws < probs).sum(axis=1) >= 12).mean())
-        del draws
+        # under the default budget a block of 1024 rows holds about 18 MB
+        expected = poisson_binomial_pvalue(12, probs, "simulate", n_reps, Rng(5))
         monkeypatch.setattr(eqalarm.alarm, "MEMORY_BUDGET_BYTES", self.BUDGET)
         p, peak = traced_peak(
-            lambda: poisson_binomial_pvalue(12, probs, "simulate", n_reps, np.random.default_rng(5))
+            lambda: poisson_binomial_pvalue(12, probs, "simulate", n_reps, Rng(5))
         )
         assert peak <= 2 * self.BUDGET + 100_000
         assert p == expected

@@ -16,11 +16,11 @@ from eqalarm import (
     gen_heterogeneous_poisson,
     gen_homogeneous_poisson,
     historical_cell_rates,
-    permutation_indices,
     permute_times,
     randomize_times_uniform,
 )
 
+import oracles
 from conftest import T0, day, make_catalog, random_catalog
 
 
@@ -33,26 +33,8 @@ class StubRng:
     def integers(self, low, high=None):
         return self._draws.pop(0)
 
-    def random(self, *a, **k):  # pragma: no cover - required surface only
-        raise NotImplementedError
-
-
-class IdentityRng(StubRng):
-    """Always draws the top of the range, so the shuffle never swaps."""
-
-    def __init__(self):
-        super().__init__([])
-
-    def integers(self, low, high=None):
-        lo, hi = (0, low) if high is None else (low, high)
-        return hi - 1
-
 
 class TestPermuteTimes:
-    def test_identity_hook(self):
-        cat = make_catalog([(1, 0, 0, 5.5), (10, 1, 1, 6.0), (20, 2, 2, 6.5)])
-        assert permute_times(cat, IdentityRng()) == cat
-
     def test_multisets_preserved(self):
         rng = np.random.default_rng(0)
         cat = random_catalog(rng, n=25)
@@ -62,14 +44,20 @@ class TestPermuteTimes:
         assert marks(shuffled) == marks(cat)
 
     def test_three_event_reference_trace(self):
-        # reference shuffle, n=3: i=2 swaps with draw 0 -> [2,1,0]; i=1 swaps
-        # with draw 1 -> unchanged; event k then takes the time of index perm[k]
-        assert permutation_indices(3, StubRng([0, 1])).tolist() == [2, 1, 0]
-        cat = make_catalog([(1, 0, 0, 5.5), (10, 1, 1, 6.0), (20, 2, 2, 6.5)])
-        t = [e.time for e in cat.events]
-        shuffled = permute_times(cat, StubRng([0, 1]))
-        by_id = {e.source_id: e.time for e in shuffled.events}
-        assert by_id == {"ev000": t[2], "ev001": t[1], "ev002": t[0]}
+        # the reference shuffle, n=3: i=2 swaps with draw 0 -> [2,1,0]; i=1
+        # swaps with draw 1 -> unchanged
+        assert oracles.permutation_indices(3, StubRng([0, 1])).tolist() == [2, 1, 0]
+
+    def test_four_event_orderings_uniform(self):
+        # the order of ids along the sorted times names which event got
+        # which time: all 24 assignments should be equally likely
+        cat = make_catalog([(i * 5.0, i, i, 6.0) for i in range(4)])
+        g = np.random.default_rng(2024)
+        seen = Counter(
+            tuple(e.source_id for e in permute_times(cat, g).events) for _ in range(4800)
+        )
+        assert len(seen) == 24
+        assert stats.chisquare(list(seen.values())).pvalue > 1e-3
 
     def test_sorted_output(self):
         rng = np.random.default_rng(2)

@@ -1,6 +1,7 @@
-"""The replicate engines: permutation replicates keyed by (seed, stream,
-block) and R-score baselines drawn in row blocks, against their stream
-properties, the memory budget and the sequential weighted-sampling oracle."""
+"""The replicate engines: permutation replicates, R-score baselines and the
+simulated Poisson-binomial tail, all drawn in blocks keyed by (seed, stream,
+block), against their stream properties, the memory budget and the
+sequential weighted-sampling oracle."""
 
 from collections import Counter
 
@@ -8,7 +9,9 @@ import numpy as np
 import pytest
 from scipy import stats
 
+import eqalarm._random
 import eqalarm.alarm
+import eqalarm.sigtests
 from eqalarm import (
     AlarmTargetIndex,
     GridOutcome,
@@ -16,9 +19,11 @@ from eqalarm import (
     filter_catalog,
     generate_alarms,
     permutation_test_fixed_alarms,
+    poisson_binomial_pvalue,
     r_score,
     r_score_baseline,
 )
+from eqalarm._random import substream
 from eqalarm.sigtests import (
     REPLICATE_BLOCK,
     _draw_predicted,
@@ -43,20 +48,72 @@ def small_case():
     return targets, generate_alarms(targets, 5.5, radius_km=200.0, window_days=10.0)
 
 
-class TestPermutationReplicates:
-    def test_prefix_across_block_edges(self, small_case):
-        full = _sims(*small_case, 3000)
-        assert np.unique(full).size > 2
+OUTCOMES = tuple(bool(x) for x in np.random.default_rng(12).random(3000) < 0.2)
+RATES = np.random.default_rng(13).gamma(0.5, 0.2, size=3000)
+PROBS = np.random.default_rng(14).uniform(0.0, 0.2, size=40)
+
+
+class RecordingGenerator:
+    """Passes draws through from a Generator and keeps a copy of each."""
+
+    def __init__(self, g, drawn):
+        self._g, self._drawn = g, drawn
+
+    def random(self, *args, **kwargs):
+        out = self._g.random(*args, **kwargs)
+        self._drawn.append(out.copy())
+        return out
+
+    def permuted(self, *args, **kwargs):
+        out = self._g.permuted(*args, **kwargs)
+        self._drawn.append(out.copy())
+        return out
+
+
+ENGINES = {
+    "permutation": lambda case, n: _sims(*case, n),
+    **{
+        f"rscore{s}": lambda case, n, s=s: r_score_baseline(
+            s, None if s == 1 else RATES[:200], 40, OUTCOMES[:200], n, Rng(21, s)
+        )
+        for s in (1, 2, 3)
+    },
+    "pbinom": lambda case, n: poisson_binomial_pvalue(4, PROBS, "simulate", n, Rng(23)),
+}
+
+
+def _replicates(engine, case, n_reps, monkeypatch):
+    """An engine's result and its replicates' draws, one row per replicate."""
+    drawn = []
+    with monkeypatch.context() as patch:
+        patch.setattr(
+            eqalarm.sigtests,
+            "substream",
+            lambda *key: RecordingGenerator(eqalarm._random.substream(*key), drawn),
+        )
+        result = ENGINES[engine](case, n_reps)
+    return result, np.concatenate(drawn)
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+class TestReplicateStreams:
+    def test_prefix_across_block_edges(self, engine, small_case, monkeypatch):
+        full = _replicates(engine, small_case, 3000, monkeypatch)[1]
+        assert full.shape[0] == 3000 and np.unique(full, axis=0).shape[0] > 2
         for m in (1, REPLICATE_BLOCK - 1, REPLICATE_BLOCK, REPLICATE_BLOCK + 1, 2500):
-            assert np.array_equal(_sims(*small_case, m), full[:m]), m
+            assert np.array_equal(_replicates(engine, small_case, m, monkeypatch)[1], full[:m]), m
 
-    def test_budget_does_not_change_replicates(self, small_case, monkeypatch):
-        full = _sims(*small_case, 3000)
+    def test_budget_does_not_change_replicates(self, engine, small_case, monkeypatch):
+        result, full = _replicates(engine, small_case, 3000, monkeypatch)
         # one block per chunk, chunks that do not divide a block, one row per chunk
-        for budget in (BUDGET, 10_000, 1):
+        for budget in (BUDGET, 100_000, 1):
             monkeypatch.setattr(eqalarm.alarm, "MEMORY_BUDGET_BYTES", budget)
-            assert np.array_equal(_sims(*small_case, 3000), full), budget
+            again, rows = _replicates(engine, small_case, 3000, monkeypatch)
+            assert np.array_equal(rows, full), budget
+            np.testing.assert_equal(again, result)
 
+
+class TestPermutationReplicates:
     def test_every_row_is_a_permutation_of_the_times(self, small_case, monkeypatch):
         targets, alarms = small_case
         rows = []
@@ -95,10 +152,6 @@ class TestPermutationReplicates:
         assert np.unique(sims).size > 2
 
 
-OUTCOMES = tuple(bool(x) for x in np.random.default_rng(12).random(3000) < 0.2)
-RATES = np.random.default_rng(13).gamma(0.5, 0.2, size=3000)
-
-
 class TestRScoreBaselineBlocks:
     @pytest.mark.parametrize("scheme", [1, 2, 3])
     def test_budget_does_not_change_report(self, scheme, monkeypatch):
@@ -117,23 +170,22 @@ class TestRScoreBaselineBlocks:
             scheme, rates, 8, outcomes, 200, Rng(22, scheme), avg_occupied_cells=10.0
         )
         probs = None if scheme == 1 else _scheme_probs(RATES[:50], 8, 10.0)[0]
-        rows = _draw_predicted(Rng(22, scheme).generator(), scheme, 200, 50, 8, probs)
+        # 200 replicates are one chunk of block 0
+        rows = _draw_predicted(substream(22, scheme, 0), scheme, 200, 50, 8, probs)
         scores = np.array([r_score(GridOutcome(row, outcomes)) for row in rows])
         assert report.mean == scores.mean()
         assert report.quantiles["q50"] == np.quantile(scores, 0.5)
         assert report.mean_predicted_cells == rows.sum(axis=1).mean()
 
     def test_denominator_errors_before_drawing(self):
-        class NoDraws:
-            def integers(self, *args, **kwargs):
-                raise AssertionError("drew")
-
-            random = integers
-
+        # the rng is resolved after validation, so even a value that is no
+        # key loses to the ValueError
         with pytest.raises(ValueError, match="no cells with earthquakes"):
-            r_score_baseline(1, None, 1, (False, False), 10, NoDraws())
+            r_score_baseline(1, None, 1, (False, False), 10, object())
         with pytest.raises(ValueError, match="aseismic"):
-            r_score_baseline(1, None, 1, (True, True), 10, NoDraws())
+            r_score_baseline(1, None, 1, (True, True), 10, object())
+        with pytest.raises(TypeError, match="Rng key"):
+            r_score_baseline(1, None, 1, (True, False), 10, np.random.default_rng(0))
 
 
 SCHEME3_CASES = [

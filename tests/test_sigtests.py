@@ -260,6 +260,14 @@ class TestPoissonBinomial:
         with pytest.raises(ValueError):
             poisson_binomial_pvalue(1, [0.5], method="magic")
 
+    def test_simulate_validates_before_resolving_rng(self):
+        with pytest.raises(ValueError, match="s_obs"):
+            poisson_binomial_pvalue(3, [0.5, 0.5], "simulate", 10, object())
+        with pytest.raises(ValueError, match="n_reps"):
+            poisson_binomial_pvalue(1, [0.5], "simulate", 0, object())
+        with pytest.raises(TypeError, match="Rng key"):
+            poisson_binomial_pvalue(1, [0.5], "simulate", 10, np.random.default_rng(0))
+
 
 class TestAlarmMeasurePi:
     def interval(self):
