@@ -37,7 +37,6 @@ from .geo import (
     LatLonBox,
     SphericalCap,
     cap_area_km2,
-    great_circle_km,
 )
 from .nullmodels import (
     CellGrid,

@@ -42,12 +42,14 @@ def pair_blocks(lat_t, lon_t, lat_a, lon_a, radius_km_a):
     """:func:`pairs_within_km` over consecutive blocks of targets, each small
     enough that its pairs fit MEMORY_BUDGET_BYTES even when every alarm
     covers every target. Yields (target, alarm) index arrays block by block
-    in target order, each sorted by target then alarm."""
+    in target order, each sorted by target then alarm, so the blocks
+    concatenate to the whole join's pairs. With no targets it yields one
+    empty block."""
     # the join's bytes per candidate also bound its callers' reductions of a
     # block: decluster, alarm_measure_pi and union_volume_fraction_mc peak at
     # about 88 B per pair under tracemalloc when every candidate is a pair
     step = rows_within_budget(JOIN_BYTES_PER_CANDIDATE * len(lat_a))
-    for lo in range(0, len(lat_t), step):
+    for lo in range(0, max(len(lat_t), 1), step):
         t, a = pairs_within_km(
             lat_t[lo : lo + step], lon_t[lo : lo + step], lat_a, lon_a, radius_km_a
         )
@@ -68,9 +70,6 @@ class FloorRule(str, Enum):
             return mapping[label]
         except KeyError:
             raise ValueError(f"unknown predictor {label!r}; use 'i' or 'ii'") from None
-
-
-MODE_EXTERNAL = "external"
 
 
 @dataclass(frozen=True)
@@ -112,7 +111,6 @@ class AlarmSet:
     """Ordered collection of alarms plus how they were made."""
 
     alarms: tuple[Alarm, ...]
-    mode: str = MODE_EXTERNAL  # "threshold", "trigger", or "external"
     config: AlarmConfig | None = None
 
     def __post_init__(self):
@@ -179,11 +177,7 @@ def generate_alarms(
                 trigger_id=event.source_id,
             )
         )
-    return AlarmSet(
-        tuple(alarms),
-        mode=floor_rule.value,
-        config=AlarmConfig(mag_threshold, window_days, radius_km),
-    )
+    return AlarmSet(tuple(alarms), config=AlarmConfig(mag_threshold, window_days, radius_km))
 
 
 class AlarmTargetIndex:
@@ -224,10 +218,10 @@ class AlarmTargetIndex:
             dtype=np.int64,
         )
 
-        pk, pj = pairs_within_km(
-            targets.latitudes(), targets.longitudes(), a_lat, a_lon, a_radius,
-            budget_bytes=MEMORY_BUDGET_BYTES,
+        blocks = list(
+            pair_blocks(targets.latitudes(), targets.longitudes(), a_lat, a_lon, a_radius)
         )
+        pk, pj = (np.concatenate(parts) for parts in zip(*blocks))
         keep = a_trig[pj] != pk
         self._pk = pk[keep]
         self._pj = pj[keep]

@@ -123,9 +123,6 @@ class StudyVolume:
     def duration_s(self) -> float:
         return (self.t_end - self.t_start).total_seconds()
 
-    def contains_time(self, t: datetime) -> bool:
-        return self.t_start <= _as_utc(t) <= self.t_end
-
 
 @dataclass(frozen=True)
 class Catalog:
@@ -139,14 +136,17 @@ class Catalog:
         object.__setattr__(self, "events", tuple(self.events))
         if self.magnitude_selector not in MAGNITUDE_SELECTORS:
             raise ValueError(f"unknown magnitude selector {self.magnitude_selector!r}")
+        # times compare exactly as UTC datetimes; the span interval is closed
+        t_start, t_end = self.span.t_start, self.span.t_end
+        in_region = self.span.region.contains_arrays(self.latitudes(), self.longitudes())
         previous = None
-        for i, event in enumerate(self.events):
+        for i, (event, inside) in enumerate(zip(self.events, in_region.tolist())):
             if previous is not None and event.time < previous:
                 raise ValueError(f"events out of time order at position {i}")
             previous = event.time
-            if not self.span.contains_time(event.time):
+            if not t_start <= event.time <= t_end:
                 raise ValueError(f"event {i} ({event.source_id}) outside the span interval")
-            if not self.span.region.contains(event.epicenter):
+            if not inside:
                 raise ValueError(f"event {i} ({event.source_id}) outside the span region")
 
     def __len__(self) -> int:
@@ -196,6 +196,32 @@ def _decode(source: bytes | str | IO) -> str:
     return data
 
 
+def csv_rows(source: bytes | str | IO, columns: Sequence[str]) -> Iterator[tuple[int, list[str]]]:
+    """(line number, stripped fields) of each data row of a CSV whose header
+    is exactly ``columns``.
+
+    A leading byte-order mark is ignored and blank rows are skipped; a bad
+    header or a row with the wrong number of fields raises
+    :class:`CatalogParseError` naming its line.
+    """
+    reader = csv.reader(io.StringIO(_decode(source).removeprefix("\ufeff")))
+    header = next(reader, None)
+    if header is None:
+        raise CatalogParseError("empty input: missing CSV header")
+    if [c.strip() for c in header] != list(columns):
+        raise CatalogParseError(
+            f"line 1: bad header {','.join(header)!r}; expected {','.join(columns)!r}"
+        )
+    for line_no, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) != len(columns):
+            raise CatalogParseError(
+                f"line {line_no}: expected {len(columns)} fields, got {len(row)}"
+            )
+        yield line_no, [c.strip() for c in row]
+
+
 def _sorted_events(events: list[Event]) -> list[Event]:
     # sorted() is stable, so equal times keep their input order
     return sorted(events, key=lambda e: e.time)
@@ -222,30 +248,10 @@ def parse_csv(source: bytes | str | IO, magnitude_selector: str = "mb") -> Catal
     keeping file order; empty ids get stable row-number ids, and an id may
     appear only once.
     """
-    text = _decode(source)
-    reader = csv.reader(io.StringIO(text))
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise CatalogParseError("empty input: missing CSV header") from None
-    if header and header[0].startswith("﻿"):
-        header = [header[0].lstrip("﻿"), *header[1:]]
-    if [c.strip() for c in header] != list(CSV_COLUMNS):
-        raise CatalogParseError(
-            f"line 1: bad header {','.join(header)!r}; expected {','.join(CSV_COLUMNS)!r}"
-        )
     events: list[Event] = []
     line_of_id: dict[str, int] = {}
-    for line_no, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        if len(row) != len(CSV_COLUMNS):
-            raise CatalogParseError(
-                f"line {line_no}: expected {len(CSV_COLUMNS)} fields, got {len(row)}"
-            )
-        time_text, lat_text, lon_text, depth_text, mb_text, ms_text, id_text = (
-            c.strip() for c in row
-        )
+    for line_no, fields in csv_rows(source, CSV_COLUMNS):
+        time_text, lat_text, lon_text, depth_text, mb_text, ms_text, id_text = fields
         try:
             time = parse_instant(time_text)
             lat = float(lat_text)

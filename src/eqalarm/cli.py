@@ -30,6 +30,7 @@ from .catalog import (
     Catalog,
     CatalogParseError,
     StudyVolume,
+    csv_rows,
     dumps_csv,
     filter_catalog,
     format_instant,
@@ -240,30 +241,22 @@ def cmd_decluster(args) -> int:
     return 0
 
 
+CELL_CSV_COLUMNS = ("lat_min", "lat_max", "lon_min", "lon_max", "rate_per_day")
+
+
 def _load_cell_grid(path: str) -> CellGrid:
     """Cells file: lat_min,lat_max,lon_min,lon_max,rate_per_day per line."""
-    import csv as _csv
-    import io as _io
-
-    text = Path(path).read_text(encoding="utf-8")
-    reader = _csv.reader(_io.StringIO(text))
-    expected = ["lat_min", "lat_max", "lon_min", "lon_max", "rate_per_day"]
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise _UsageError("empty cells file") from None
-    if [c.strip() for c in header] != expected:
-        raise _UsageError(f"cells file needs header {','.join(expected)!r}")
     cells, rates = [], []
-    for line_no, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        try:
-            lat_min, lat_max, lon_min, lon_max, rate = (float(c) for c in row)
-            cells.append(LatLonBox(lat_min, lat_max, lon_min, lon_max))
-            rates.append(rate / 86400.0)
-        except ValueError as exc:
-            raise _UsageError(f"cells file line {line_no}: {exc}") from exc
+    try:
+        for line_no, fields in csv_rows(Path(path).read_bytes(), CELL_CSV_COLUMNS):
+            try:
+                lat_min, lat_max, lon_min, lon_max, rate = (float(c) for c in fields)
+                cells.append(LatLonBox(lat_min, lat_max, lon_min, lon_max))
+                rates.append(rate / 86400.0)
+            except ValueError as exc:
+                raise CatalogParseError(f"line {line_no}: {exc}") from exc
+    except CatalogParseError as exc:
+        raise _UsageError(f"cells file {path}: {exc}") from exc
     return CellGrid(tuple(cells), tuple(rates))
 
 

@@ -13,16 +13,13 @@ loaded from a 3-column CSV.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 from typing import IO
 
 import numpy as np
 
-from .catalog import Catalog, CatalogParseError, _decode
+from .catalog import Catalog, CatalogParseError, csv_rows
 from .alarm import pair_blocks
 
 SECONDS_PER_DAY = 86400.0
@@ -47,8 +44,8 @@ class WindowRow:
 
 @dataclass(frozen=True)
 class WindowTable:
-    """Magnitude-dependent windows; lookup takes the row with the largest
-    mag_min not exceeding the event magnitude. The first row must have
+    """Magnitude-dependent windows; an event takes the row with the largest
+    mag_min not exceeding its magnitude. The first row must have
     mag_min = -inf so every magnitude resolves."""
 
     rows: tuple[WindowRow, ...]
@@ -70,34 +67,16 @@ class WindowTable:
     @classmethod
     def from_csv(cls, source: bytes | str | IO) -> "WindowTable":
         """Load from CSV with header ``mag_min,time_days,distance_km``."""
-        text = _decode(source)
-        reader = csv.reader(io.StringIO(text))
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise CatalogParseError("empty window table") from None
-        if [c.strip() for c in header] != list(WINDOW_CSV_COLUMNS):
-            raise CatalogParseError(
-                f"line 1: bad header; expected {','.join(WINDOW_CSV_COLUMNS)!r}"
-            )
         rows = []
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 3:
-                raise CatalogParseError(f"line {line_no}: expected 3 fields, got {len(row)}")
+        for line_no, fields in csv_rows(source, WINDOW_CSV_COLUMNS):
             try:
-                rows.append(WindowRow(*(float(c) for c in row)))
+                rows.append(WindowRow(*(float(c) for c in fields)))
             except ValueError as exc:
                 raise CatalogParseError(f"line {line_no}: {exc}") from exc
         try:
             return cls(tuple(rows))
         except ValueError as exc:
             raise CatalogParseError(str(exc)) from exc
-
-    def lookup(self, magnitude: float) -> WindowRow:
-        mags = [r.mag_min for r in self.rows]
-        return self.rows[bisect_right(mags, magnitude) - 1]
 
 
 @dataclass(frozen=True)
@@ -123,7 +102,7 @@ def decluster(
     lats = catalog.latitudes()
     lons = catalog.longitudes()
     mags = catalog.magnitudes()
-    # WindowTable.lookup for every event at once; absent magnitudes get no window
+    # every event's window row at once; absent magnitudes get no window
     row = np.searchsorted([r.mag_min for r in windows.rows], mags, side="right") - 1
     absent = np.isnan(mags)
     time_days = np.array([r.time_days for r in windows.rows])

@@ -17,12 +17,13 @@ EARTH_AREA_KM2 = 4.0 * math.pi * EARTH_RADIUS_KM**2
 HALF_CIRCUMFERENCE_KM = math.pi * EARTH_RADIUS_KM
 
 
-def normalize_lon(lon: float) -> float:
-    """Map a longitude in degrees onto [-180, 180)."""
-    wrapped = math.fmod(lon + 180.0, 360.0)
-    if wrapped < 0.0:
-        wrapped += 360.0
-    return wrapped - 180.0
+def normalize_lon(lon):
+    """Map longitudes in degrees (a float or an array) onto [-180, 180).
+
+    Python's float ``%`` and numpy's ``%`` both take the C ``fmod`` and add
+    360 to a negative remainder, so scalars and arrays wrap alike.
+    """
+    return (lon + 180.0) % 360.0 - 180.0
 
 
 @dataclass(frozen=True)
@@ -48,13 +49,10 @@ def great_circle_km_arrays(lat1, lon1, lat2, lon2) -> np.ndarray:
     )
     sin_dlat = np.sin((lat2 - lat1) / 2.0)
     sin_dlon = np.sin((lon2 - lon1) / 2.0)
-    h = sin_dlat**2 + np.cos(lat1) * np.cos(lat2) * sin_dlon**2
+    # x * x, not x**2: on 0-d input the ufuncs return numpy scalars, whose
+    # ** goes through C pow and can land an ulp away from the array result
+    h = sin_dlat * sin_dlat + np.cos(lat1) * np.cos(lat2) * (sin_dlon * sin_dlon)
     return 2.0 * EARTH_RADIUS_KM * np.arcsin(np.sqrt(np.clip(h, 0.0, 1.0)))
-
-
-def great_circle_km(a: GeoPoint, b: GeoPoint) -> float:
-    """Great-circle distance in km between two points."""
-    return float(great_circle_km_arrays(a.lat, a.lon, b.lat, b.lon))
 
 
 # peak working bytes per candidate pair in pairs_within_km (about 88 under
@@ -63,9 +61,7 @@ def great_circle_km(a: GeoPoint, b: GeoPoint) -> float:
 JOIN_BYTES_PER_CANDIDATE = 96
 
 
-def pairs_within_km(
-    lat_t, lon_t, lat_a, lon_a, radius_km_a, budget_bytes: int | None = None
-) -> tuple[np.ndarray, np.ndarray]:
+def pairs_within_km(lat_t, lon_t, lat_a, lon_a, radius_km_a) -> tuple[np.ndarray, np.ndarray]:
     """Every (target, alarm) index pair whose haversine distance is at most
     the alarm's radius, sorted by target then alarm.
 
@@ -77,8 +73,10 @@ def pairs_within_km(
     computed distance, and the slack keeps every pair it accepts. Every
     candidate is then re-checked with :func:`great_circle_km_arrays`
     against ``<= radius``, so the pair set is exactly the dense haversine
-    join's. ``budget_bytes`` caps the candidates evaluated at once; alarms
-    are processed in blocks that fit it (a block holds at least one alarm).
+    join's. All candidates are evaluated in one pass, about
+    JOIN_BYTES_PER_CANDIDATE bytes each; callers that need a memory bound
+    go through :func:`eqalarm.alarm.pair_blocks`, which joins blocks of
+    targets.
     """
     lat_t = np.asarray(lat_t, dtype=float)
     lon_t = np.asarray(lon_t, dtype=float)
@@ -90,32 +88,13 @@ def pairs_within_km(
     half_band = np.degrees(radius / EARTH_RADIUS_KM) + 1e-5
     lo = np.searchsorted(lat_sorted, lat_a - half_band, side="left")
     n_cand = np.searchsorted(lat_sorted, lat_a + half_band, side="right") - lo
-    cum = np.cumsum(n_cand)
-    if budget_bytes is None:
-        max_candidates = np.inf
-    else:
-        max_candidates = max(1, budget_bytes // JOIN_BYTES_PER_CANDIDATE)
-
-    t_parts: list[np.ndarray] = []
-    a_parts: list[np.ndarray] = []
-    j0 = 0
-    while j0 < lat_a.size:
-        done = cum[j0 - 1] if j0 else 0
-        j1 = max(j0 + 1, int(np.searchsorted(cum, done + max_candidates, side="right")))
-        counts = n_cand[j0:j1]
-        a_idx = np.repeat(np.arange(j0, j1), counts)
-        # candidate c of alarm j sits at sorted position lo[j] + c
-        run_start = np.cumsum(counts) - counts
-        t_idx = order[np.arange(a_idx.size) + np.repeat(lo[j0:j1] - run_start, counts)]
-        d = great_circle_km_arrays(lat_t[t_idx], lon_t[t_idx], lat_a[a_idx], lon_a[a_idx])
-        keep = d <= radius[a_idx]
-        t_parts.append(t_idx[keep])
-        a_parts.append(a_idx[keep])
-        j0 = j1
-    if not t_parts:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-    t_idx = np.concatenate(t_parts).astype(np.int64, copy=False)
-    a_idx = np.concatenate(a_parts).astype(np.int64, copy=False)
+    a_idx = np.repeat(np.arange(lat_a.size), n_cand)
+    # candidate c of alarm j sits at sorted position lo[j] + c
+    run_start = np.cumsum(n_cand) - n_cand
+    t_idx = order[np.arange(a_idx.size) + np.repeat(lo - run_start, n_cand)]
+    d = great_circle_km_arrays(lat_t[t_idx], lon_t[t_idx], lat_a[a_idx], lon_a[a_idx])
+    keep = d <= radius[a_idx]
+    t_idx, a_idx = t_idx[keep], a_idx[keep]
     by_target = np.lexsort((a_idx, t_idx))
     return t_idx[by_target], a_idx[by_target]
 
@@ -159,9 +138,6 @@ class GlobalSphere:
     def area_km2(self) -> float:
         return EARTH_AREA_KM2
 
-    def contains(self, p: GeoPoint) -> bool:
-        return True
-
     def contains_arrays(self, lat, lon) -> np.ndarray:
         return np.ones(np.broadcast(np.asarray(lat), np.asarray(lon)).shape, dtype=bool)
 
@@ -204,9 +180,6 @@ class LatLonBox:
         band = math.sin(math.radians(self.lat_max)) - math.sin(math.radians(self.lat_min))
         return EARTH_RADIUS_KM**2 * math.radians(self.lon_width_deg) * band
 
-    def contains(self, p: GeoPoint) -> bool:
-        return bool(self.contains_arrays(p.lat, p.lon))
-
     def contains_arrays(self, lat, lon) -> np.ndarray:
         lat = np.asarray(lat, dtype=float)
         lon = np.asarray(lon, dtype=float)
@@ -218,9 +191,7 @@ class LatLonBox:
             math.sin(math.radians(self.lat_min)), math.sin(math.radians(self.lat_max)), size=n
         )
         lat = np.degrees(np.arcsin(np.clip(z, -1.0, 1.0)))
-        lon = self.lon_min + rng.uniform(0.0, self.lon_width_deg, size=n)
-        lon = np.array([normalize_lon(x) for x in lon])
-        return lat, lon
+        return lat, normalize_lon(self.lon_min + rng.uniform(0.0, self.lon_width_deg, size=n))
 
 
 @dataclass(frozen=True)
@@ -237,9 +208,6 @@ class SphericalCap:
     @property
     def area_km2(self) -> float:
         return cap_area_km2(self.radius_km)
-
-    def contains(self, p: GeoPoint) -> bool:
-        return great_circle_km(self.center, p) <= self.radius_km
 
     def contains_arrays(self, lat, lon) -> np.ndarray:
         d = great_circle_km_arrays(lat, lon, self.center.lat, self.center.lon)

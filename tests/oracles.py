@@ -1,5 +1,6 @@
 """Slow scalar and per-alarm reference implementations, kept as test oracles
-for the vectorised paths in ``eqalarm``: the membership rule, declustering,
+for the vectorised paths in ``eqalarm``: point distance, region
+containment and window-table lookup, the membership rule, declustering,
 the alarm measure, the Monte-Carlo union volume, the scheme-3 weighted
 sampling of R-score baselines and the reference time-permutation shuffle."""
 
@@ -7,15 +8,41 @@ from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect_right
 
 import numpy as np
 
-from eqalarm import great_circle_km
+from eqalarm import GlobalSphere, LatLonBox, SphericalCap
 from eqalarm._random import as_generator
 from eqalarm.catalog import _as_utc
 from eqalarm.geo import great_circle_km_arrays
 
 SECONDS_PER_DAY = 86400.0
+
+
+def great_circle_km(a, b) -> float:
+    """Great-circle distance in km between two GeoPoints."""
+    return float(great_circle_km_arrays(a.lat, a.lon, b.lat, b.lon))
+
+
+def region_contains(region, point) -> bool:
+    """Whether a region holds a GeoPoint, one point at a time: a box by its
+    closed latitude edges and its eastward longitude width from lon_min, a
+    cap by distance at most its radius."""
+    if isinstance(region, GlobalSphere):
+        return True
+    if isinstance(region, LatLonBox):
+        east = (point.lon - region.lon_min) % 360.0
+        return region.lat_min <= point.lat <= region.lat_max and east <= region.lon_width_deg
+    if isinstance(region, SphericalCap):
+        return great_circle_km(region.center, point) <= region.radius_km
+    raise TypeError(f"not a region: {region!r}")
+
+
+def window_lookup(windows, magnitude: float):
+    """The window row with the largest mag_min not exceeding ``magnitude``."""
+    mags = [r.mag_min for r in windows.rows]
+    return windows.rows[bisect_right(mags, magnitude) - 1]
 
 
 def alarm_covers(alarm, time, point) -> bool:
@@ -55,12 +82,12 @@ def decluster_deleted(catalog, windows, retained_only: bool = False) -> tuple[in
     mags = catalog.magnitudes()
     time_windows_s = np.array(
         [
-            windows.lookup(m).time_days * SECONDS_PER_DAY if not np.isnan(m) else 0.0
+            window_lookup(windows, m).time_days * SECONDS_PER_DAY if not np.isnan(m) else 0.0
             for m in mags
         ]
     )
     dist_windows_km = np.array(
-        [windows.lookup(m).distance_km if not np.isnan(m) else 0.0 for m in mags]
+        [window_lookup(windows, m).distance_km if not np.isnan(m) else 0.0 for m in mags]
     )
     deleted = np.zeros(n, dtype=bool)
     for k in range(1, n):

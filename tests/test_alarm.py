@@ -22,13 +22,12 @@ from eqalarm import (
     count_successful_alarms,
     filter_catalog,
     generate_alarms,
-    great_circle_km,
     score,
     union_volume_fraction_mc,
 )
 
 from conftest import T0, day, make_catalog, make_event, random_catalog
-from oracles import alarm_covers, is_predicted
+from oracles import alarm_covers, great_circle_km, is_predicted
 
 
 def eligibility_predicted(catalog, k, mag_threshold, window_days, radius_km):

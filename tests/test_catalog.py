@@ -172,6 +172,10 @@ class TestParseCsv:
         with pytest.raises(CatalogParseError, match="line 4: id 'a' repeats line 2"):
             parse_csv(text)
 
+    def test_leading_bom_accepted(self):
+        text = CSV_HEADER + "2004-01-02T03:04:05Z,10.0,20.0,33.0,5.5,,a\n"
+        assert parse_csv(("\ufeff" + text).encode("utf-8")) == parse_csv(text)
+
     def test_accepts_bytes(self):
         text = CSV_HEADER + "2004-01-02T03:04:05Z,10.0,20.0,33.0,5.5,,a\n"
         assert len(parse_csv(text.encode())) == 1

@@ -274,6 +274,28 @@ class TestSimulate:
         assert len(cat) > 20
         assert all(10.0 <= e.epicenter.lon <= 20.0 for e in cat.events)
 
+    CELLS = "lat_min,lat_max,lon_min,lon_max,rate_per_day\n0,10,170,-170,0.8\n"
+    HET_ARGS = (
+        "simulate", "--model", "heterogeneous-poisson", "--from", "2004-01-01",
+        "--to", "2004-03-01", "--seed", "2", "--deterministic",
+    )
+
+    def test_heterogeneous_poisson_cells_with_bom(self, tmp_path, capsys):
+        plain = tmp_path / "cells.csv"
+        plain.write_text(self.CELLS, encoding="utf-8")
+        bom = tmp_path / "cells_bom.csv"
+        bom.write_bytes(("\ufeff" + self.CELLS).encode("utf-8"))
+        code, out, err = run(capsys, *self.HET_ARGS, "--cells", str(plain))
+        assert code == 0 and len(parse_csv(out)) > 20
+        assert run(capsys, *self.HET_ARGS, "--cells", str(bom)) == (0, out, err)
+
+    def test_cells_row_with_wrong_field_count(self, tmp_path, capsys):
+        cells = tmp_path / "cells.csv"
+        cells.write_text(self.CELLS + "0,10,10,20\n", encoding="utf-8")
+        code, _, err = run(capsys, *self.HET_ARGS, "--cells", str(cells))
+        assert code == 1
+        assert "cells file" in err and "line 3: expected 5 fields, got 4" in err
+
     def test_missing_model_inputs_usage_error(self, capsys):
         code, _, err = run(capsys, "simulate", "--model", "poisson")
         assert code == 1

@@ -15,6 +15,7 @@ from eqalarm import (
 )
 
 from conftest import T0, day, make_catalog, random_catalog
+from oracles import great_circle_km, window_lookup
 
 W10_20 = WindowTable.uniform(time_days=10.0, distance_km=20.0)
 
@@ -26,7 +27,7 @@ def chain_catalog():
 
 class TestWindowTable:
     def test_uniform_constructor(self):
-        row = W10_20.lookup(7.3)
+        row = window_lookup(W10_20, 7.3)
         assert (row.time_days, row.distance_km) == (10.0, 20.0)
 
     def test_requires_default_row(self):
@@ -50,10 +51,10 @@ class TestWindowTable:
                 WindowRow(7.0, 30.0, 60.0),
             )
         )
-        assert table.lookup(5.9).time_days == 5.0
-        assert table.lookup(6.0).time_days == 10.0
-        assert table.lookup(6.99).time_days == 10.0
-        assert table.lookup(7.5).time_days == 30.0
+        assert window_lookup(table, 5.9).time_days == 5.0
+        assert window_lookup(table, 6.0).time_days == 10.0
+        assert window_lookup(table, 6.99).time_days == 10.0
+        assert window_lookup(table, 7.5).time_days == 30.0
 
     def test_positive_extents_required(self):
         with pytest.raises(ValueError):
@@ -65,13 +66,18 @@ class TestWindowTable:
         text = "mag_min,time_days,distance_km\n-inf,5,10\n6.0,10,20\n"
         table = WindowTable.from_csv(text)
         assert len(table.rows) == 2
-        assert table.lookup(6.2).distance_km == 20.0
+        assert window_lookup(table, 6.2).distance_km == 20.0
 
     def test_from_csv_errors_cite_lines(self):
         with pytest.raises(CatalogParseError, match="line 2"):
             WindowTable.from_csv("mag_min,time_days,distance_km\n-inf,zero,10\n")
         with pytest.raises(CatalogParseError, match="header"):
             WindowTable.from_csv("a,b,c\n")
+
+    def test_from_csv_leading_bom(self):
+        text = "mag_min,time_days,distance_km\n-inf,5,10\n6.0,10,20\n"
+        with_bom = WindowTable.from_csv(("\ufeff" + text).encode("utf-8"))
+        assert with_bom == WindowTable.from_csv(text)
 
 
 class TestDecluster:
@@ -155,8 +161,6 @@ class TestDecluster:
     def test_output_has_no_covered_event(self):
         # footnote property: declustering imposes a minimum spacing
         rng = np.random.default_rng(4)
-        from eqalarm import great_circle_km
-
         for _ in range(10):
             cat = random_catalog(rng, n=25, span_days=60)
             out = decluster(cat, W10_20).catalog
@@ -167,7 +171,7 @@ class TestDecluster:
                     if m_e is None or m_o is None or m_o <= m_e:
                         continue
                     dt_days = (e.time - other.time).total_seconds() / 86400.0
-                    row = W10_20.lookup(m_o)
+                    row = window_lookup(W10_20, m_o)
                     covered = (
                         0.0 < dt_days <= row.time_days
                         and great_circle_km(other.epicenter, e.epicenter)

@@ -12,9 +12,10 @@ from eqalarm import (
     LatLonBox,
     SphericalCap,
     cap_area_km2,
-    great_circle_km,
 )
-from eqalarm.geo import HALF_CIRCUMFERENCE_KM, normalize_lon
+from eqalarm.geo import HALF_CIRCUMFERENCE_KM, great_circle_km_arrays, normalize_lon
+
+from oracles import great_circle_km, region_contains
 
 lat_st = st.floats(min_value=-90.0, max_value=90.0)
 lon_st = st.floats(min_value=-180.0, max_value=360.0, exclude_max=True)
@@ -44,6 +45,15 @@ class TestGeoPoint:
         for lon in np.linspace(-720, 720, 97):
             assert -180.0 <= normalize_lon(float(lon)) < 180.0
 
+    def test_normalize_lon_arrays_match_scalars(self):
+        rng = np.random.default_rng(8)
+        lons = np.concatenate(
+            [rng.uniform(-1000.0, 1000.0, 5000), [-540.0, -180.0, 0.0, -0.0, 180.0, 540.0]]
+        )
+        wrapped = normalize_lon(lons)
+        assert wrapped.tolist() == [normalize_lon(float(x)) for x in lons]
+        assert np.all((wrapped >= -180.0) & (wrapped < 180.0))
+
 
 class TestGreatCircle:
     def test_coincident_points(self):
@@ -70,6 +80,17 @@ class TestGreatCircle:
         bc = great_circle_km(b, c)
         ac = great_circle_km(a, c)
         assert ac <= ab + bc + 1e-6
+
+    def test_scalar_and_one_element_array_distances_agree(self):
+        # 0-d inputs make numpy scalars, whose ** goes through C pow; the
+        # batched path must not depend on the shape of its input
+        rng = np.random.default_rng(20)
+        lat1, lat2 = rng.uniform(-90.0, 90.0, (2, 20000))
+        lon1, lon2 = rng.uniform(-180.0, 180.0, (2, 20000))
+        batched = great_circle_km_arrays(lat1, lon1, lat2, lon2)
+        for args, d in zip(zip(lat1, lon1, lat2, lon2), batched.tolist()):
+            assert float(great_circle_km_arrays(*args)) == d
+            assert great_circle_km_arrays(*([x] for x in args))[0] == d
 
 
 class TestCapArea:
@@ -127,9 +148,9 @@ class TestRegions:
 
     def test_box_contains_and_wrap(self):
         box = LatLonBox(-10.0, 10.0, 170.0, -170.0)
-        assert box.contains(GeoPoint(0.0, 175.0))
-        assert box.contains(GeoPoint(0.0, -175.0))
-        assert not box.contains(GeoPoint(0.0, 0.0))
+        lat, lon = [0.0, 0.0, 0.0], [175.0, -175.0, 0.0]
+        assert box.contains_arrays(lat, lon).tolist() == [True, True, False]
+        assert [region_contains(box, GeoPoint(*p)) for p in zip(lat, lon)] == [True, True, False]
         assert box.lon_width_deg == pytest.approx(20.0)
 
     def test_box_sample_inside(self):
@@ -144,8 +165,9 @@ class TestRegions:
 
     def test_cap_contains_and_area(self):
         cap = SphericalCap(GeoPoint(45.0, 45.0), 300.0)
-        assert cap.contains(GeoPoint(45.0, 45.0))
-        assert not cap.contains(GeoPoint(-45.0, 45.0))
+        assert cap.contains_arrays([45.0, -45.0], [45.0, 45.0]).tolist() == [True, False]
+        assert region_contains(cap, GeoPoint(45.0, 45.0))
+        assert not region_contains(cap, GeoPoint(-45.0, 45.0))
         assert cap.area_km2 == pytest.approx(cap_area_km2(300.0))
 
     def test_cap_sample_inside(self):
@@ -160,3 +182,20 @@ class TestRegions:
         rng = np.random.default_rng(5)
         lat, lon = cap.sample(200, rng)
         assert np.all(lat > 80.0)
+
+    @pytest.mark.parametrize(
+        "region",
+        [
+            GlobalSphere(),
+            LatLonBox(-10.0, 10.0, 170.0, -170.0),
+            LatLonBox(-90.0, -60.0, -180.0, 180.0),
+            SphericalCap(GeoPoint(89.5, 0.0), 300.0),
+            SphericalCap(GeoPoint(-30.0, 179.0), HALF_CIRCUMFERENCE_KM),
+        ],
+    )
+    def test_contains_arrays_matches_scalar_oracle(self, region):
+        rng = np.random.default_rng(9)
+        lat = np.concatenate([rng.uniform(-90.0, 90.0, 3000), [-90.0, -10.0, 10.0, 90.0]])
+        lon = np.concatenate([rng.uniform(-180.0, 180.0, 3000), [-180.0, 170.0, -170.0, 0.0]])
+        expected = [region_contains(region, GeoPoint(a, b)) for a, b in zip(lat, lon)]
+        assert region.contains_arrays(lat, lon).tolist() == expected

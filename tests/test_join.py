@@ -120,6 +120,15 @@ def join_inputs(draw):
     return lat_t, lon_t, lat_a, lon_a, radius
 
 
+# the default (one block), one target per block, and a few targets per block;
+# a pytest fixture is not reset between hypothesis examples, so tests patch
+budget_st = st.sampled_from([eqalarm.alarm.MEMORY_BUDGET_BYTES, 1, 10_000])
+
+
+def _budget(budget_bytes):
+    return mock.patch.object(eqalarm.alarm, "MEMORY_BUDGET_BYTES", budget_bytes)
+
+
 class TestPairsWithinKm:
     @settings(max_examples=400, deadline=None)
     @given(join_inputs())
@@ -127,11 +136,15 @@ class TestPairsWithinKm:
         assert_same_pairs(pairs_within_km(*inputs), dense_pairs_within_km(*inputs))
 
     @settings(max_examples=100, deadline=None)
-    @given(join_inputs(), st.integers(1, 3000))
+    @given(join_inputs(), budget_st)
     def test_budget_blocks_do_not_change_pairs(self, inputs, budget_bytes):
-        assert_same_pairs(
-            pairs_within_km(*inputs, budget_bytes=budget_bytes), dense_pairs_within_km(*inputs)
-        )
+        # pair_blocks is the one place the join is blocked; its blocks
+        # concatenate to the whole join's pairs under any budget
+        lat_t, lon_t, lat_a, lon_a, radius = (np.asarray(x, dtype=float) for x in inputs)
+        with _budget(budget_bytes):
+            blocks = list(eqalarm.alarm.pair_blocks(lat_t, lon_t, lat_a, lon_a, radius))
+        got = tuple(np.concatenate(parts) for parts in zip(*blocks))
+        assert_same_pairs(got, dense_pairs_within_km(*inputs))
 
     def test_exactly_at_radius_counts_as_inside(self):
         d = float(great_circle_km_arrays(0.0, 0.0, 0.3, 0.4))
@@ -185,12 +198,14 @@ class TestIndexPairs:
             max_size=25,
         ),
         radius_st,
+        budget_st,
     )
-    def test_matches_dense_oracle(self, rows, radius_km):
+    def test_matches_dense_oracle(self, rows, radius_km, budget_bytes):
         cat = make_catalog(rows, span_days=61.0)
         for rule in (FloorRule.THRESHOLD, FloorRule.TRIGGER):
             aset = generate_alarms(cat, 5.5, radius_km=radius_km, floor_rule=rule)
-            index = AlarmTargetIndex(cat, aset)
+            with _budget(budget_bytes):
+                index = AlarmTargetIndex(cat, aset)
             assert_same_pairs((index._pk, index._pj), dense_index_pairs(cat, aset))
 
 
@@ -258,15 +273,6 @@ def alarm_inputs(draw):
     return AlarmSet(tuple(alarms)), epicenters, interval
 
 
-# the default (one block), one target per block, and a few targets per block;
-# a pytest fixture is not reset between hypothesis examples, so tests patch
-budget_st = st.sampled_from([eqalarm.alarm.MEMORY_BUDGET_BYTES, 1, 10_000])
-
-
-def _budget(budget_bytes):
-    return mock.patch.object(eqalarm.alarm, "MEMORY_BUDGET_BYTES", budget_bytes)
-
-
 class TestJoinCallersMatchLoops:
     @settings(max_examples=300, deadline=None)
     @given(decluster_inputs(), st.booleans(), budget_st)
@@ -282,6 +288,27 @@ class TestJoinCallersMatchLoops:
         with _budget(budget_bytes):
             got = alarm_measure_pi(*inputs)
         assert got == oracles.alarm_measure_pi(*inputs)
+
+    def test_alarm_measure_pi_radius_within_an_ulp(self):
+        # a falsifying example once found by test_alarm_measure_pi: the third
+        # alarm's radius lies within a few ulps of its distance to the north
+        # pole, where scalar and batched haversines once disagreed
+        center = GeoPoint(0.7250144880822709, -180.0)
+        south = GeoPoint(-90.0, -180.0)
+        north = GeoPoint(90.0, 0.0)
+        epicenters = [south, GeoPoint(0.0, -180.0), north]
+        interval = (T0, T0 + day(1))
+        exact = float(great_circle_km_arrays(center.lat, center.lon, north.lat, north.lon))
+        for radius, expected in ((9926.939176845179, None), (exact, 1.0)):
+            alarms = AlarmSet(
+                tuple(
+                    Alarm(c, r, T0, T0 + day(1), 5.5)
+                    for c, r in ((south, 1.0), (south, 1e-6), (center, radius))
+                )
+            )
+            got = alarm_measure_pi(alarms, epicenters, interval)
+            assert got == oracles.alarm_measure_pi(alarms, epicenters, interval)
+            assert expected is None or got == expected
 
     @settings(max_examples=150, deadline=None)
     @given(

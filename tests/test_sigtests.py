@@ -18,7 +18,6 @@ from eqalarm import (
     exact_permutation_pvalue,
     filter_catalog,
     generate_alarms,
-    great_circle_km,
     permutation_test,
     permutation_test_fixed_alarms,
     poisson_binomial_pvalue,
@@ -28,6 +27,7 @@ from eqalarm import (
 )
 
 from conftest import T0, day, make_catalog, random_catalog
+from oracles import great_circle_km
 
 
 def oracle_exact_pvalue(catalog, mag_threshold, window_days, radius_km, floor_rule):
