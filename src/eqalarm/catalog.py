@@ -212,7 +212,10 @@ def csv_rows(source: bytes | str | IO, columns: Sequence[str]) -> Iterator[tuple
         raise CatalogParseError(
             f"line 1: bad header {','.join(header)!r}; expected {','.join(columns)!r}"
         )
-    for line_no, row in enumerate(reader, start=2):
+    end = reader.line_num
+    for row in reader:
+        # a quoted field can span lines: name the physical line the row starts on
+        line_no, end = end + 1, reader.line_num
         if not row:
             continue
         if len(row) != len(columns):
@@ -228,12 +231,11 @@ def _sorted_events(events: list[Event]) -> list[Event]:
 
 
 def _envelope_span(events: Sequence[Event]) -> StudyVolume:
-    """Tight global-sphere span around the events (a dummy day when empty)."""
+    """Tight global-sphere span around time-sorted events (a dummy day when empty)."""
     if not events:
         epoch = datetime(1970, 1, 1, tzinfo=timezone.utc)
         return StudyVolume(GlobalSphere(), epoch, epoch + timedelta(days=1))
-    t_min = min(e.time for e in events)
-    t_max = max(e.time for e in events)
+    t_min, t_max = events[0].time, events[-1].time
     if t_max == t_min:
         t_max = t_min + timedelta(seconds=1)
     return StudyVolume(GlobalSphere(), t_min, t_max)
@@ -284,11 +286,12 @@ def parse_csv(source: bytes | str | IO, magnitude_selector: str = "mb") -> Catal
 
 
 def dumps_csv(catalog: Catalog) -> str:
-    """Serialize to the canonical CSV format (LF line endings)."""
+    """Serialize to the canonical CSV format (LF line endings, minimal quoting)."""
     out = io.StringIO()
-    out.write(",".join(CSV_COLUMNS) + "\n")
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(CSV_COLUMNS)
     for e in catalog.events:
-        fields = (
+        writer.writerow((
             format_instant(e.time),
             repr(e.epicenter.lat),
             repr(e.epicenter.lon),
@@ -296,8 +299,7 @@ def dumps_csv(catalog: Catalog) -> str:
             "" if e.mb is None else repr(e.mb),
             "" if e.ms is None else repr(e.ms),
             e.source_id,
-        )
-        out.write(",".join(fields) + "\n")
+        ))
     return out.getvalue()
 
 

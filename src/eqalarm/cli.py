@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -42,7 +41,7 @@ from .decluster import WindowTable, decluster, decluster_stats
 from .geo import GlobalSphere, LatLonBox
 from .nullmodels import (
     CellGrid,
-    _resample_marks,
+    _marked_catalog,
     gen_gamma_renewal,
     gen_heterogeneous_poisson,
     gen_homogeneous_poisson,
@@ -100,10 +99,9 @@ def _emit_json(payload: dict, args) -> None:
 
 
 def _config_echo(args, subcommand: str) -> dict:
-    skip = {"func"}
     echo = {"subcommand": subcommand}
     for key, value in sorted(vars(args).items()):
-        if key in skip or callable(value):
+        if callable(value):
             continue
         echo[key] = value
     return echo
@@ -271,13 +269,10 @@ def cmd_simulate(args) -> int:
     elif args.model == "poisson":
         if args.rate_per_day is None or not (args.time_from and args.time_to):
             raise _UsageError("model 'poisson' needs --rate-per-day, --from, and --to")
-        sv = StudyVolume(
-            GlobalSphere(), _parse_cli_time(args.time_from), _parse_cli_time(args.time_to)
-        )
+        interval = (_parse_cli_time(args.time_from), _parse_cli_time(args.time_to))
+        sv = StudyVolume(GlobalSphere(), *interval)
         marks = _load_catalog(args.input, args.format) if args.input else None
-        out_catalog = gen_homogeneous_poisson(
-            args.rate_per_day / 86400.0, sv, marks, rng
-        )
+        out_catalog = gen_homogeneous_poisson(args.rate_per_day / 86400.0, sv, marks, rng)
     elif args.model == "heterogeneous-poisson":
         if not args.cells or not (args.time_from and args.time_to):
             raise _UsageError(
@@ -287,7 +282,7 @@ def cmd_simulate(args) -> int:
         interval = (_parse_cli_time(args.time_from), _parse_cli_time(args.time_to))
         marks = _load_catalog(args.input, args.format) if args.input else None
         out_catalog = gen_heterogeneous_poisson(grid, interval, marks, rng)
-    elif args.model == "gamma-renewal":
+    else:  # gamma-renewal; argparse restricts the choices
         if args.mean_interval_days is None or not (args.time_from and args.time_to):
             raise _UsageError(
                 "model 'gamma-renewal' needs --mean-interval-days, --from, and --to"
@@ -298,16 +293,7 @@ def cmd_simulate(args) -> int:
         )
         sv = StudyVolume(GlobalSphere(), *interval)
         marks = _load_catalog(args.input, args.format) if args.input else None
-        templates = _resample_marks(
-            marks, len(instants), GlobalSphere(), rng.replicate(1).generator()
-        )
-        events = (
-            replace(e, time=t, source_id=f"sim{i:06d}")
-            for i, (e, t) in enumerate(zip(templates, instants))
-        )
-        out_catalog = Catalog(tuple(events), sv)
-    else:  # pragma: no cover - argparse restricts choices
-        raise _UsageError(f"unknown model {args.model!r}")
+        out_catalog = _marked_catalog(instants, sv, marks, rng.replicate(1).generator())
     _write_text(dumps_csv(out_catalog), args.out)
     print(f"simulated {len(out_catalog)} events (model={args.model})", file=sys.stderr)
     return 0

@@ -167,6 +167,10 @@ class LatLonBox:
             raise ValueError(
                 f"need -90 <= lat_min < lat_max <= 90, got [{self.lat_min}, {self.lat_max}]"
             )
+        if not (math.isfinite(self.lon_min) and math.isfinite(self.lon_max)):
+            raise ValueError(
+                f"longitude edges must be finite, got [{self.lon_min}, {self.lon_max}]"
+            )
 
     @property
     def lon_width_deg(self) -> float:

@@ -10,13 +10,14 @@ magnitude-location coupling.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
+from typing import Sequence
 
 import numpy as np
 
 from ._random import Rng, as_generator
-from .catalog import Catalog, Event, StudyVolume, _as_utc
+from .catalog import Catalog, Event, StudyVolume, _as_utc, _sorted_events
 from .geo import GeoPoint, GlobalSphere, Region
 
 __all__ = [
@@ -30,8 +31,39 @@ __all__ = [
     "historical_cell_rates",
 ]
 
-_PLACEHOLDER_MB = 5.0
-_PLACEHOLDER_DEPTH_KM = 10.0
+# the marks of a simulated event when no mark catalog is given
+_PLACEHOLDER = Event(
+    time=datetime(1970, 1, 1, tzinfo=timezone.utc),
+    epicenter=GeoPoint(0.0, 0.0),
+    depth_km=10.0,
+    mb=5.0,
+    ms=None,
+    source_id="",
+)
+
+
+def _assemble(
+    templates: Sequence[Event],
+    times: Sequence[datetime],
+    span: StudyVolume,
+    selector: str,
+    keep_ids: bool = False,
+    epicenters: Sequence[GeoPoint] | None = None,
+) -> Catalog:
+    """Event k of ``templates`` at ``times[k]`` (and ``epicenters[k]``, if
+    given), sorted by time with ties in template order. Ids are the
+    templates' own with ``keep_ids``, else sim000000, ... in template order."""
+    if epicenters is None:
+        epicenters = [e.epicenter for e in templates]
+    events = [
+        Event(t, p, e.depth_km, e.mb, e.ms, e.source_id if keep_ids else f"sim{k:06d}")
+        for k, (e, t, p) in enumerate(zip(templates, times, epicenters))
+    ]
+    return Catalog(tuple(_sorted_events(events)), span, selector)
+
+
+def _after(t0: datetime, offsets_s: np.ndarray) -> list[datetime]:
+    return [t0 + timedelta(seconds=s) for s in offsets_s.tolist()]
 
 
 def permute_times(catalog: Catalog, rng) -> Catalog:
@@ -43,48 +75,33 @@ def permute_times(catalog: Catalog, rng) -> Catalog:
     """
     events = catalog.events
     perm = as_generator(rng).permutation(len(events)).tolist()
-    shuffled = [replace(e, time=events[p].time) for e, p in zip(events, perm)]
-    shuffled.sort(key=lambda e: e.time)
-    return catalog.with_events(shuffled)
+    times = [events[p].time for p in perm]
+    return _assemble(events, times, catalog.span, catalog.magnitude_selector, keep_ids=True)
 
 
 def randomize_times_uniform(catalog: Catalog, rng) -> Catalog:
     """Redraw every event time iid uniform over the span interval."""
-    g = as_generator(rng)
-    n = len(catalog)
-    t0 = catalog.span.t_start
-    offsets = g.uniform(0.0, catalog.span.duration_s, size=n)
-    redrawn = [
-        replace(e, time=t0 + timedelta(seconds=float(offsets[k])))
-        for k, e in enumerate(catalog.events)
-    ]
-    redrawn.sort(key=lambda e: e.time)
-    return catalog.with_events(redrawn)
+    offsets = as_generator(rng).uniform(0.0, catalog.span.duration_s, size=len(catalog))
+    times = _after(catalog.span.t_start, offsets)
+    return _assemble(
+        catalog.events, times, catalog.span, catalog.magnitude_selector, keep_ids=True
+    )
 
 
 def _resample_marks(
-    marks: Catalog | None,
+    pool: Sequence[Event],
     n: int,
     region: Region,
     g: np.random.Generator,
-) -> list[Event]:
-    """n template events carrying marks; times and ids are filled in later."""
-    if marks is not None and len(marks) > 0:
-        picks = g.integers(0, len(marks), size=n)
-        return [marks.events[int(i)] for i in picks]
+) -> tuple[list[Event], list[GeoPoint]]:
+    """n template events and their epicenters: drawn with replacement from
+    ``pool``, or the placeholder at area-uniform locations on ``region`` when
+    the pool is empty."""
+    if pool:
+        templates = [pool[i] for i in g.integers(0, len(pool), size=n).tolist()]
+        return templates, [e.epicenter for e in templates]
     lat, lon = region.sample(n, g)
-    epoch = datetime(1970, 1, 1, tzinfo=timezone.utc)
-    return [
-        Event(
-            time=epoch,
-            epicenter=GeoPoint(float(lat[i]), float(lon[i])),
-            depth_km=_PLACEHOLDER_DEPTH_KM,
-            mb=_PLACEHOLDER_MB,
-            ms=None,
-            source_id="",
-        )
-        for i in range(n)
-    ]
+    return [_PLACEHOLDER] * n, [GeoPoint(a, b) for a, b in zip(lat.tolist(), lon.tolist())]
 
 
 def gen_homogeneous_poisson(
@@ -105,17 +122,20 @@ def gen_homogeneous_poisson(
     g = as_generator(rng)
     n = int(g.poisson(rate_per_s * sv.duration_s))
     offsets = np.sort(g.uniform(0.0, sv.duration_s, size=n))
-    templates = _resample_marks(marks, n, sv.region, g)
-    events = [
-        replace(
-            templates[i],
-            time=sv.t_start + timedelta(seconds=float(offsets[i])),
-            source_id=f"sim{i:06d}",
-        )
-        for i in range(n)
-    ]
+    return _marked_catalog(_after(sv.t_start, offsets), sv, marks, g)
+
+
+def _marked_catalog(
+    times: Sequence[datetime],
+    sv: StudyVolume,
+    marks: Catalog | None,
+    g: np.random.Generator,
+) -> Catalog:
+    """Simulated catalog at ``times``, its marks resampled from ``marks``."""
+    pool = marks.events if marks is not None else ()
+    templates, epicenters = _resample_marks(pool, len(times), sv.region, g)
     selector = marks.magnitude_selector if marks is not None else "mb"
-    return Catalog(tuple(events), sv, selector)
+    return _assemble(templates, times, sv, selector, epicenters=epicenters)
 
 
 @dataclass(frozen=True)
@@ -171,39 +191,24 @@ def gen_heterogeneous_poisson(
     catalog when the cell has none.
     """
     g = as_generator(rng)
-    t_start, t_end = (_as_utc(t) for t in t_interval)
-    sv = StudyVolume(GlobalSphere(), t_start, t_end)
-    events: list[Event] = []
-    serial = 0
-    has_marks = marks is not None and len(marks) > 0
-    if has_marks:
-        mark_lat, mark_lon = marks.latitudes(), marks.longitudes()
+    sv = StudyVolume(GlobalSphere(), *t_interval)
+    pool = marks.events if marks is not None else ()
+    mark_lat, mark_lon = (marks.latitudes(), marks.longitudes()) if pool else ((), ())
+    templates, times, epicenters = [], [], []
     for cell, rate in zip(grid.cells, grid.rates_per_s):
         n = int(g.poisson(rate * sv.duration_s))
         if n == 0:
             continue
-        cell_marks = None
-        if has_marks:
-            inside = np.flatnonzero(cell.contains_arrays(mark_lat, mark_lon))
-            cell_marks = (
-                marks.with_events([marks.events[i] for i in inside]) if inside.size else marks
-            )
-        templates = _resample_marks(cell_marks, n, cell, g)
+        inside = np.flatnonzero(cell.contains_arrays(mark_lat, mark_lon)).tolist()
+        # a cell without marks of its own resamples from all of them; with no
+        # marks at all, placeholder locations are drawn and then replaced
+        cell_pool = [pool[i] for i in inside] or pool
+        templates += _resample_marks(cell_pool, n, cell, g)[0]
         lat, lon = cell.sample(n, g)
-        offsets = g.uniform(0.0, sv.duration_s, size=n)
-        for i in range(n):
-            events.append(
-                replace(
-                    templates[i],
-                    time=t_start + timedelta(seconds=float(offsets[i])),
-                    epicenter=GeoPoint(float(lat[i]), float(lon[i])),
-                    source_id=f"sim{serial:06d}",
-                )
-            )
-            serial += 1
-    events.sort(key=lambda e: e.time)
+        epicenters += [GeoPoint(a, b) for a, b in zip(lat.tolist(), lon.tolist())]
+        times += _after(sv.t_start, g.uniform(0.0, sv.duration_s, size=n))
     selector = marks.magnitude_selector if marks is not None else "mb"
-    return Catalog(tuple(events), sv, selector)
+    return _assemble(templates, times, sv, selector, epicenters=epicenters)
 
 
 def gen_gamma_renewal(

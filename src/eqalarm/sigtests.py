@@ -259,6 +259,10 @@ def poisson_binomial_pvalue(
     blocks of ``rng``; ``poisson_approx`` uses a Poisson tail with mean
     sum(p_j).
     """
+    if method not in ("exact_dp", "simulate", "poisson_approx"):
+        raise ValueError(f"unknown method {method!r}")
+    if method == "simulate" and n_reps < 1:
+        raise ValueError("n_reps must be >= 1")
     probs = np.asarray(probs, dtype=float)
     if probs.ndim != 1:
         raise ValueError("probs must be a flat sequence")
@@ -277,17 +281,13 @@ def poisson_binomial_pvalue(
             pmf = nxt
         return float(pmf[s_obs:].sum())
     if method == "simulate":
-        if n_reps < 1:
-            raise ValueError("n_reps must be >= 1")
         hits = 0
         # a row holds A float64 uniforms and their bool mask
         for lo, hi, g in _replicate_chunks(_resolve_key(rng), n_reps, 9 * probs.size):
             sums = (g.random((hi - lo, probs.size)) < probs).sum(axis=1)
             hits += int((sums >= s_obs).sum())
         return hits / n_reps
-    if method == "poisson_approx":
-        return float(pdtrc(s_obs - 1, probs.sum()))
-    raise ValueError(f"unknown method {method!r}")
+    return float(pdtrc(s_obs - 1, probs.sum()))
 
 
 def alarm_measure_pi(

@@ -192,6 +192,40 @@ class TestParseCsv:
         assert once == again
         assert dumps_csv(once) == dumps_csv(again)
 
+    def test_round_trip_ids_that_need_quoting(self):
+        text = (
+            CSV_HEADER
+            + '2004-01-02T00:00:00Z,0,0,10,5.5,,"a,b"\n'
+            + '2004-01-03T00:00:00Z,0,0,10,5.5,,"q""x"\n'
+            + '2004-01-04T00:00:00Z,0,0,10,5.5,,"l1\nl2"\n'
+        )
+        once = parse_csv(text)
+        assert once.source_ids() == ("a,b", 'q"x', "l1\nl2")
+        assert parse_csv(dumps_csv(once)) == once
+        assert dumps_csv(once).splitlines()[1] == "2004-01-02T00:00:00Z,0.0,0.0,10.0,5.5,,\"a,b\""
+
+    # a quoted id spanning lines 2-3 moves every later row one line down
+    TWO_LINE_ROW = '2004-01-02T00:00:00Z,0,0,10,5.5,,"a\nb"\n'
+
+    def test_field_count_names_physical_line_after_two_line_row(self):
+        text = CSV_HEADER + self.TWO_LINE_ROW + "2004-01-03T00:00:00Z,0,0,10,5.5\n"
+        with pytest.raises(CatalogParseError, match="line 4: expected 7 fields, got 5"):
+            parse_csv(text)
+
+    def test_repeated_id_names_physical_lines_after_two_line_row(self):
+        text = (
+            CSV_HEADER
+            + self.TWO_LINE_ROW
+            + "2004-01-03T00:00:00Z,0,0,10,5.5,,c\n"
+            + self.TWO_LINE_ROW.replace("01-02", "01-04")
+        )
+        with pytest.raises(CatalogParseError, match=r"line 5: id 'a\\nb' repeats line 2"):
+            parse_csv(text)
+
+    def test_missing_ids_after_two_line_row_number_the_start_line(self):
+        text = CSV_HEADER + self.TWO_LINE_ROW + "2004-01-03T00:00:00Z,0,0,10,5.5,,\n"
+        assert parse_csv(text).source_ids() == ("a\nb", "row000003")
+
 
 class TestParseNdk:
     def test_two_records(self):

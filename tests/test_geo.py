@@ -163,6 +163,13 @@ class TestRegions:
         with pytest.raises(ValueError):
             LatLonBox(10.0, 5.0, 0.0, 20.0)
 
+    @pytest.mark.parametrize("edge", [math.nan, math.inf, -math.inf])
+    def test_box_nonfinite_lons_rejected(self, edge):
+        with pytest.raises(ValueError, match="longitude edges must be finite"):
+            LatLonBox(0.0, 10.0, edge, 10.0)
+        with pytest.raises(ValueError, match="longitude edges must be finite"):
+            LatLonBox(0.0, 10.0, 0.0, edge)
+
     def test_cap_contains_and_area(self):
         cap = SphericalCap(GeoPoint(45.0, 45.0), 300.0)
         assert cap.contains_arrays([45.0, -45.0], [45.0, 45.0]).tolist() == [True, False]

@@ -215,6 +215,14 @@ class TestPoissonBinomial:
     def test_zero_observed(self):
         assert poisson_binomial_pvalue(0, [0.2, 0.9]) == 1.0
 
+    def test_zero_observed_still_validates_method_and_reps(self):
+        for method in ("exact_dp", "simulate", "poisson_approx"):
+            assert poisson_binomial_pvalue(0, [0.2, 0.9], method, 10) == 1.0
+        with pytest.raises(ValueError, match="unknown method 'bogus'"):
+            poisson_binomial_pvalue(0, [0.2, 0.9], method="bogus")
+        with pytest.raises(ValueError, match="n_reps"):
+            poisson_binomial_pvalue(0, [0.2, 0.9], method="simulate", n_reps=0)
+
     def test_two_half_coins(self):
         assert poisson_binomial_pvalue(2, [0.5, 0.5]) == pytest.approx(0.25, abs=1e-15)
 
