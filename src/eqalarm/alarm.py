@@ -15,14 +15,14 @@ identity is excluded outright so the guarantee survives reassigned times.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from datetime import datetime, timedelta
 from enum import Enum
 
 import numpy as np
 
 from ._random import as_generator
-from .catalog import Catalog, StudyVolume, _as_utc
+from .catalog import Catalog, StudyVolume, _as_utc, _from_us
 from .geo import JOIN_BYTES_PER_CANDIDATE, GeoPoint, cap_area_km2, pairs_within_km
 
 SECONDS_PER_DAY = 86400.0
@@ -160,21 +160,25 @@ def generate_alarms(
     floor_rule = FloorRule(floor_rule)
     window = timedelta(seconds=window_days * SECONDS_PER_DAY)
     selector = catalog.magnitude_selector
+    magnitudes = catalog.rows[selector]
+    # absent magnitudes are 0.0 and never trigger, whatever the threshold
+    index = np.flatnonzero((magnitudes > 0.0) & (magnitudes >= mag_threshold))
+    triggers = catalog.rows[index]
+    columns = ("time_us", "lat", "lon", selector, "source_id")
     alarms = []
-    for index, event in enumerate(catalog.events):
-        magnitude = event.magnitude(selector)
-        if magnitude is None or magnitude < mag_threshold:
-            continue
-        floor = mag_threshold if floor_rule is FloorRule.THRESHOLD else magnitude
+    for i, t_us, lat, lon, magnitude, source_id in zip(
+        index.tolist(), *(triggers[name].tolist() for name in columns)
+    ):
+        t = _from_us(t_us)
         alarms.append(
             Alarm(
-                center=event.epicenter,
+                center=GeoPoint(lat, lon),
                 radius_km=radius_km,
-                t_start=event.time,
-                t_end=event.time + window,
-                mag_floor=floor,
-                trigger_index=index,
-                trigger_id=event.source_id,
+                t_start=t,
+                t_end=t + window,
+                mag_floor=mag_threshold if floor_rule is FloorRule.THRESHOLD else magnitude,
+                trigger_index=i,
+                trigger_id=source_id,
             )
         )
     return AlarmSet(tuple(alarms), config=AlarmConfig(mag_threshold, window_days, radius_km))
@@ -313,13 +317,14 @@ class ScoreSummary:
     A: int
     S: int
     P: int
-    F: int = field(default=-1)
-    M: int = field(default=-1)
-    s: float = field(default=-1.0)
-    p: float = field(default=-1.0)
-    f: float = field(default=-1.0)
-    m: float = field(default=-1.0)
-    v_upper: float = field(default=0.0)
+    # derived from the counts in __post_init__, never passed in
+    F: int = field(init=False)
+    M: int = field(init=False)
+    s: float = field(init=False)
+    p: float = field(init=False)
+    f: float = field(init=False)
+    m: float = field(init=False)
+    v_upper: float = 0.0
 
     def __post_init__(self):
         if min(self.Q, self.A, self.S, self.P) < 0:
@@ -336,12 +341,7 @@ class ScoreSummary:
             raise ValueError(f"v_upper {self.v_upper!r} outside [0, 1]")
 
     def to_dict(self) -> dict:
-        return {
-            "Q": self.Q, "A": self.A, "S": self.S, "P": self.P,
-            "F": self.F, "M": self.M,
-            "s": self.s, "p": self.p, "f": self.f, "m": self.m,
-            "v_upper": self.v_upper,
-        }
+        return asdict(self)
 
 
 def alarm_volume_fraction(alarm_set: AlarmSet, sv: StudyVolume) -> float:

@@ -1,8 +1,9 @@
 """Catalog model and parsers for the canonical CSV and NDK record formats.
 
-A catalog is an immutable, time-sorted sequence of events together with the
-study volume (region x time span) it covers. Parsers build catalogs; all
-downstream analysis treats them as read-only.
+A catalog is an immutable, time-sorted sequence of events, held as one
+read-only array of rows, together with the study volume (region x time span)
+it covers. Parsers build catalogs; all downstream analysis treats them as
+read-only.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import math
 import re
 from dataclasses import dataclass, replace
 from datetime import datetime, timedelta, timezone
-from typing import IO, Iterator, Sequence
+from typing import IO, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -22,6 +23,16 @@ from .geo import GeoPoint, GlobalSphere, Region
 CSV_COLUMNS = ("time", "lat", "lon", "depth_km", "mb", "ms", "id")
 MAGNITUDE_SELECTORS = ("mb", "ms")
 NDK_LINES_PER_RECORD = 5
+
+# One row per event: exact microseconds since the epoch, lon in [-180, 180)
+# and magnitudes that are 0.0 when absent (the NDK convention), else in
+# (0, 10], so that rows compare with plain ==.
+ROW_DTYPE = np.dtype([
+    ("time_us", np.int64), ("lat", float), ("lon", float), ("depth_km", float),
+    ("mb", float), ("ms", float), ("source_id", object),
+])
+_EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
+_US = timedelta(microseconds=1)
 
 
 class CatalogParseError(ValueError):
@@ -62,13 +73,41 @@ def _as_utc(t: datetime) -> datetime:
     return t.astimezone(timezone.utc)
 
 
-@dataclass(frozen=True)
+def _to_us(t: datetime) -> int:
+    """Exact microseconds since the epoch of an instant (naive means UTC)."""
+    return (_as_utc(t) - _EPOCH) // _US
+
+
+def _from_us(us: int) -> datetime:
+    return _EPOCH + _US * us
+
+
+def _checked_row(time_us, epicenter, depth_km, mb, ms, source_id) -> tuple:
+    """One row of ROW_DTYPE, after the checks every event passes: the
+    epicenter's own, then depth, mb, ms. Absent magnitudes come in as None."""
+    # NaN fails every comparison
+    if not 0.0 <= depth_km < math.inf:
+        raise ValueError(f"depth must be nonnegative, got {depth_km!r}")
+    if mb is not None and not 0.0 < mb <= 10.0:
+        raise ValueError(f"mb={mb!r} outside (0, 10]")
+    if ms is not None and not 0.0 < ms <= 10.0:
+        raise ValueError(f"ms={ms!r} outside (0, 10]")
+    return time_us, epicenter.lat, epicenter.lon, depth_km, mb or 0.0, ms or 0.0, source_id
+
+
+def _row_tuples(rows: np.ndarray) -> Iterator[tuple]:
+    """Each row as a tuple of Python values, read column by column."""
+    return zip(*(rows[name].tolist() for name in ROW_DTYPE.names))
+
+
+@dataclass(frozen=True, slots=True)
 class Event:
     """One catalog entry: origin time, epicenter, depth, reported magnitudes.
 
     Depth is carried for provenance only; every computation in this package
     uses epicentral distance. Magnitudes may be absent; values, when present,
-    must lie in (0, 10].
+    must lie in (0, 10]. Catalogs hold rows: :attr:`Catalog.events` builds
+    a new Event per row on each call.
     """
 
     time: datetime
@@ -80,14 +119,12 @@ class Event:
 
     def __post_init__(self):
         object.__setattr__(self, "time", _as_utc(self.time))
-        if not math.isfinite(self.depth_km) or self.depth_km < 0.0:
-            raise ValueError(f"depth must be nonnegative, got {self.depth_km!r}")
-        for name in ("mb", "ms"):
-            value = getattr(self, name)
-            if value is None:
-                continue
-            if not math.isfinite(value) or not (0.0 < value <= 10.0):
-                raise ValueError(f"{name}={value!r} outside (0, 10]")
+        self._row()
+
+    def _row(self) -> tuple:
+        return _checked_row(
+            _to_us(self.time), self.epicenter, self.depth_km, self.mb, self.ms, self.source_id
+        )
 
     def magnitude(self, selector: str = "mb") -> float | None:
         """The authoritative magnitude under the given selector, or None."""
@@ -124,62 +161,107 @@ class StudyVolume:
         return (self.t_end - self.t_start).total_seconds()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Catalog:
-    """Immutable, time-sorted event list plus the study volume it covers."""
+    """Immutable, time-sorted events plus the study volume they cover.
 
-    events: tuple[Event, ...]
+    ``rows`` is a read-only ROW_DTYPE array, a row per event; the accessors
+    return new arrays. Catalogs are equal when rows, span and selector are.
+    """
+
+    rows: np.ndarray
     span: StudyVolume
     magnitude_selector: str = "mb"
 
-    def __post_init__(self):
-        object.__setattr__(self, "events", tuple(self.events))
-        if self.magnitude_selector not in MAGNITUDE_SELECTORS:
-            raise ValueError(f"unknown magnitude selector {self.magnitude_selector!r}")
-        # times compare exactly as UTC datetimes; the span interval is closed
-        t_start, t_end = self.span.t_start, self.span.t_end
-        in_region = self.span.region.contains_arrays(self.latitudes(), self.longitudes())
-        previous = None
-        for i, (event, inside) in enumerate(zip(self.events, in_region.tolist())):
-            if previous is not None and event.time < previous:
+    def __init__(
+        self, events: Iterable[Event], span: StudyVolume, magnitude_selector: str = "mb"
+    ):
+        rows = np.array([e._row() for e in events], dtype=ROW_DTYPE)
+        self._store(rows, span, magnitude_selector)
+
+    @classmethod
+    def _from_rows(
+        cls, rows: np.ndarray, span: StudyVolume | None, magnitude_selector: str = "mb"
+    ) -> "Catalog":
+        """Catalog over ``rows``. With no span, the rows are first sorted by
+        time (equal times keep their order) and the span is their global-sphere
+        envelope, a dummy day when there are none."""
+        if span is None:
+            rows = rows[np.argsort(rows["time_us"], kind="stable")]
+            t = rows["time_us"]
+            t_min, t_max = (int(t[0]), int(t[-1])) if len(t) else (0, 86_400_000_000)
+            t_max = t_max if t_max > t_min else t_min + 1_000_000
+            span = StudyVolume(GlobalSphere(), _from_us(t_min), _from_us(t_max))
+        catalog = cls.__new__(cls)
+        catalog._store(rows, span, magnitude_selector)
+        return catalog
+
+    def _store(self, rows: np.ndarray, span: StudyVolume, magnitude_selector: str) -> None:
+        """Check the invariants in one vectorised pass, then make the rows read-only."""
+        if magnitude_selector not in MAGNITUDE_SELECTORS:
+            raise ValueError(f"unknown magnitude selector {magnitude_selector!r}")
+        t = rows["time_us"]
+        out_of_order = np.append(False, t[1:] < t[:-1])
+        outside_interval = (t < _to_us(span.t_start)) | (t > _to_us(span.t_end))
+        outside_region = ~span.region.contains_arrays(rows["lat"], rows["lon"])
+        bad = np.flatnonzero(out_of_order | outside_interval | outside_region)
+        if bad.size:  # the first bad event, with the first of its checks that fails
+            i = int(bad[0])
+            if out_of_order[i]:
                 raise ValueError(f"events out of time order at position {i}")
-            previous = event.time
-            if not t_start <= event.time <= t_end:
-                raise ValueError(f"event {i} ({event.source_id}) outside the span interval")
-            if not inside:
-                raise ValueError(f"event {i} ({event.source_id}) outside the span region")
+            where = "interval" if outside_interval[i] else "region"
+            raise ValueError(f"event {i} ({rows['source_id'][i]}) outside the span {where}")
+        rows.flags.writeable = False
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "span", span)
+        object.__setattr__(self, "magnitude_selector", magnitude_selector)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Catalog):
+            return NotImplemented
+        same = (self.span, self.magnitude_selector) == (other.span, other.magnitude_selector)
+        return same and np.array_equal(self.rows, other.rows)
+
+    def __hash__(self) -> int:
+        return hash((len(self), self.span, self.magnitude_selector))
+
+    def __reduce__(self):  # copies and unpickled catalogs keep read-only rows
+        return Catalog._from_rows, (self.rows, self.span, self.magnitude_selector)
 
     def __len__(self) -> int:
-        return len(self.events)
+        return len(self.rows)
 
     def __iter__(self) -> Iterator[Event]:
         return iter(self.events)
 
+    @property
+    def events(self) -> tuple[Event, ...]:
+        """A new Event per row, built on each call."""
+        return tuple(
+            Event(_from_us(t), GeoPoint(lat, lon), depth, mb or None, ms or None, source_id)
+            for t, lat, lon, depth, mb, ms, source_id in _row_tuples(self.rows)
+        )
+
     def with_events(self, events: Sequence[Event]) -> "Catalog":
-        return replace(self, events=tuple(events))
+        return Catalog(events, self.span, self.magnitude_selector)
 
     def times_s(self) -> np.ndarray:
         """Event times as POSIX seconds (float64)."""
-        return np.array([e.time.timestamp() for e in self.events], dtype=float)
+        return self.rows["time_us"] / 1e6
 
     def latitudes(self) -> np.ndarray:
-        return np.array([e.epicenter.lat for e in self.events], dtype=float)
+        return self.rows["lat"].copy()
 
     def longitudes(self) -> np.ndarray:
-        return np.array([e.epicenter.lon for e in self.events], dtype=float)
+        return self.rows["lon"].copy()
 
     def magnitudes(self) -> np.ndarray:
         """Authoritative magnitudes; NaN where absent."""
-        return np.array(
-            [
-                m if (m := e.magnitude(self.magnitude_selector)) is not None else np.nan
-                for e in self.events
-            ],
-            dtype=float,
-        )
+        m = self.rows[self.magnitude_selector]
+        return np.where(m > 0.0, m, np.nan)
 
     def source_ids(self) -> tuple[str, ...]:
-        return tuple(e.source_id for e in self.events)
+        return tuple(self.rows["source_id"].tolist())
 
 
 def _decode(source: bytes | str | IO) -> str:
@@ -201,44 +283,33 @@ def csv_rows(source: bytes | str | IO, columns: Sequence[str]) -> Iterator[tuple
     is exactly ``columns``.
 
     A leading byte-order mark is ignored and blank rows are skipped; a bad
-    header or a row with the wrong number of fields raises
+    header, a row with the wrong number of fields or one the CSV reader
+    rejects (a line break in an unquoted field) raises
     :class:`CatalogParseError` naming its line.
     """
     reader = csv.reader(io.StringIO(_decode(source).removeprefix("\ufeff")))
-    header = next(reader, None)
-    if header is None:
-        raise CatalogParseError("empty input: missing CSV header")
-    if [c.strip() for c in header] != list(columns):
-        raise CatalogParseError(
-            f"line 1: bad header {','.join(header)!r}; expected {','.join(columns)!r}"
-        )
-    end = reader.line_num
-    for row in reader:
-        # a quoted field can span lines: name the physical line the row starts on
-        line_no, end = end + 1, reader.line_num
-        if not row:
-            continue
-        if len(row) != len(columns):
+    end = 0
+    try:
+        header = next(reader, None)
+        if header is None:
+            raise CatalogParseError("empty input: missing CSV header")
+        if [c.strip() for c in header] != list(columns):
             raise CatalogParseError(
-                f"line {line_no}: expected {len(columns)} fields, got {len(row)}"
+                f"line 1: bad header {','.join(header)!r}; expected {','.join(columns)!r}"
             )
-        yield line_no, [c.strip() for c in row]
-
-
-def _sorted_events(events: list[Event]) -> list[Event]:
-    # sorted() is stable, so equal times keep their input order
-    return sorted(events, key=lambda e: e.time)
-
-
-def _envelope_span(events: Sequence[Event]) -> StudyVolume:
-    """Tight global-sphere span around time-sorted events (a dummy day when empty)."""
-    if not events:
-        epoch = datetime(1970, 1, 1, tzinfo=timezone.utc)
-        return StudyVolume(GlobalSphere(), epoch, epoch + timedelta(days=1))
-    t_min, t_max = events[0].time, events[-1].time
-    if t_max == t_min:
-        t_max = t_min + timedelta(seconds=1)
-    return StudyVolume(GlobalSphere(), t_min, t_max)
+        end = reader.line_num
+        for row in reader:
+            # a quoted field can span lines: name the physical line the row starts on
+            line_no, end = end + 1, reader.line_num
+            if not row:
+                continue
+            if len(row) != len(columns):
+                raise CatalogParseError(
+                    f"line {line_no}: expected {len(columns)} fields, got {len(row)}"
+                )
+            yield line_no, [c.strip() for c in row]
+    except csv.Error as exc:
+        raise CatalogParseError(f"line {end + 1}: {exc}") from exc
 
 
 def parse_csv(source: bytes | str | IO, magnitude_selector: str = "mb") -> Catalog:
@@ -250,12 +321,13 @@ def parse_csv(source: bytes | str | IO, magnitude_selector: str = "mb") -> Catal
     keeping file order; empty ids get stable row-number ids, and an id may
     appear only once.
     """
-    events: list[Event] = []
+    rows = []
     line_of_id: dict[str, int] = {}
     for line_no, fields in csv_rows(source, CSV_COLUMNS):
         time_text, lat_text, lon_text, depth_text, mb_text, ms_text, id_text = fields
+        source_id = id_text or f"row{line_no - 1:06d}"
         try:
-            time = parse_instant(time_text)
+            time_us = _to_us(parse_instant(time_text))
             lat = float(lat_text)
             lon = float(lon_text)
             depth = float(depth_text)
@@ -265,46 +337,36 @@ def parse_csv(source: bytes | str | IO, magnitude_selector: str = "mb") -> Catal
             ms = float(ms_text) if ms_text else None
             if mb is None and ms is None:
                 raise ValueError("both magnitudes absent")
-            event = Event(
-                time=time,
-                epicenter=GeoPoint(lat, lon),
-                depth_km=depth,
-                mb=mb,
-                ms=ms,
-                source_id=id_text or f"row{line_no - 1:06d}",
-            )
+            rows.append(_checked_row(time_us, GeoPoint(lat, lon), depth, mb, ms, source_id))
         except ValueError as exc:
             raise CatalogParseError(f"line {line_no}: {exc}") from exc
-        first = line_of_id.setdefault(event.source_id, line_no)
+        first = line_of_id.setdefault(source_id, line_no)
         if first != line_no:
-            raise CatalogParseError(
-                f"line {line_no}: id {event.source_id!r} repeats line {first}"
-            )
-        events.append(event)
-    events = _sorted_events(events)
-    return Catalog(tuple(events), _envelope_span(events), magnitude_selector)
+            raise CatalogParseError(f"line {line_no}: id {source_id!r} repeats line {first}")
+    return Catalog._from_rows(np.array(rows, dtype=ROW_DTYPE), None, magnitude_selector)
 
 
 def dumps_csv(catalog: Catalog) -> str:
     """Serialize to the canonical CSV format (LF line endings, minimal quoting)."""
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(CSV_COLUMNS)
-    for e in catalog.events:
-        writer.writerow((
-            format_instant(e.time),
-            repr(e.epicenter.lat),
-            repr(e.epicenter.lon),
-            repr(e.depth_km),
-            "" if e.mb is None else repr(e.mb),
-            "" if e.ms is None else repr(e.ms),
-            e.source_id,
-        ))
-    return out.getvalue()
+    lines = [",".join(CSV_COLUMNS)]
+    for t, lat, lon, depth, mb, ms, source_id in _row_tuples(catalog.rows):
+        # csv.writer would leave a lone \r unquoted, and the reader rejects that
+        if any(c in source_id for c in ',"\r\n'):
+            source_id = '"' + source_id.replace('"', '""') + '"'
+        lines.append(",".join((
+            format_instant(_from_us(t)),
+            repr(lat),
+            repr(lon),
+            repr(depth),
+            repr(mb) if mb else "",
+            repr(ms) if ms else "",
+            source_id,
+        )))
+    return "\n".join(lines) + "\n"
 
 
-def _parse_ndk_hypocenter(line: str, record_index: int) -> Event:
-    """Event from the first line of a 5-line NDK record.
+def _parse_ndk_hypocenter(line: str, record_index: int) -> tuple:
+    """Row from the first line of a 5-line NDK record.
 
     Fixed columns: date [6-15], time [17-26], latitude [28-33],
     longitude [35-41], depth [43-47], two magnitudes [49-55] (mb then MS,
@@ -327,14 +389,9 @@ def _parse_ndk_hypocenter(line: str, record_index: int) -> Event:
         time = datetime(year, month, day, tzinfo=timezone.utc) + timedelta(
             hours=int(hh_text), minutes=int(mm_text), seconds=float(ss_text)
         )
-        return Event(
-            time=time,
-            epicenter=GeoPoint(lat, lon),
-            depth_km=depth,
-            mb=mb_raw if mb_raw > 0.0 else None,
-            ms=ms_raw if ms_raw > 0.0 else None,
-            source_id=f"ndk{record_index:06d}",
-        )
+        mb, ms = (m if m > 0.0 else None for m in (mb_raw, ms_raw))
+        record_id = f"ndk{record_index:06d}"
+        return _checked_row(_to_us(time), GeoPoint(lat, lon), depth, mb, ms, record_id)
     except ValueError as exc:
         raise CatalogParseError(f"NDK record {record_index + 1}: {exc}") from exc
 
@@ -352,12 +409,11 @@ def parse_ndk(source: bytes | str | IO, magnitude_selector: str = "mb") -> Catal
         raise CatalogParseError(
             f"NDK line count {len(lines)} is not a multiple of {NDK_LINES_PER_RECORD}"
         )
-    events = [
+    rows = [
         _parse_ndk_hypocenter(lines[i * NDK_LINES_PER_RECORD], i)
         for i in range(len(lines) // NDK_LINES_PER_RECORD)
     ]
-    events = _sorted_events(events)
-    return Catalog(tuple(events), _envelope_span(events), magnitude_selector)
+    return Catalog._from_rows(np.array(rows, dtype=ROW_DTYPE), None, magnitude_selector)
 
 
 def filter_catalog(
@@ -378,12 +434,7 @@ def filter_catalog(
     else:
         t_start, t_end = (_as_utc(t) for t in window)
     span = replace(catalog.span, t_start=t_start, t_end=t_end)
-    selector = catalog.magnitude_selector
-    kept = tuple(
-        e
-        for e in catalog.events
-        if (m := e.magnitude(selector)) is not None
-        and m >= mag_min
-        and t_start <= e.time <= t_end
-    )
-    return Catalog(kept, span, selector)
+    rows = catalog.rows
+    m, t = rows[catalog.magnitude_selector], rows["time_us"]
+    keep = (m > 0.0) & (m >= mag_min) & (t >= _to_us(t_start)) & (t <= _to_us(t_end))
+    return Catalog._from_rows(rows[keep], span, catalog.magnitude_selector)

@@ -29,6 +29,7 @@ from .catalog import (
     Catalog,
     CatalogParseError,
     StudyVolume,
+    _to_us,
     csv_rows,
     dumps_csv,
     filter_catalog,
@@ -293,7 +294,8 @@ def cmd_simulate(args) -> int:
         )
         sv = StudyVolume(GlobalSphere(), *interval)
         marks = _load_catalog(args.input, args.format) if args.input else None
-        out_catalog = _marked_catalog(instants, sv, marks, rng.replicate(1).generator())
+        time_us = [_to_us(t) for t in instants]
+        out_catalog = _marked_catalog(time_us, sv, marks, rng.replicate(1).generator())
     _write_text(dumps_csv(out_catalog), args.out)
     print(f"simulated {len(out_catalog)} events (model={args.model})", file=sys.stderr)
     return 0

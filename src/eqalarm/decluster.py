@@ -19,7 +19,7 @@ from typing import IO
 
 import numpy as np
 
-from .catalog import Catalog, CatalogParseError, csv_rows
+from .catalog import Catalog, CatalogParseError, _row_tuples, csv_rows
 from .alarm import pair_blocks
 
 SECONDS_PER_DAY = 86400.0
@@ -126,10 +126,8 @@ def decluster(
             if not deleted[jj]:
                 deleted[kk] = True
 
-    kept = tuple(e for i, e in enumerate(catalog.events) if not deleted[i])
-    return DeclusterResult(
-        catalog.with_events(kept), tuple(int(i) for i in np.flatnonzero(deleted))
-    )
+    kept = Catalog._from_rows(catalog.rows[~deleted], catalog.span, catalog.magnitude_selector)
+    return DeclusterResult(kept, tuple(int(i) for i in np.flatnonzero(deleted)))
 
 
 def decluster_stats(before: Catalog, after: Catalog) -> tuple[int, float]:
@@ -138,10 +136,10 @@ def decluster_stats(before: Catalog, after: Catalog) -> tuple[int, float]:
     ``after`` must keep ``before``'s order, as ``decluster`` guarantees; one
     pass checks that it is an ordered subsequence of ``before``.
     """
-    remaining = iter(before.events)
-    for e in after.events:
-        if not any(b is e or b == e for b in remaining):
-            raise ValueError("after is not an ordered subset of before")
+    remaining = _row_tuples(before.rows)
+    # ``in`` consumes the iterator up to the match, so order is enforced
+    if not all(row in remaining for row in _row_tuples(after.rows)):
+        raise ValueError("after is not an ordered subset of before")
     n_deleted = len(before) - len(after)
     fraction = n_deleted / len(before) if len(before) else 0.0
     return n_deleted, fraction

@@ -26,7 +26,7 @@ def normalize_lon(lon):
     return (lon + 180.0) % 360.0 - 180.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GeoPoint:
     """Point on the sphere: latitude in [-90, 90], longitude stored in [-180, 180)."""
 

@@ -11,14 +11,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from datetime import datetime, timedelta, timezone
-from typing import Sequence
+from datetime import datetime, timedelta
 
 import numpy as np
 
 from ._random import Rng, as_generator
-from .catalog import Catalog, Event, StudyVolume, _as_utc, _sorted_events
-from .geo import GeoPoint, GlobalSphere, Region
+from .catalog import ROW_DTYPE, Catalog, StudyVolume, _as_utc, _to_us
+from .geo import GlobalSphere, Region, normalize_lon
 
 __all__ = [
     "Rng",
@@ -32,38 +31,28 @@ __all__ = [
 ]
 
 # the marks of a simulated event when no mark catalog is given
-_PLACEHOLDER = Event(
-    time=datetime(1970, 1, 1, tzinfo=timezone.utc),
-    epicenter=GeoPoint(0.0, 0.0),
-    depth_km=10.0,
-    mb=5.0,
-    ms=None,
-    source_id="",
-)
+_PLACEHOLDER = np.array([(0, 0.0, 0.0, 10.0, 5.0, 0.0, "")], dtype=ROW_DTYPE)
 
 
 def _assemble(
-    templates: Sequence[Event],
-    times: Sequence[datetime],
+    templates: np.ndarray,
+    time_us: np.ndarray | list[int],
     span: StudyVolume,
     selector: str,
     keep_ids: bool = False,
-    epicenters: Sequence[GeoPoint] | None = None,
 ) -> Catalog:
-    """Event k of ``templates`` at ``times[k]`` (and ``epicenters[k]``, if
-    given), sorted by time with ties in template order. Ids are the
-    templates' own with ``keep_ids``, else sim000000, ... in template order."""
-    if epicenters is None:
-        epicenters = [e.epicenter for e in templates]
-    events = [
-        Event(t, p, e.depth_km, e.mb, e.ms, e.source_id if keep_ids else f"sim{k:06d}")
-        for k, (e, t, p) in enumerate(zip(templates, times, epicenters))
-    ]
-    return Catalog(tuple(_sorted_events(events)), span, selector)
+    """Row k of ``templates`` at ``time_us[k]``, sorted by time with ties in
+    template order. Ids are the templates' own with ``keep_ids``, else
+    sim000000, ... in template order."""
+    rows = templates.copy()
+    rows["time_us"] = time_us
+    if not keep_ids:
+        rows["source_id"] = [f"sim{k:06d}" for k in range(len(rows))]
+    return Catalog._from_rows(rows[np.argsort(time_us, kind="stable")], span, selector)
 
 
-def _after(t0: datetime, offsets_s: np.ndarray) -> list[datetime]:
-    return [t0 + timedelta(seconds=s) for s in offsets_s.tolist()]
+def _after(t0: datetime, offsets_s: np.ndarray) -> list[int]:
+    return [_to_us(t0 + timedelta(seconds=s)) for s in offsets_s.tolist()]
 
 
 def permute_times(catalog: Catalog, rng) -> Catalog:
@@ -73,35 +62,40 @@ def permute_times(catalog: Catalog, rng) -> Catalog:
     times and the multiset of marks are each preserved exactly. The result
     is re-sorted by time.
     """
-    events = catalog.events
-    perm = as_generator(rng).permutation(len(events)).tolist()
-    times = [events[p].time for p in perm]
-    return _assemble(events, times, catalog.span, catalog.magnitude_selector, keep_ids=True)
+    rows = catalog.rows
+    perm = as_generator(rng).permutation(len(rows))
+    return _assemble(
+        rows, rows["time_us"][perm], catalog.span, catalog.magnitude_selector, keep_ids=True
+    )
 
 
 def randomize_times_uniform(catalog: Catalog, rng) -> Catalog:
     """Redraw every event time iid uniform over the span interval."""
     offsets = as_generator(rng).uniform(0.0, catalog.span.duration_s, size=len(catalog))
-    times = _after(catalog.span.t_start, offsets)
+    time_us = _after(catalog.span.t_start, offsets)
     return _assemble(
-        catalog.events, times, catalog.span, catalog.magnitude_selector, keep_ids=True
+        catalog.rows, time_us, catalog.span, catalog.magnitude_selector, keep_ids=True
     )
 
 
+def _placed(templates: np.ndarray, lat: np.ndarray, lon: np.ndarray) -> np.ndarray:
+    """``templates`` moved, in place, to the points (lat, lon)."""
+    templates["lat"], templates["lon"] = lat, normalize_lon(lon)
+    return templates
+
+
 def _resample_marks(
-    pool: Sequence[Event],
+    pool: np.ndarray,
     n: int,
     region: Region,
     g: np.random.Generator,
-) -> tuple[list[Event], list[GeoPoint]]:
-    """n template events and their epicenters: drawn with replacement from
-    ``pool``, or the placeholder at area-uniform locations on ``region`` when
-    the pool is empty."""
-    if pool:
-        templates = [pool[i] for i in g.integers(0, len(pool), size=n).tolist()]
-        return templates, [e.epicenter for e in templates]
-    lat, lon = region.sample(n, g)
-    return [_PLACEHOLDER] * n, [GeoPoint(a, b) for a, b in zip(lat.tolist(), lon.tolist())]
+) -> np.ndarray:
+    """n template rows: drawn with replacement from the ``pool`` rows, or the
+    placeholder at area-uniform locations on ``region`` when the pool is
+    empty."""
+    if len(pool):
+        return pool[g.integers(0, len(pool), size=n)]
+    return _placed(np.repeat(_PLACEHOLDER, n), *region.sample(n, g))
 
 
 def gen_homogeneous_poisson(
@@ -126,16 +120,17 @@ def gen_homogeneous_poisson(
 
 
 def _marked_catalog(
-    times: Sequence[datetime],
+    time_us: list[int],
     sv: StudyVolume,
     marks: Catalog | None,
     g: np.random.Generator,
 ) -> Catalog:
-    """Simulated catalog at ``times``, its marks resampled from ``marks``."""
-    pool = marks.events if marks is not None else ()
-    templates, epicenters = _resample_marks(pool, len(times), sv.region, g)
+    """Simulated catalog at the microsecond instants ``time_us``, its marks
+    resampled from ``marks``."""
+    pool = marks.rows if marks is not None else _PLACEHOLDER[:0]
+    templates = _resample_marks(pool, len(time_us), sv.region, g)
     selector = marks.magnitude_selector if marks is not None else "mb"
-    return _assemble(templates, times, sv, selector, epicenters=epicenters)
+    return _assemble(templates, time_us, sv, selector)
 
 
 @dataclass(frozen=True)
@@ -169,7 +164,7 @@ def historical_cell_rates(catalog: Catalog, cells: list[Region]) -> CellGrid:
     if uncovered.size:
         i = int(uncovered[0])
         raise ValueError(
-            f"event {i} ({catalog.events[i].source_id}) falls in no cell; "
+            f"event {i} ({catalog.rows['source_id'][i]}) falls in no cell; "
             "cells must partition the region"
         )
     counts = np.bincount(cell_of, minlength=len(cells))
@@ -192,23 +187,20 @@ def gen_heterogeneous_poisson(
     """
     g = as_generator(rng)
     sv = StudyVolume(GlobalSphere(), *t_interval)
-    pool = marks.events if marks is not None else ()
-    mark_lat, mark_lon = (marks.latitudes(), marks.longitudes()) if pool else ((), ())
-    templates, times, epicenters = [], [], []
+    pool = marks.rows if marks is not None else _PLACEHOLDER[:0]
+    templates, times = [pool[:0]], []
     for cell, rate in zip(grid.cells, grid.rates_per_s):
         n = int(g.poisson(rate * sv.duration_s))
         if n == 0:
             continue
-        inside = np.flatnonzero(cell.contains_arrays(mark_lat, mark_lon)).tolist()
+        inside = cell.contains_arrays(pool["lat"], pool["lon"])
         # a cell without marks of its own resamples from all of them; with no
         # marks at all, placeholder locations are drawn and then replaced
-        cell_pool = [pool[i] for i in inside] or pool
-        templates += _resample_marks(cell_pool, n, cell, g)[0]
-        lat, lon = cell.sample(n, g)
-        epicenters += [GeoPoint(a, b) for a, b in zip(lat.tolist(), lon.tolist())]
+        cell_pool = pool[inside] if inside.any() else pool
+        templates.append(_placed(_resample_marks(cell_pool, n, cell, g), *cell.sample(n, g)))
         times += _after(sv.t_start, g.uniform(0.0, sv.duration_s, size=n))
     selector = marks.magnitude_selector if marks is not None else "mb"
-    return _assemble(templates, times, sv, selector, epicenters=epicenters)
+    return _assemble(np.concatenate(templates), times, sv, selector)
 
 
 def gen_gamma_renewal(

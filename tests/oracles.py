@@ -1,8 +1,9 @@
 """Slow scalar and per-alarm reference implementations, kept as test oracles
 for the vectorised paths in ``eqalarm``: point distance, region
-containment and window-table lookup, the membership rule, declustering,
-the alarm measure, the Monte-Carlo union volume, the scheme-3 weighted
-sampling of R-score baselines and the reference time-permutation shuffle."""
+containment and window-table lookup, the catalog invariants and the
+magnitude/window filter, the membership rule, declustering, the alarm
+measure, the Monte-Carlo union volume, the scheme-3 weighted sampling of
+R-score baselines and the reference time-permutation shuffle."""
 
 from __future__ import annotations
 
@@ -43,6 +44,42 @@ def window_lookup(windows, magnitude: float):
     """The window row with the largest mag_min not exceeding ``magnitude``."""
     mags = [r.mag_min for r in windows.rows]
     return windows.rows[bisect_right(mags, magnitude) - 1]
+
+
+def catalog_invariant_error(events, span, magnitude_selector: str = "mb") -> str | None:
+    """The message ``Catalog(events, span, magnitude_selector)`` raises, by a
+    per-event loop: each event in turn is checked for time order, then the
+    span interval, then the span region. None when every invariant holds."""
+    if magnitude_selector not in ("mb", "ms"):
+        return f"unknown magnitude selector {magnitude_selector!r}"
+    previous = None
+    for i, event in enumerate(events):
+        if previous is not None and event.time < previous:
+            return f"events out of time order at position {i}"
+        previous = event.time
+        if not span.t_start <= event.time <= span.t_end:
+            return f"event {i} ({event.source_id}) outside the span interval"
+        if not region_contains(span.region, event.epicenter):
+            return f"event {i} ({event.source_id}) outside the span region"
+    return None
+
+
+def filter_events(catalog, mag_min: float, window=None) -> tuple:
+    """The events ``filter_catalog`` keeps, by a per-event test: authoritative
+    magnitude present and at least ``mag_min``, time inside the closed window
+    (the catalog's span by default)."""
+    if window is None:
+        t_start, t_end = catalog.span.t_start, catalog.span.t_end
+    else:
+        t_start, t_end = (_as_utc(t) for t in window)
+    selector = catalog.magnitude_selector
+    return tuple(
+        e
+        for e in catalog.events
+        if (m := e.magnitude(selector)) is not None
+        and m >= mag_min
+        and t_start <= e.time <= t_end
+    )
 
 
 def alarm_covers(alarm, time, point) -> bool:

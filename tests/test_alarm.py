@@ -253,6 +253,11 @@ class TestScore:
         summary = ScoreSummary(Q=10, A=4, S=3, P=7)
         assert summary.F == 1 and summary.M == 3
 
+    @pytest.mark.parametrize("derived", ["F", "M", "s", "p", "f", "m"])
+    def test_derived_counts_and_rates_are_not_parameters(self, derived):
+        with pytest.raises(TypeError):
+            ScoreSummary(Q=10, A=4, S=3, P=7, **{derived: 99})
+
 
 class TestVolumeFraction:
     def test_no_alarms(self):

@@ -204,6 +204,21 @@ class TestParseCsv:
         assert parse_csv(dumps_csv(once)) == once
         assert dumps_csv(once).splitlines()[1] == "2004-01-02T00:00:00Z,0.0,0.0,10.0,5.5,,\"a,b\""
 
+    def test_lone_carriage_return_in_unquoted_field_cites_line(self):
+        text = (
+            CSV_HEADER
+            + "2004-01-02T00:00:00Z,0,0,10,5.5,,a\n"
+            + "2004-01-03T00:00:00Z,0,0,10,5.5,,b\rc\n"
+        )
+        with pytest.raises(CatalogParseError, match="line 3: new-line character"):
+            parse_csv(text)
+
+    def test_round_trip_id_with_lone_carriage_return(self):
+        once = parse_csv(CSV_HEADER + '2004-01-02T00:00:00Z,0,0,10,5.5,,"a\rb"\n')
+        assert once.source_ids() == ("a\rb",)
+        assert dumps_csv(once).split("\n")[1].endswith(',"a\rb"')
+        assert parse_csv(dumps_csv(once)) == once
+
     # a quoted id spanning lines 2-3 moves every later row one line down
     TWO_LINE_ROW = '2004-01-02T00:00:00Z,0,0,10,5.5,,"a\nb"\n'
 

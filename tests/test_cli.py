@@ -70,6 +70,15 @@ class TestIngest:
         assert code == 2
         assert "parse error" in err and "multiple of 5" in err
 
+    def test_lone_carriage_return_in_unquoted_field_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "cr.csv"
+        path.write_bytes(
+            b"time,lat,lon,depth_km,mb,ms,id\n2004-01-02T00:00:00Z,0,0,10,5.5,,a\rb\n"
+        )
+        code, out, err = run(capsys, "ingest", "--input", str(path))
+        assert code == 2
+        assert "parse error: line 2: new-line character" in err and out == ""
+
     def test_missing_file_exits_one(self, capsys):
         code, _, err = run(capsys, "ingest", "--input", "/nonexistent.csv")
         assert code == 1
@@ -221,6 +230,15 @@ class TestDecluster:
         assert "window table" in err
 
 
+    def test_carriage_return_in_window_table_is_usage_error(self, tmp_path, capsys, csv_path):
+        src = csv_path(CHAIN_ROWS)
+        table = tmp_path / "windows.csv"
+        table.write_bytes(b"mag_min,time_days,distance_km\n-inf,10,2\r0\n")
+        code, _, err = run(capsys, "decluster", "--input", src, "--windows", str(table))
+        assert code == 1
+        assert "bad window table: line 2: new-line character" in err
+
+
 class TestSimulate:
     def test_poisson_deterministic(self, capsys):
         args = (
@@ -295,6 +313,13 @@ class TestSimulate:
         code, _, err = run(capsys, *self.HET_ARGS, "--cells", str(cells))
         assert code == 1
         assert "cells file" in err and "line 3: expected 5 fields, got 4" in err
+
+    def test_cells_row_with_carriage_return(self, tmp_path, capsys):
+        cells = tmp_path / "cells.csv"
+        cells.write_bytes((self.CELLS + "0,10,10,2\r0,1\n").encode("utf-8"))
+        code, _, err = run(capsys, *self.HET_ARGS, "--cells", str(cells))
+        assert code == 1
+        assert f"cells file {cells}: line 3: new-line character" in err
 
     def test_cells_row_with_nonfinite_longitude(self, tmp_path, capsys):
         cells = tmp_path / "cells.csv"

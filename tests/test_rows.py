@@ -1,0 +1,195 @@
+"""A catalog holds its events as one read-only row array: checks that the rows
+give back the events they were built from, exact times, the reference
+filter, the reference invariant messages and a lossless CSV round trip."""
+
+import copy
+import pickle
+from datetime import datetime, timedelta, timezone
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from eqalarm import (
+    Catalog,
+    Event,
+    GeoPoint,
+    GlobalSphere,
+    LatLonBox,
+    SphericalCap,
+    StudyVolume,
+    dumps_csv,
+    filter_catalog,
+    parse_csv,
+)
+
+from conftest import make_catalog
+from oracles import catalog_invariant_error, filter_events
+
+EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
+FIRST_US = -2524521600000000  # 1890-01-01
+LAST_US = 3976214400000000  # 2096-01-01
+# instants drawn often, so that ties and the epoch's neighbours come up
+COMMON_US = (-86_400_000_001, -1, 0, 1, 1_072_915_200_000_000)
+
+SETTINGS = settings(max_examples=60, deadline=None)
+
+
+def instant(us: int) -> datetime:
+    return EPOCH + timedelta(microseconds=us)
+
+
+instants = st.one_of(st.integers(FIRST_US, LAST_US), st.sampled_from(COMMON_US)).map(instant)
+latitudes = st.one_of(st.floats(-90.0, 90.0), st.sampled_from((-90.0, 90.0, -0.0)))
+longitudes = st.one_of(st.floats(-540.0, 540.0), st.sampled_from((-180.0, 180.0, -0.0, 359.5)))
+magnitudes = st.one_of(st.none(), st.floats(0.0, 10.0, exclude_min=True))
+# ids that survive the CSV reader's stripping of each field
+ids = st.text(alphabet='ab,"\r\n x', min_size=1, max_size=5).filter(lambda s: s == s.strip())
+
+
+@st.composite
+def events(draw, region=None):
+    lat, lon = draw(latitudes), draw(longitudes)
+    if region is not None and draw(st.booleans()):
+        # often a point of the region, so that valid catalogs come up
+        g = np.random.default_rng(draw(st.integers(0, 99)))
+        lat, lon = (float(x[0]) for x in region.sample(1, g))
+    return Event(
+        draw(instants),
+        GeoPoint(lat, lon),
+        draw(st.one_of(st.floats(0.0, 700.0), st.just(-0.0))),
+        draw(magnitudes),
+        draw(magnitudes),
+        draw(ids),
+    )
+
+
+def sorted_events(max_size=8, both_absent=True):
+    return st.lists(
+        events().filter(lambda e: both_absent or e.mb is not None or e.ms is not None),
+        max_size=max_size,
+        unique_by=lambda e: e.source_id,
+    ).map(lambda evs: tuple(sorted(evs, key=lambda e: e.time)))
+
+
+def envelope(evs) -> StudyVolume:
+    """The span ``parse_csv`` gives time-sorted events."""
+    if not evs:
+        return StudyVolume(GlobalSphere(), EPOCH, EPOCH + timedelta(days=1))
+    t0, t1 = evs[0].time, evs[-1].time
+    return StudyVolume(GlobalSphere(), t0, t1 if t1 > t0 else t0 + timedelta(seconds=1))
+
+
+WIDE = StudyVolume(GlobalSphere(), instant(FIRST_US), instant(LAST_US))
+
+
+@SETTINGS
+@given(sorted_events(), st.sampled_from(("mb", "ms")))
+def test_rows_give_back_their_events(evs, selector):
+    cat = Catalog(evs, WIDE, selector)
+    assert cat.events == evs
+    assert len(cat) == len(evs)
+    assert cat.with_events(cat.events) == cat
+
+
+@SETTINGS
+@given(sorted_events())
+def test_times_are_exact_timestamps(evs):
+    cat = Catalog(evs, WIDE)
+    want = np.array([e.time.timestamp() for e in evs], dtype=float)
+    assert cat.times_s().tobytes() == want.tobytes()
+
+
+@SETTINGS
+@given(
+    sorted_events(),
+    st.sampled_from(("mb", "ms")),
+    st.floats(-1.0, 11.0),
+    st.one_of(st.none(), st.lists(instants, min_size=2, max_size=2, unique=True)),
+)
+def test_filter_matches_reference(evs, selector, mag_min, window):
+    cat = Catalog(evs, WIDE, selector)
+    window = None if window is None else tuple(sorted(window))
+    kept = filter_catalog(cat, mag_min, window)
+    assert kept.events == filter_events(cat, mag_min, window)
+    assert (kept.span.t_start, kept.span.t_end) == (window or (cat.span.t_start, cat.span.t_end))
+
+
+REGIONS = (
+    GlobalSphere(),
+    LatLonBox(-10.0, 40.0, 170.0, -170.0),
+    SphericalCap(GeoPoint(89.0, 0.0), 500.0),
+)
+
+
+@SETTINGS
+@given(
+    st.sampled_from(REGIONS).flatmap(
+        lambda region: st.tuples(
+            st.just(region),
+            st.lists(events(region), max_size=6),
+            st.lists(instants, min_size=2, max_size=2, unique=True),
+        )
+    ),
+    st.sampled_from(("mb", "ms", "ml")),
+    st.booleans(),
+)
+def test_invariant_errors_match_reference(case, selector, time_sorted):
+    region, evs, bounds = case
+    if time_sorted:
+        evs = sorted(evs, key=lambda e: e.time)
+    span = StudyVolume(region, *sorted(bounds))
+    want = catalog_invariant_error(evs, span, selector)
+    if want is None:
+        assert Catalog(evs, span, selector).events == tuple(evs)
+    else:
+        with pytest.raises(ValueError) as info:
+            Catalog(evs, span, selector)
+        assert str(info.value) == want
+
+
+@SETTINGS
+@given(sorted_events(both_absent=False))
+def test_csv_round_trip(evs):
+    cat = Catalog(evs, envelope(evs))
+    assert parse_csv(dumps_csv(cat)) == cat
+
+
+def test_empty_and_one_event_round_trip():
+    for cat in (make_catalog([]), make_catalog([(1.5, -90.0, 180.0, 6.0)])):
+        once = parse_csv(dumps_csv(cat))
+        assert once.events == cat.events
+        assert parse_csv(dumps_csv(once)) == once
+
+
+class TestReadOnly:
+    def test_rows_cannot_be_written(self):
+        cat = make_catalog([(1.0, 10.0, 20.0, 6.0)])
+        assert not cat.rows.flags.writeable
+        with pytest.raises(ValueError):
+            cat.rows["lat"][0] = 0.0
+        with pytest.raises(AttributeError):
+            cat.rows = cat.rows.copy()
+
+    def test_copies_keep_read_only_rows(self):
+        cat = make_catalog([(1.0, 10.0, 20.0, 6.0)])
+        for twin in (pickle.loads(pickle.dumps(cat)), copy.deepcopy(cat)):
+            assert twin == cat and not twin.rows.flags.writeable
+
+    def test_accessors_return_arrays_the_caller_owns(self):
+        cat = make_catalog([(1.0, 10.0, 20.0, 6.0), (2.0, 11.0, 21.0, 5.0)])
+        for values in (cat.times_s(), cat.latitudes(), cat.longitudes(), cat.magnitudes()):
+            values[0] = -1.0
+        assert cat.latitudes()[0] == 10.0 and cat.magnitudes()[0] == 6.0
+
+    def test_events_are_new_and_equal_on_each_call(self):
+        cat = make_catalog([(1.0, 10.0, 20.0, 6.0)])
+        first, second = cat.events, cat.events
+        assert first == second and first[0] is not second[0]
+
+    def test_absent_magnitude_is_a_zero_row_and_nan_accessor(self):
+        span = StudyVolume(GlobalSphere(), EPOCH, EPOCH + timedelta(days=1))
+        cat = Catalog([Event(EPOCH, GeoPoint(0.0, 0.0), 0.0, None, 6.0, "x")], span)
+        assert cat.rows["mb"][0] == 0.0 and np.isnan(cat.magnitudes()[0])
+        assert cat.events[0].mb is None

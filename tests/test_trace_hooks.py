@@ -1,17 +1,21 @@
 """The benchmark tracer (``perfbench/spans.py``) wraps eqalarm's entry points
-by module and attribute name and reads some of their arguments by position;
-these checks catch a rename or a signature change without running the
-benchmark."""
+by module and attribute name and reads some of their arguments by position,
+and the benchmark's checks (``perfbench/worker.py``) read members of
+catalogs, events and alarm sets; these checks catch a rename or a signature
+change without running the benchmark."""
 
 import importlib
 import importlib.util
+from collections import Counter
 import inspect
 import sys
 from pathlib import Path
 
 import pytest
 
-from eqalarm import AlarmTargetIndex
+from eqalarm import AlarmTargetIndex, Event, generate_alarms
+
+from conftest import make_catalog
 
 SPANS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -50,3 +54,17 @@ def test_arguments_read_by_position():
     sigtests = importlib.import_module("eqalarm.sigtests")
     assert _params(sigtests.permutation_test_fixed_alarms)[2] == "n_reps"
     assert _params(sigtests.alarm_measure_pi)[1] == "historical_epicenters"
+
+
+def test_members_the_benchmark_checks_read():
+    cat = make_catalog([(1.0, 10.0, 20.0, 6.0), (2.0, 10.1, 20.0, 5.8)])
+    events = cat.events
+    assert isinstance(events, tuple) and len(cat) == len(events) == 2
+    assert cat.with_events(events[:1]).events == events[:1]
+    for values in (cat.times_s(), cat.latitudes(), cat.longitudes()):
+        assert values.shape == (2,)
+    assert _params(Event) == ["time", "epicenter", "depth_km", "mb", "ms", "source_id"]
+    # the worker counts marks in a Counter and sorts times
+    marks = Counter((e.epicenter, e.depth_km, e.mb, e.ms, e.source_id) for e in events)
+    assert len(marks) == 2 and sorted(e.time for e in events) == [e.time for e in events]
+    assert [a.center.lat for a in generate_alarms(cat, 5.5)] == [10.0, 10.1]
