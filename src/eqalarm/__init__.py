@@ -3,7 +3,6 @@
 from ._random import Rng
 from .alarm import (
     Alarm,
-    AlarmConfig,
     AlarmSet,
     AlarmTargetIndex,
     FloorRule,

@@ -18,11 +18,12 @@ import math
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timedelta
 from enum import Enum
+from typing import Iterable, Iterator
 
 import numpy as np
 
 from ._random import as_generator
-from .catalog import Catalog, StudyVolume, _as_utc, _from_us
+from .catalog import _US, Catalog, StudyVolume, _as_utc, _from_us, _to_us, format_instant
 from .geo import JOIN_BYTES_PER_CANDIDATE, GeoPoint, cap_area_km2, pairs_within_km
 
 SECONDS_PER_DAY = 86400.0
@@ -72,7 +73,7 @@ class FloorRule(str, Enum):
             raise ValueError(f"unknown predictor {label!r}; use 'i' or 'ii'") from None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Alarm:
     """One prediction: cap x half-open time interval (t_start, t_end] x floor."""
 
@@ -92,48 +93,65 @@ class Alarm:
         if not self.t_start < self.t_end:
             raise ValueError("alarm interval is empty")
 
-    @property
-    def duration_s(self) -> float:
-        return (self.t_end - self.t_start).total_seconds()
+
+# One row per alarm: the window (start_us, end_us] in exact microseconds since
+# the epoch; trigger_index and trigger_id are None for an alarm without a trigger.
+ALARM_DTYPE = np.dtype([
+    ("lat", float), ("lon", float), ("radius_km", float), ("start_us", np.int64),
+    ("end_us", np.int64), ("mag_floor", float), ("trigger_index", object), ("trigger_id", object),
+])
+_MAX_US = _to_us(datetime.max)
+# longer than the whole datetime range, so it ends every alarm after datetime.max
+_OVERLONG_DAYS = (datetime.max - datetime.min).days + 1
 
 
-@dataclass(frozen=True)
-class AlarmConfig:
-    """Generation parameters echoed into reports."""
-
-    mag_threshold: float
-    window_days: float
-    radius_km: float
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AlarmSet:
-    """Ordered collection of alarms plus how they were made."""
+    """Ordered alarms, held as ``rows``, a read-only ALARM_DTYPE array with a
+    row per alarm; :attr:`alarms` and iteration build new Alarm views on each
+    call. Alarm sets compare by identity."""
 
-    alarms: tuple[Alarm, ...]
-    config: AlarmConfig | None = None
+    rows: np.ndarray
 
-    def __post_init__(self):
-        object.__setattr__(self, "alarms", tuple(self.alarms))
+    def __init__(self, alarms: Iterable[Alarm]):
+        rows = [
+            (a.center.lat, a.center.lon, a.radius_km, _to_us(a.t_start), _to_us(a.t_end),
+             a.mag_floor, a.trigger_index, a.trigger_id)
+            for a in alarms
+        ]
+        self._store(np.array(rows, dtype=ALARM_DTYPE))
+
+    @classmethod
+    def _from_rows(cls, rows: np.ndarray) -> "AlarmSet":
+        alarm_set = cls.__new__(cls)
+        alarm_set._store(rows)
+        return alarm_set
+
+    def _store(self, rows: np.ndarray) -> None:
+        rows.flags.writeable = False
+        object.__setattr__(self, "rows", rows)
 
     def __len__(self) -> int:
-        return len(self.alarms)
+        return len(self.rows)
 
-    def __iter__(self):
+    def __iter__(self) -> Iterator[Alarm]:
         return iter(self.alarms)
+
+    @property
+    def alarms(self) -> tuple[Alarm, ...]:
+        """A new Alarm per row, built on each call."""
+        return tuple(
+            Alarm(GeoPoint(lat, lon), radius, _from_us(start), _from_us(end), *floor_and_trigger)
+            for lat, lon, radius, start, end, *floor_and_trigger in self.rows.tolist()
+        )
 
 
 def _alarm_arrays(alarm_set: AlarmSet) -> tuple[np.ndarray, ...]:
     """Per-alarm centre latitude and longitude, radius (km), and window
-    start and end (POSIX seconds)."""
-    alarms = alarm_set.alarms
-    return (
-        np.array([a.center.lat for a in alarms], dtype=float),
-        np.array([a.center.lon for a in alarms], dtype=float),
-        np.array([a.radius_km for a in alarms], dtype=float),
-        np.array([a.t_start.timestamp() for a in alarms], dtype=float),
-        np.array([a.t_end.timestamp() for a in alarms], dtype=float),
-    )
+    start and end (POSIX seconds); the first three are views of the rows."""
+    rows = alarm_set.rows
+    start_s, end_s = rows["start_us"] / 1e6, rows["end_us"] / 1e6
+    return rows["lat"], rows["lon"], rows["radius_km"], start_s, end_s
 
 
 def generate_alarms(
@@ -149,7 +167,8 @@ def generate_alarms(
     for the half-open window of ``window_days`` after the trigger instant.
     Windows are not clipped at the span end: events beyond the span are
     absent from any catalog being scored, and the summed alarm volume is
-    defined on full windows.
+    defined on full windows. A window that rounds to 0 microseconds, or
+    that ends an alarm after ``datetime.max``, raises ValueError.
     """
     if not math.isfinite(mag_threshold):
         raise ValueError(f"mag_threshold must be finite, got {mag_threshold!r}")
@@ -158,30 +177,22 @@ def generate_alarms(
     if not (math.isfinite(radius_km) and radius_km > 0.0):
         raise ValueError(f"radius_km must be positive, got {radius_km!r}")
     floor_rule = FloorRule(floor_rule)
-    window = timedelta(seconds=window_days * SECONDS_PER_DAY)
+    window_us = timedelta(seconds=min(window_days, _OVERLONG_DAYS) * SECONDS_PER_DAY) // _US
     selector = catalog.magnitude_selector
     magnitudes = catalog.rows[selector]
     # absent magnitudes are 0.0 and never trigger, whatever the threshold
     index = np.flatnonzero((magnitudes > 0.0) & (magnitudes >= mag_threshold))
     triggers = catalog.rows[index]
-    columns = ("time_us", "lat", "lon", selector, "source_id")
-    alarms = []
-    for i, t_us, lat, lon, magnitude, source_id in zip(
-        index.tolist(), *(triggers[name].tolist() for name in columns)
-    ):
-        t = _from_us(t_us)
-        alarms.append(
-            Alarm(
-                center=GeoPoint(lat, lon),
-                radius_km=radius_km,
-                t_start=t,
-                t_end=t + window,
-                mag_floor=mag_threshold if floor_rule is FloorRule.THRESHOLD else magnitude,
-                trigger_index=i,
-                trigger_id=source_id,
-            )
-        )
-    return AlarmSet(tuple(alarms), config=AlarmConfig(mag_threshold, window_days, radius_km))
+    if index.size and window_us == 0:
+        raise ValueError("alarm interval is empty")
+    if index.size and int(triggers["time_us"].max()) + window_us > _MAX_US:
+        raise ValueError(f"window_days={window_days!r} ends an alarm after {datetime.max}")
+    rows = np.zeros(index.size, dtype=ALARM_DTYPE)
+    rows["lat"], rows["lon"], rows["radius_km"] = triggers["lat"], triggers["lon"], radius_km
+    rows["start_us"], rows["end_us"] = triggers["time_us"], triggers["time_us"] + window_us
+    rows["mag_floor"] = mag_threshold if floor_rule is FloorRule.THRESHOLD else triggers[selector]
+    rows["trigger_index"], rows["trigger_id"] = index, triggers["source_id"]
+    return AlarmSet._from_rows(rows)
 
 
 class AlarmTargetIndex:
@@ -212,15 +223,9 @@ class AlarmTargetIndex:
                 )
 
         a_lat, a_lon, a_radius, a_start, a_end = _alarm_arrays(alarm_set)
-        a_floor = np.array([a.mag_floor for a in alarm_set], dtype=float)
         # trigger id resolved to a target position, or -1 when not a target
-        a_trig = np.array(
-            [
-                id_of.get(a.trigger_id, -1) if a.trigger_id is not None else -1
-                for a in alarm_set
-            ],
-            dtype=np.int64,
-        )
+        trigger_ids = alarm_set.rows["trigger_id"]
+        a_trig = np.array([id_of.get(s, -1) for s in trigger_ids], dtype=np.int64)
 
         blocks = list(
             pair_blocks(targets.latitudes(), targets.longitudes(), a_lat, a_lon, a_radius)
@@ -232,7 +237,7 @@ class AlarmTargetIndex:
         self._pair_start = a_start[self._pj]
         self._pair_end = a_end[self._pj]
         with np.errstate(invalid="ignore"):
-            self._pair_floor_ok = t_mag[self._pk] >= a_floor[self._pj]
+            self._pair_floor_ok = t_mag[self._pk] >= alarm_set.rows["mag_floor"][self._pj]
         # pairs come sorted by target; segment boundaries for reduceat
         self._uniq_k, self._seg_idx = np.unique(self._pk, return_index=True)
 
@@ -352,7 +357,9 @@ def alarm_volume_fraction(alarm_set: AlarmSet, sv: StudyVolume) -> float:
     alarm contributes its full cap area times its full window duration.
     """
     total = sv.area_km2 * sv.duration_s
-    covered = sum(cap_area_km2(a.radius_km) * a.duration_s for a in alarm_set.alarms)
+    rows = alarm_set.rows
+    durations_s = ((rows["end_us"] - rows["start_us"]) / 1e6).tolist()
+    covered = sum(cap_area_km2(r) * d for r, d in zip(rows["radius_km"].tolist(), durations_s))
     return covered / total
 
 
@@ -406,20 +413,19 @@ def union_volume_fraction_mc(
 
 def dumps_alarms_csv(alarm_set: AlarmSet) -> str:
     """Serialize alarms to CSV: trigger_time,lat,lon,radius_km,t_start,t_end,mag_floor."""
-    from .catalog import format_instant
-
     lines = ["trigger_time,lat,lon,radius_km,t_start,t_end,mag_floor"]
-    for a in alarm_set.alarms:
+    for lat, lon, radius_km, start_us, end_us, mag_floor, _, _ in alarm_set.rows.tolist():
+        t_start = format_instant(_from_us(start_us))
         lines.append(
             ",".join(
                 (
-                    format_instant(a.t_start),
-                    repr(a.center.lat),
-                    repr(a.center.lon),
-                    repr(a.radius_km),
-                    format_instant(a.t_start),
-                    format_instant(a.t_end),
-                    repr(a.mag_floor),
+                    t_start,
+                    repr(lat),
+                    repr(lon),
+                    repr(radius_km),
+                    t_start,
+                    format_instant(_from_us(end_us)),
+                    repr(mag_floor),
                 )
             )
         )

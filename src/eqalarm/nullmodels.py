@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from datetime import datetime, timedelta
+from datetime import datetime
 
 import numpy as np
 
 from ._random import Rng, as_generator
-from .catalog import ROW_DTYPE, Catalog, StudyVolume, _as_utc, _to_us
+from .catalog import ROW_DTYPE, Catalog, StudyVolume, _as_utc, _from_us, _to_us
 from .geo import GlobalSphere, Region, normalize_lon
 
 __all__ = [
@@ -51,8 +51,11 @@ def _assemble(
     return Catalog._from_rows(rows[np.argsort(time_us, kind="stable")], span, selector)
 
 
-def _after(t0: datetime, offsets_s: np.ndarray) -> list[int]:
-    return [_to_us(t0 + timedelta(seconds=s)) for s in offsets_s.tolist()]
+def _after(t0: datetime, offsets_s: np.ndarray) -> np.ndarray:
+    """Microseconds since the epoch of ``t0 + timedelta(seconds=s)`` for each
+    offset s >= 0, its fraction of a microsecond rounded half to even."""
+    frac, whole = np.modf(offsets_s)
+    return _to_us(t0) + whole.astype(np.int64) * 10**6 + np.rint(frac * 1e6).astype(np.int64)
 
 
 def permute_times(catalog: Catalog, rng) -> Catalog:
@@ -120,7 +123,7 @@ def gen_homogeneous_poisson(
 
 
 def _marked_catalog(
-    time_us: list[int],
+    time_us: np.ndarray | list[int],
     sv: StudyVolume,
     marks: Catalog | None,
     g: np.random.Generator,
@@ -188,7 +191,7 @@ def gen_heterogeneous_poisson(
     g = as_generator(rng)
     sv = StudyVolume(GlobalSphere(), *t_interval)
     pool = marks.rows if marks is not None else _PLACEHOLDER[:0]
-    templates, times = [pool[:0]], []
+    templates, times = [pool[:0]], [np.zeros(0, dtype=np.int64)]
     for cell, rate in zip(grid.cells, grid.rates_per_s):
         n = int(g.poisson(rate * sv.duration_s))
         if n == 0:
@@ -198,9 +201,9 @@ def gen_heterogeneous_poisson(
         # marks at all, placeholder locations are drawn and then replaced
         cell_pool = pool[inside] if inside.any() else pool
         templates.append(_placed(_resample_marks(cell_pool, n, cell, g), *cell.sample(n, g)))
-        times += _after(sv.t_start, g.uniform(0.0, sv.duration_s, size=n))
+        times.append(_after(sv.t_start, g.uniform(0.0, sv.duration_s, size=n)))
     selector = marks.magnitude_selector if marks is not None else "mb"
-    return _assemble(np.concatenate(templates), times, sv, selector)
+    return _assemble(np.concatenate(templates), np.concatenate(times), sv, selector)
 
 
 def gen_gamma_renewal(
@@ -225,12 +228,11 @@ def gen_gamma_renewal(
     if horizon <= 0.0:
         raise ValueError("t_interval is empty")
     scale = mean_interval_s / shape
-    elapsed = 0.0
-    instants: list[datetime] = []
     batch = max(16, int(1.5 * horizon / mean_interval_s) + 16)
-    while True:
-        for gap in g.gamma(shape, scale, size=batch):
-            elapsed += float(gap)
-            if elapsed > horizon:
-                return instants
-            instants.append(t_start + timedelta(seconds=elapsed))
+    # each batch's running sums start from the last one: the gaps add in draw order
+    sums = [np.zeros(1)]
+    while sums[-1][-1] <= horizon:
+        sums.append(np.cumsum(np.append(sums[-1][-1], g.gamma(shape, scale, size=batch)))[1:])
+    elapsed = np.concatenate(sums[1:])
+    time_us = _after(t_start, elapsed[: np.searchsorted(elapsed, horizon, side="right")])
+    return [_from_us(t) for t in time_us.tolist()]

@@ -1,19 +1,21 @@
 """Slow scalar and per-alarm reference implementations, kept as test oracles
 for the vectorised paths in ``eqalarm``: point distance, region
 containment and window-table lookup, the catalog invariants and the
-magnitude/window filter, the membership rule, declustering, the alarm
-measure, the Monte-Carlo union volume, the scheme-3 weighted sampling of
-R-score baselines and the reference time-permutation shuffle."""
+magnitude/window filter, alarm generation, the membership rule,
+declustering, the alarm measure, the Monte-Carlo union volume, the
+gamma-renewal running sums, the scheme-3 weighted sampling of R-score
+baselines and the reference time-permutation shuffle."""
 
 from __future__ import annotations
 
 import itertools
 import math
 from bisect import bisect_right
+from datetime import timedelta
 
 import numpy as np
 
-from eqalarm import GlobalSphere, LatLonBox, SphericalCap
+from eqalarm import Alarm, FloorRule, GlobalSphere, LatLonBox, SphericalCap
 from eqalarm._random import as_generator
 from eqalarm.catalog import _as_utc
 from eqalarm.geo import great_circle_km_arrays
@@ -80,6 +82,26 @@ def filter_events(catalog, mag_min: float, window=None) -> tuple:
         and m >= mag_min
         and t_start <= e.time <= t_end
     )
+
+
+def alarms_per_trigger(
+    catalog, mag_threshold, window_days=21.0, radius_km=50.0, floor_rule=FloorRule.THRESHOLD
+) -> tuple:
+    """The alarms ``generate_alarms`` raises, built one trigger at a time: an
+    Alarm per event whose authoritative magnitude is present and at least
+    the threshold, over (t, t + window], its floor the threshold or the
+    trigger's own magnitude."""
+    window = timedelta(seconds=window_days * SECONDS_PER_DAY)
+    alarms = []
+    for i, e in enumerate(catalog.events):
+        m = e.magnitude(catalog.magnitude_selector)
+        if m is None or m < mag_threshold:
+            continue
+        floor = mag_threshold if FloorRule(floor_rule) is FloorRule.THRESHOLD else m
+        alarms.append(
+            Alarm(e.epicenter, radius_km, e.time, e.time + window, floor, i, e.source_id)
+        )
+    return tuple(alarms)
 
 
 def alarm_covers(alarm, time, point) -> bool:
@@ -191,6 +213,22 @@ def union_volume_hit_fraction(alarm_set, sv, n_samples: int, rng) -> float:
         d = great_circle_km_arrays(lat[idx], lon[idx], a.center.lat, a.center.lon)
         hit[idx[d <= a.radius_km]] = True
     return float(hit.mean())
+
+
+def gamma_renewal_instants(shape, mean_interval_s, t_interval, rng) -> list:
+    """``gen_gamma_renewal`` by adding each gap in turn to a running sum: the
+    same batches of draws, each instant the interval start plus the sum."""
+    g = as_generator(rng)
+    t_start, t_end = (_as_utc(t) for t in t_interval)
+    horizon = (t_end - t_start).total_seconds()
+    batch = max(16, int(1.5 * horizon / mean_interval_s) + 16)
+    elapsed, instants = 0.0, []
+    while True:
+        for gap in g.gamma(shape, mean_interval_s / shape, size=batch):
+            elapsed += float(gap)
+            if elapsed > horizon:
+                return instants
+            instants.append(t_start + timedelta(seconds=elapsed))
 
 
 def permutation_indices(n: int, g) -> np.ndarray:

@@ -1,6 +1,6 @@
 import math
 from dataclasses import replace
-from datetime import timedelta
+from datetime import datetime, timedelta, timezone
 
 import numpy as np
 import pytest
@@ -9,6 +9,7 @@ from eqalarm import (
     Alarm,
     AlarmSet,
     AlarmTargetIndex,
+    Catalog,
     EARTH_RADIUS_KM,
     Event,
     FloorRule,
@@ -64,7 +65,6 @@ class TestGenerateAlarms:
         cat = make_catalog([])
         aset = generate_alarms(cat, 5.5)
         assert len(aset) == 0
-        assert aset.config.mag_threshold == 5.5
 
     def test_one_alarm_per_trigger(self):
         cat = make_catalog([(1, 0, 0, 5.4), (2, 0, 0, 5.5), (3, 0, 0, 6.0)])
@@ -109,6 +109,31 @@ class TestGenerateAlarms:
             generate_alarms(cat, 5.5, radius_km=-1.0)
         with pytest.raises(ValueError):
             generate_alarms(cat, float("inf"))
+
+    def test_window_ending_after_datetime_max_is_refused(self):
+        cat = make_catalog([(1, 0, 0, 6.0)])
+        for window_days in (1.0674e8, 1e9, 1e300):
+            with pytest.raises(ValueError, match="window_days"):
+                generate_alarms(cat, 5.5, window_days=window_days)
+        # without a trigger no alarm ends anywhere
+        assert len(generate_alarms(make_catalog([]), 5.5, window_days=1e300)) == 0
+
+    def test_alarm_may_end_exactly_at_datetime_max(self):
+        last = datetime.max.replace(tzinfo=timezone.utc)
+        span = StudyVolume(GlobalSphere(), last - day(2), last)
+        for offset_us, ok in ((0, True), (1, False)):
+            trigger_time = last - day(1) + timedelta(microseconds=offset_us)
+            cat = Catalog([Event(trigger_time, GeoPoint(0, 0), 10.0, 6.0, None, "a")], span)
+            if ok:
+                assert generate_alarms(cat, 5.5, window_days=1.0).alarms[0].t_end == last
+            else:
+                with pytest.raises(ValueError, match="window_days=1.0 "):
+                    generate_alarms(cat, 5.5, window_days=1.0)
+
+    def test_window_rounding_to_zero_microseconds_is_empty(self):
+        cat = make_catalog([(1, 0, 0, 6.0)])
+        with pytest.raises(ValueError, match="alarm interval is empty"):
+            generate_alarms(cat, 5.5, window_days=1e-12)
 
     def test_raising_threshold_never_adds_alarms(self):
         rng = np.random.default_rng(42)

@@ -502,3 +502,13 @@ class TestUsage:
         )
         assert code == 1
         assert "precede" in err
+
+    @pytest.mark.parametrize("subcommand", ["eval", "test"])
+    @pytest.mark.parametrize("days", ["1e8", "1e9", "1e300"])
+    def test_window_past_datetime_max_is_an_error(self, capsys, csv_path, subcommand, days):
+        src = csv_path(THREE_EVENT_ROWS)
+        code, out, err = run(
+            capsys, subcommand, "--input", src, "--mag-threshold", "5.5", "--window-days", days
+        )
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: window_days={float(days)!r} ends an alarm after")

@@ -1,9 +1,11 @@
 import math
 from collections import Counter
-from datetime import timedelta
+from datetime import datetime, timedelta, timezone
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from eqalarm import (
@@ -19,9 +21,11 @@ from eqalarm import (
     permute_times,
     randomize_times_uniform,
 )
+from eqalarm.catalog import _to_us
+from eqalarm.nullmodels import _after
 
 import oracles
-from conftest import T0, day, make_catalog, random_catalog
+from conftest import T0, day, make_catalog, random_catalog, utc
 
 
 class StubRng:
@@ -233,6 +237,16 @@ class TestGammaRenewal:
         with pytest.raises(ValueError):
             gen_gamma_renewal(1.0, 0.0, (T0, T0 + day(1)), Rng(0))
 
+    def test_matches_per_gap_reference(self):
+        for shape, start in ((0.3, T0), (1.0, utc(1931, 5, 2, 3, 4, 5, 678901)), (4.0, T0)):
+            interval = (start, start + day(50))
+            for seed in range(20):
+                got = gen_gamma_renewal(shape, 3600.0 * (seed + 1), interval, Rng(35, seed))
+                want = oracles.gamma_renewal_instants(
+                    shape, 3600.0 * (seed + 1), interval, Rng(35, seed)
+                )
+                assert got == want
+
     def test_instants_inside_interval(self):
         instants = gen_gamma_renewal(0.5, 3600.0, (T0, T0 + day(2)), Rng(34))
         assert all(T0 < t <= T0 + day(2) for t in instants)
@@ -297,3 +311,23 @@ class TestStreamContract:
             gen_homogeneous_poisson(5e-5, sv, None, Rng(6).replicate(r))
         again = gen_homogeneous_poisson(5e-5, sv, None, Rng(6).replicate(5))
         assert direct == again
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(-2524521600000000, 3976214400000000),
+    st.lists(
+        st.one_of(
+            st.floats(0.0, 1e11),
+            st.floats(0.0, 1.0),
+            # half a microsecond, where timedelta rounds to even
+            st.integers(0, 10**9).map(lambda k: k + 0.5e-6),
+            st.sampled_from((0.5e-6, 1.5e-6, 2.5e-6, 0.9999995)),
+        ),
+        max_size=20,
+    ),
+)
+def test_after_rounds_like_timedelta(t0_us, offsets):
+    t0 = datetime(1970, 1, 1, tzinfo=timezone.utc) + timedelta(microseconds=t0_us)
+    want = [_to_us(t0 + timedelta(seconds=s)) for s in offsets]
+    assert _after(t0, np.array(offsets, dtype=float)).tolist() == want

@@ -1,6 +1,7 @@
-"""A catalog holds its events as one read-only row array: checks that the rows
-give back the events they were built from, exact times, the reference
-filter, the reference invariant messages and a lossless CSV round trip."""
+"""A catalog holds its events, and an alarm set its alarms, as one read-only
+row array: checks that the rows give back the events and alarms they were
+built from, exact times, the reference filter, the reference invariant
+messages, a lossless CSV round trip and the per-trigger alarm reference."""
 
 import copy
 import pickle
@@ -12,20 +13,27 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eqalarm import (
+    Alarm,
+    AlarmSet,
     Catalog,
     Event,
+    FloorRule,
     GeoPoint,
     GlobalSphere,
     LatLonBox,
     SphericalCap,
     StudyVolume,
+    dumps_alarms_csv,
     dumps_csv,
     filter_catalog,
+    format_instant,
+    generate_alarms,
     parse_csv,
 )
+from eqalarm.alarm import _alarm_arrays
 
 from conftest import make_catalog
-from oracles import catalog_invariant_error, filter_events
+from oracles import alarms_per_trigger, catalog_invariant_error, filter_events
 
 EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
 FIRST_US = -2524521600000000  # 1890-01-01
@@ -193,3 +201,95 @@ class TestReadOnly:
         cat = Catalog([Event(EPOCH, GeoPoint(0.0, 0.0), 0.0, None, 6.0, "x")], span)
         assert cat.rows["mb"][0] == 0.0 and np.isnan(cat.magnitudes()[0])
         assert cat.events[0].mb is None
+
+
+@st.composite
+def alarms(draw):
+    t_start = draw(instants)
+    return Alarm(
+        GeoPoint(draw(latitudes), draw(longitudes)),
+        draw(st.floats(0.0, 20_000.0, exclude_min=True)),
+        t_start,
+        t_start + timedelta(microseconds=draw(st.integers(1, 10**14))),
+        draw(st.floats(-1.0, 11.0)),
+        draw(st.one_of(st.none(), st.integers(0, 10**12))),
+        draw(st.one_of(st.none(), ids)),
+    )
+
+
+@SETTINGS
+@given(st.lists(alarms(), max_size=8))
+def test_alarm_rows_give_back_their_alarms(alarm_list):
+    aset = AlarmSet(alarm_list)
+    assert aset.alarms == tuple(alarm_list)
+    assert len(aset) == len(alarm_list) and list(aset) == alarm_list
+
+
+@SETTINGS
+@given(st.lists(alarms(), max_size=8))
+def test_alarm_csv_matches_per_alarm_rendering(alarm_list):
+    want = [
+        ",".join((
+            format_instant(a.t_start), repr(a.center.lat), repr(a.center.lon), repr(a.radius_km),
+            format_instant(a.t_start), format_instant(a.t_end), repr(a.mag_floor),
+        ))
+        for a in alarm_list
+    ]
+    assert dumps_alarms_csv(AlarmSet(alarm_list)).splitlines()[1:] == want
+
+
+@SETTINGS
+@given(st.lists(alarms(), max_size=8))
+def test_alarm_arrays_are_exact_timestamps(alarm_list):
+    lat, lon, radius, start, end = _alarm_arrays(AlarmSet(alarm_list))
+    for got, want in (
+        (lat, [a.center.lat for a in alarm_list]),
+        (lon, [a.center.lon for a in alarm_list]),
+        (radius, [a.radius_km for a in alarm_list]),
+        (start, [a.t_start.timestamp() for a in alarm_list]),
+        (end, [a.t_end.timestamp() for a in alarm_list]),
+    ):
+        assert got.tobytes() == np.array(want, dtype=float).tobytes()
+
+
+@SETTINGS
+@given(
+    sorted_events(),
+    st.sampled_from(("mb", "ms")),
+    st.one_of(st.floats(1e-6, 400.0), st.sampled_from((21.0, 0.5, 1 / 3))),
+    st.sampled_from(tuple(FloorRule)),
+    st.data(),
+)
+def test_generate_alarms_matches_per_trigger_loop(evs, selector, window_days, rule, data):
+    cat = Catalog(evs, WIDE, selector)
+    present = [m for m in cat.rows[selector].tolist() if m > 0.0]
+    # often a magnitude of the catalog itself, so that ties with the threshold come up
+    threshold = data.draw(st.one_of(st.floats(-1.0, 11.0), st.sampled_from(present or [5.5])))
+    aset = generate_alarms(cat, threshold, window_days, 75.0, rule)
+    want = alarms_per_trigger(cat, threshold, window_days, 75.0, rule)
+    assert aset.alarms == want
+    assert aset.rows.tolist() == AlarmSet(want).rows.tolist()
+
+
+class TestAlarmRows:
+    def aset(self):
+        cat = make_catalog([(1.0, 10.0, 20.0, 6.0), (2.0, 11.0, 21.0, 5.7)])
+        return generate_alarms(cat, 5.5)
+
+    def test_rows_cannot_be_written(self):
+        for aset in (self.aset(), AlarmSet(self.aset().alarms)):
+            assert not aset.rows.flags.writeable
+            with pytest.raises(ValueError):
+                aset.rows["mag_floor"][0] = 0.0
+            with pytest.raises(AttributeError):
+                aset.rows = aset.rows.copy()
+
+    def test_alarms_are_new_and_equal_on_each_call(self):
+        aset = self.aset()
+        first, second = aset.alarms, aset.alarms
+        assert first == second and first[0] is not second[0]
+
+    def test_missing_trigger_round_trips_as_none(self):
+        alarm = Alarm(GeoPoint(0.0, 0.0), 50.0, EPOCH, EPOCH + timedelta(days=1), 5.5)
+        (back,) = AlarmSet([alarm]).alarms
+        assert back.trigger_index is None and back.trigger_id is None

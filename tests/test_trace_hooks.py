@@ -67,4 +67,12 @@ def test_members_the_benchmark_checks_read():
     # the worker counts marks in a Counter and sorts times
     marks = Counter((e.epicenter, e.depth_km, e.mb, e.ms, e.source_id) for e in events)
     assert len(marks) == 2 and sorted(e.time for e in events) == [e.time for e in events]
-    assert [a.center.lat for a in generate_alarms(cat, 5.5)] == [10.0, 10.1]
+    alarms = generate_alarms(cat, 5.5)
+    assert len(alarms) == 2
+    assert [(a.center.lat, a.center.lon, a.radius_km) for a in alarms] == [
+        (10.0, 20.0, 50.0),
+        (10.1, 20.0, 50.0),
+    ]
+    starts = [a.t_start.timestamp() for a in alarms]
+    assert starts == cat.times_s().tolist()
+    assert [a.t_end.timestamp() for a in alarms] == [t + 21 * 86400.0 for t in starts]
