@@ -16,17 +16,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field
-from datetime import datetime, timedelta
+from datetime import datetime
 from enum import Enum
 from typing import Iterable, Iterator
 
 import numpy as np
 
 from ._random import as_generator
-from .catalog import _US, Catalog, StudyVolume, _as_utc, _from_us, _to_us, format_instant
+from .catalog import SECONDS_PER_DAY, Catalog, StudyVolume, _as_utc, _from_us, _to_us
+from .catalog import _seconds_to_us, format_instant
 from .geo import JOIN_BYTES_PER_CANDIDATE, GeoPoint, cap_area_km2, pairs_within_km
-
-SECONDS_PER_DAY = 86400.0
 
 # Working memory the batched kernels (the alarm x target join, the count
 # kernel and the replicate blocks) may hold at once; each divides it by its
@@ -101,8 +100,6 @@ ALARM_DTYPE = np.dtype([
     ("end_us", np.int64), ("mag_floor", float), ("trigger_index", object), ("trigger_id", object),
 ])
 _MAX_US = _to_us(datetime.max)
-# longer than the whole datetime range, so it ends every alarm after datetime.max
-_OVERLONG_DAYS = (datetime.max - datetime.min).days + 1
 
 
 @dataclass(frozen=True, eq=False)
@@ -177,7 +174,7 @@ def generate_alarms(
     if not (math.isfinite(radius_km) and radius_km > 0.0):
         raise ValueError(f"radius_km must be positive, got {radius_km!r}")
     floor_rule = FloorRule(floor_rule)
-    window_us = timedelta(seconds=min(window_days, _OVERLONG_DAYS) * SECONDS_PER_DAY) // _US
+    window_us = int(_seconds_to_us(window_days * SECONDS_PER_DAY))
     selector = catalog.magnitude_selector
     magnitudes = catalog.rows[selector]
     # absent magnitudes are 0.0 and never trigger, whatever the threshold
@@ -195,6 +192,14 @@ def generate_alarms(
     return AlarmSet._from_rows(rows)
 
 
+def _instants(times_us) -> np.ndarray:
+    """``times_us`` as int64; floats are refused (they merge microseconds far from 1970)."""
+    times_us = np.asarray(times_us)
+    if not np.issubdtype(times_us.dtype, np.signedinteger):
+        raise TypeError(f"event times must be int64 microseconds, got {times_us.dtype}")
+    return times_us.astype(np.int64, copy=False)
+
+
 class AlarmTargetIndex:
     """Precomputed spatial join between a fixed alarm set and target events.
 
@@ -203,11 +208,12 @@ class AlarmTargetIndex:
     a pair list; evaluating a new assignment of times is then a few
     vectorised comparisons. This is what makes time-permutation replicates
     cheap. Target ids must be unique, since an alarm's trigger is found
-    among the targets by id.
+    among the targets by id. Event times are ``targets.rows["time_us"]``, or
+    a rearrangement of it: int64 microseconds since the epoch.
     """
 
     # peak working bytes per (row, pair) in the count kernel: the gathered
-    # float64 pair times plus the comparison and covered masks
+    # int64 pair times plus the comparison and covered masks
     BYTES_PER_PAIR = 11
 
     def __init__(self, targets: Catalog, alarm_set: AlarmSet):
@@ -222,22 +228,21 @@ class AlarmTargetIndex:
                     "ids must be unique"
                 )
 
-        a_lat, a_lon, a_radius, a_start, a_end = _alarm_arrays(alarm_set)
+        rows = alarm_set.rows
         # trigger id resolved to a target position, or -1 when not a target
-        trigger_ids = alarm_set.rows["trigger_id"]
-        a_trig = np.array([id_of.get(s, -1) for s in trigger_ids], dtype=np.int64)
+        a_trig = np.array([id_of.get(s, -1) for s in rows["trigger_id"]], dtype=np.int64)
 
-        blocks = list(
-            pair_blocks(targets.latitudes(), targets.longitudes(), a_lat, a_lon, a_radius)
-        )
+        blocks = list(pair_blocks(
+            targets.latitudes(), targets.longitudes(), rows["lat"], rows["lon"], rows["radius_km"]
+        ))
         pk, pj = (np.concatenate(parts) for parts in zip(*blocks))
         keep = a_trig[pj] != pk
         self._pk = pk[keep]
         self._pj = pj[keep]
-        self._pair_start = a_start[self._pj]
-        self._pair_end = a_end[self._pj]
+        self._pair_start = rows["start_us"][self._pj]
+        self._pair_end = rows["end_us"][self._pj]
         with np.errstate(invalid="ignore"):
-            self._pair_floor_ok = t_mag[self._pk] >= alarm_set.rows["mag_floor"][self._pj]
+            self._pair_floor_ok = t_mag[self._pk] >= rows["mag_floor"][self._pj]
         # pairs come sorted by target; segment boundaries for reduceat
         self._uniq_k, self._seg_idx = np.unique(self._pk, return_index=True)
 
@@ -255,21 +260,21 @@ class AlarmTargetIndex:
         bad = np.logical_or.reduceat(covered & ~self._pair_floor_ok, self._seg_idx, axis=1)
         return good & ~bad
 
-    def predicted_mask(self, times_s: np.ndarray) -> np.ndarray:
+    def predicted_mask(self, times_us: np.ndarray) -> np.ndarray:
         """Per-target prediction flags for one assignment of event times."""
+        row = _instants(times_us)[None, :]
         mask = np.zeros(self.n_targets, dtype=bool)
         if self.n_pairs:
-            row = np.asarray(times_s, dtype=float)[None, :]
             mask[self._uniq_k] = self._predicted_rows(row)[0]
         return mask
 
-    def count_predicted(self, times_s: np.ndarray) -> int:
-        return int(self.predicted_mask(times_s).sum())
+    def count_predicted(self, times_us: np.ndarray) -> int:
+        return int(self.predicted_mask(times_us).sum())
 
     def counts_for_time_matrix(self, times_matrix: np.ndarray) -> np.ndarray:
         """Predicted-event counts for a batch of time assignments (rows),
         evaluated in chunks of rows that fit the memory budget."""
-        times_matrix = np.asarray(times_matrix, dtype=float)
+        times_matrix = _instants(times_matrix)
         n_rows = times_matrix.shape[0]
         if self.n_pairs == 0 or n_rows == 0:
             return np.zeros(n_rows, dtype=np.int64)
@@ -280,11 +285,9 @@ class AlarmTargetIndex:
             counts[lo:hi] = self._predicted_rows(times_matrix[lo:hi]).sum(axis=1)
         return counts
 
-    def successful_alarms(self, times_s: np.ndarray) -> int:
+    def successful_alarms(self, times_us: np.ndarray) -> int:
         """Alarms containing at least one target above their floor."""
-        if self.n_pairs == 0:
-            return 0
-        t_pair = np.asarray(times_s, dtype=float)[self._pk]
+        t_pair = _instants(times_us)[self._pk]
         hit = (t_pair > self._pair_start) & (t_pair <= self._pair_end) & self._pair_floor_ok
         return int(np.unique(self._pj[hit]).size)
 
@@ -297,7 +300,7 @@ def count_predicted(targets: Catalog, alarm_set: AlarmSet) -> int:
     magnitude reaches the largest floor among the covering alarms.
     """
     index = AlarmTargetIndex(targets, alarm_set)
-    return index.count_predicted(targets.times_s())
+    return index.count_predicted(targets.rows["time_us"])
 
 
 def count_successful_alarms(alarm_set: AlarmSet, targets: Catalog) -> int:
@@ -307,7 +310,7 @@ def count_successful_alarms(alarm_set: AlarmSet, targets: Catalog) -> int:
     success is binary per alarm, and an alarm's own trigger never counts.
     """
     index = AlarmTargetIndex(targets, alarm_set)
-    return index.successful_alarms(targets.times_s())
+    return index.successful_alarms(targets.rows["time_us"])
 
 
 @dataclass(frozen=True)
@@ -366,7 +369,7 @@ def alarm_volume_fraction(alarm_set: AlarmSet, sv: StudyVolume) -> float:
 def score(targets: Catalog, alarm_set: AlarmSet, sv: StudyVolume) -> ScoreSummary:
     """All count and rate statistics for an alarm set against a catalog."""
     index = AlarmTargetIndex(targets, alarm_set)
-    times = targets.times_s()
+    times = targets.rows["time_us"]
     return ScoreSummary(
         Q=len(targets),
         A=len(alarm_set),

@@ -33,6 +33,9 @@ ROW_DTYPE = np.dtype([
 ])
 _EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
 _US = timedelta(microseconds=1)
+SECONDS_PER_DAY = 86400.0
+# more days than the datetime range spans: a window clamped to it still overruns
+_OVERLONG_DAYS = (datetime.max - datetime.min).days + 1
 
 
 class CatalogParseError(ValueError):
@@ -80,6 +83,13 @@ def _to_us(t: datetime) -> int:
 
 def _from_us(us: int) -> datetime:
     return _EPOCH + _US * us
+
+
+def _seconds_to_us(seconds) -> np.ndarray:
+    """Microseconds in each duration of ``seconds`` >= 0, rounded as timedelta
+    rounds them (half to even) after clamping at _OVERLONG_DAYS, so they fit int64."""
+    frac, whole = np.modf(np.minimum(seconds, _OVERLONG_DAYS * SECONDS_PER_DAY))
+    return whole.astype(np.int64) * 10**6 + np.rint(frac * 1e6).astype(np.int64)
 
 
 def _checked_row(time_us, epicenter, depth_km, mb, ms, source_id) -> tuple:
@@ -246,7 +256,7 @@ class Catalog:
         return Catalog(events, self.span, self.magnitude_selector)
 
     def times_s(self) -> np.ndarray:
-        """Event times as POSIX seconds (float64)."""
+        """Event times as POSIX seconds (float64); instants compare as rows["time_us"]."""
         return self.rows["time_us"] / 1e6
 
     def latitudes(self) -> np.ndarray:

@@ -29,7 +29,6 @@ from .catalog import (
     Catalog,
     CatalogParseError,
     StudyVolume,
-    _to_us,
     csv_rows,
     dumps_csv,
     filter_catalog,
@@ -42,8 +41,8 @@ from .decluster import WindowTable, decluster, decluster_stats
 from .geo import GlobalSphere, LatLonBox
 from .nullmodels import (
     CellGrid,
+    _gamma_renewal_us,
     _marked_catalog,
-    gen_gamma_renewal,
     gen_heterogeneous_poisson,
     gen_homogeneous_poisson,
     permute_times,
@@ -289,12 +288,11 @@ def cmd_simulate(args) -> int:
                 "model 'gamma-renewal' needs --mean-interval-days, --from, and --to"
             )
         interval = (_parse_cli_time(args.time_from), _parse_cli_time(args.time_to))
-        instants = gen_gamma_renewal(
+        time_us = _gamma_renewal_us(
             args.shape, args.mean_interval_days * 86400.0, interval, rng
         )
         sv = StudyVolume(GlobalSphere(), *interval)
         marks = _load_catalog(args.input, args.format) if args.input else None
-        time_us = [_to_us(t) for t in instants]
         out_catalog = _marked_catalog(time_us, sv, marks, rng.replicate(1).generator())
     _write_text(dumps_csv(out_catalog), args.out)
     print(f"simulated {len(out_catalog)} events (model={args.model})", file=sys.stderr)
@@ -386,16 +384,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except CatalogParseError as exc:
+    except CatalogParseError as exc:  # a ValueError, so it comes first
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except (_UsageError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -19,10 +19,9 @@ from typing import IO
 
 import numpy as np
 
-from .catalog import Catalog, CatalogParseError, _row_tuples, csv_rows
+from .catalog import SECONDS_PER_DAY, Catalog, CatalogParseError, _row_tuples, csv_rows
+from .catalog import _seconds_to_us
 from .alarm import pair_blocks
-
-SECONDS_PER_DAY = 86400.0
 
 WINDOW_CSV_COLUMNS = ("mag_min", "time_days", "distance_km")
 
@@ -98,24 +97,22 @@ def decluster(
     n = len(catalog)
     if n == 0:
         return DeclusterResult(catalog, ())
-    times = catalog.times_s()
+    times = catalog.rows["time_us"]
     lats = catalog.latitudes()
     lons = catalog.longitudes()
     mags = catalog.magnitudes()
-    # every event's window row at once; absent magnitudes get no window
+    # every event's window row at once, lengths rounded as alarm windows are
     row = np.searchsorted([r.mag_min for r in windows.rows], mags, side="right") - 1
-    absent = np.isnan(mags)
-    time_days = np.array([r.time_days for r in windows.rows])
+    time_windows_us = _seconds_to_us([r.time_days * SECONDS_PER_DAY for r in windows.rows])[row]
     distance_km = np.array([r.distance_km for r in windows.rows])
-    time_windows_s = np.where(absent, 0.0, time_days[row] * SECONDS_PER_DAY)
-    dist_windows_km = np.where(absent, 0.0, distance_km[row])
+    dist_windows_km = np.where(np.isnan(mags), 0.0, distance_km[row])
 
     deleted = np.zeros(n, dtype=bool)
-    # target k, "alarm" j: j's window holds k; with NaN magnitudes the
-    # comparison is False, so such events neither punch nor get deleted
+    # target k, "alarm" j: j's window holds k; absent (NaN) magnitudes get no
+    # distance window and fail the comparison, so they neither punch nor get deleted
     for k, j in pair_blocks(lats, lons, lats, lons, dist_windows_km):
         dt = times[k] - times[j]
-        punch = (mags[j] > mags[k]) & (dt > 0.0) & (dt <= time_windows_s[j])
+        punch = (mags[j] > mags[k]) & (dt > 0) & (dt <= time_windows_us[j])
         k, j = k[punch], j[punch]
         if not retained_only:
             deleted[k] = True

@@ -16,7 +16,7 @@ from datetime import datetime
 import numpy as np
 
 from ._random import Rng, as_generator
-from .catalog import ROW_DTYPE, Catalog, StudyVolume, _as_utc, _from_us, _to_us
+from .catalog import ROW_DTYPE, Catalog, StudyVolume, _as_utc, _from_us, _seconds_to_us, _to_us
 from .geo import GlobalSphere, Region, normalize_lon
 
 __all__ = [
@@ -51,13 +51,6 @@ def _assemble(
     return Catalog._from_rows(rows[np.argsort(time_us, kind="stable")], span, selector)
 
 
-def _after(t0: datetime, offsets_s: np.ndarray) -> np.ndarray:
-    """Microseconds since the epoch of ``t0 + timedelta(seconds=s)`` for each
-    offset s >= 0, its fraction of a microsecond rounded half to even."""
-    frac, whole = np.modf(offsets_s)
-    return _to_us(t0) + whole.astype(np.int64) * 10**6 + np.rint(frac * 1e6).astype(np.int64)
-
-
 def permute_times(catalog: Catalog, rng) -> Catalog:
     """Reassign event times by a uniformly random permutation.
 
@@ -75,7 +68,7 @@ def permute_times(catalog: Catalog, rng) -> Catalog:
 def randomize_times_uniform(catalog: Catalog, rng) -> Catalog:
     """Redraw every event time iid uniform over the span interval."""
     offsets = as_generator(rng).uniform(0.0, catalog.span.duration_s, size=len(catalog))
-    time_us = _after(catalog.span.t_start, offsets)
+    time_us = _to_us(catalog.span.t_start) + _seconds_to_us(offsets)
     return _assemble(
         catalog.rows, time_us, catalog.span, catalog.magnitude_selector, keep_ids=True
     )
@@ -119,7 +112,7 @@ def gen_homogeneous_poisson(
     g = as_generator(rng)
     n = int(g.poisson(rate_per_s * sv.duration_s))
     offsets = np.sort(g.uniform(0.0, sv.duration_s, size=n))
-    return _marked_catalog(_after(sv.t_start, offsets), sv, marks, g)
+    return _marked_catalog(_to_us(sv.t_start) + _seconds_to_us(offsets), sv, marks, g)
 
 
 def _marked_catalog(
@@ -201,16 +194,13 @@ def gen_heterogeneous_poisson(
         # marks at all, placeholder locations are drawn and then replaced
         cell_pool = pool[inside] if inside.any() else pool
         templates.append(_placed(_resample_marks(cell_pool, n, cell, g), *cell.sample(n, g)))
-        times.append(_after(sv.t_start, g.uniform(0.0, sv.duration_s, size=n)))
+        times.append(_to_us(sv.t_start) + _seconds_to_us(g.uniform(0.0, sv.duration_s, size=n)))
     selector = marks.magnitude_selector if marks is not None else "mb"
     return _assemble(np.concatenate(templates), np.concatenate(times), sv, selector)
 
 
 def gen_gamma_renewal(
-    shape: float,
-    mean_interval_s: float,
-    t_interval: tuple[datetime, datetime],
-    rng,
+    shape: float, mean_interval_s: float, t_interval: tuple[datetime, datetime], rng
 ) -> list[datetime]:
     """Instants of a gamma renewal process started at the interval start.
 
@@ -218,6 +208,12 @@ def gen_gamma_renewal(
     Poisson process, shape < 1 clusters in time (coefficient of variation
     1/sqrt(shape)). The sequence is truncated at the interval end.
     """
+    time_us = _gamma_renewal_us(shape, mean_interval_s, t_interval, rng)
+    return [_from_us(t) for t in time_us.tolist()]
+
+
+def _gamma_renewal_us(shape, mean_interval_s, t_interval, rng) -> np.ndarray:
+    """:func:`gen_gamma_renewal`'s instants as int64 microseconds since the epoch."""
     if not (math.isfinite(shape) and shape > 0.0):
         raise ValueError(f"shape must be positive, got {shape!r}")
     if not (math.isfinite(mean_interval_s) and mean_interval_s > 0.0):
@@ -234,5 +230,5 @@ def gen_gamma_renewal(
     while sums[-1][-1] <= horizon:
         sums.append(np.cumsum(np.append(sums[-1][-1], g.gamma(shape, scale, size=batch)))[1:])
     elapsed = np.concatenate(sums[1:])
-    time_us = _after(t_start, elapsed[: np.searchsorted(elapsed, horizon, side="right")])
-    return [_from_us(t) for t in time_us.tolist()]
+    elapsed = elapsed[: np.searchsorted(elapsed, horizon, side="right")]
+    return _to_us(t_start) + _seconds_to_us(elapsed)

@@ -111,19 +111,19 @@ def _replicate_chunks(key: Rng, n_reps: int, bytes_per_row: int):
 
 
 def _simulated_counts(
-    index: AlarmTargetIndex, times_s: np.ndarray, n_reps: int, key: Rng
+    index: AlarmTargetIndex, times_us: np.ndarray, n_reps: int, key: Rng
 ) -> np.ndarray:
-    """Predicted-event counts under n_reps random time permutations.
+    """Predicted-event counts under n_reps random permutations of times_us.
 
     Each chunk holds the tiled times, shuffled in place row by row, and the
     count kernel's arrays; consecutive permuted calls on row chunks draw the
     same stream as one call on the whole block.
     """
-    n = times_s.size
+    n = times_us.size
     counts = np.empty(n_reps, dtype=np.int64)
     bytes_per_row = 8 * n + index.BYTES_PER_PAIR * index.n_pairs
     for lo, hi, g in _replicate_chunks(key, n_reps, bytes_per_row):
-        rows = np.tile(times_s, (hi - lo, 1))
+        rows = np.tile(times_us, (hi - lo, 1))
         g.permuted(rows, axis=1, out=rows)
         counts[lo:hi] = index.counts_for_time_matrix(rows)
     return counts
@@ -148,7 +148,7 @@ def permutation_test_fixed_alarms(
         raise ValueError(f"n_reps must be >= 1, got {n_reps}")
     key = _resolve_key(rng)
     index = AlarmTargetIndex(targets, alarm_set)
-    times = targets.times_s()
+    times = targets.rows["time_us"]
     observed = index.count_predicted(times)
     sims = _simulated_counts(index, times, n_reps, key)
     sims_geq = int((sims >= observed).sum())
@@ -224,7 +224,7 @@ def exact_permutation_pvalue(
         targets, mag_threshold, window_days, radius_km, FloorRule(floor_rule)
     )
     index = AlarmTargetIndex(targets, alarm_set)
-    times = targets.times_s()
+    times = targets.rows["time_us"]
     observed = index.count_predicted(times)
     if n == 0:
         return Fraction(1, 1)

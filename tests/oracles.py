@@ -1,7 +1,8 @@
 """Slow scalar and per-alarm reference implementations, kept as test oracles
 for the vectorised paths in ``eqalarm``: point distance, region
-containment and window-table lookup, the catalog invariants and the
-magnitude/window filter, alarm generation, the membership rule,
+containment and window-table lookup, the rounding of durations to
+microseconds, the catalog invariants and the magnitude/window filter,
+alarm generation, the membership rule,
 declustering, the alarm measure, the Monte-Carlo union volume, the
 gamma-renewal running sums, the scheme-3 weighted sampling of R-score
 baselines and the reference time-permutation shuffle."""
@@ -17,10 +18,8 @@ import numpy as np
 
 from eqalarm import Alarm, FloorRule, GlobalSphere, LatLonBox, SphericalCap
 from eqalarm._random import as_generator
-from eqalarm.catalog import _as_utc
+from eqalarm.catalog import SECONDS_PER_DAY, _as_utc
 from eqalarm.geo import great_circle_km_arrays
-
-SECONDS_PER_DAY = 86400.0
 
 
 def great_circle_km(a, b) -> float:
@@ -46,6 +45,11 @@ def window_lookup(windows, magnitude: float):
     """The window row with the largest mag_min not exceeding ``magnitude``."""
     mags = [r.mag_min for r in windows.rows]
     return windows.rows[bisect_right(mags, magnitude) - 1]
+
+
+def seconds_to_us(seconds: float) -> int:
+    """Whole microseconds in a duration of ``seconds``, as timedelta rounds it."""
+    return timedelta(seconds=seconds) // timedelta(microseconds=1)
 
 
 def catalog_invariant_error(events, span, magnitude_selector: str = "mb") -> str | None:
@@ -131,20 +135,21 @@ def is_predicted(event, alarm_set, selector: str = "mb") -> bool:
 
 
 def decluster_deleted(catalog, windows, retained_only: bool = False) -> tuple[int, ...]:
-    """Indices ``decluster`` deletes, by a per-event sweep over all earlier events."""
+    """Indices ``decluster`` deletes, by a per-event sweep over all earlier
+    events; times compare as exact datetimes, windows as timedeltas."""
     n = len(catalog)
     if n == 0:
         return ()
-    times = catalog.times_s()
+    times = [e.time for e in catalog.events]
     lats = catalog.latitudes()
     lons = catalog.longitudes()
     mags = catalog.magnitudes()
-    time_windows_s = np.array(
-        [
-            window_lookup(windows, m).time_days * SECONDS_PER_DAY if not np.isnan(m) else 0.0
-            for m in mags
-        ]
-    )
+    # a window longer than timedelta allows covers every later instant anyway
+    time_windows = [
+        timedelta(seconds=min(window_lookup(windows, m).time_days, timedelta.max.days)
+                  * SECONDS_PER_DAY) if not np.isnan(m) else timedelta(0)
+        for m in mags
+    ]
     dist_windows_km = np.array(
         [window_lookup(windows, m).distance_km if not np.isnan(m) else 0.0 for m in mags]
     )
@@ -160,10 +165,11 @@ def decluster_deleted(catalog, windows, retained_only: bool = False) -> tuple[in
         larger = mags[earlier] > mags[k]
         if not larger.any():
             continue
-        cand = earlier[larger]
-        dt = times[k] - times[cand]
-        in_time = (dt > 0.0) & (dt <= time_windows_s[cand])
-        cand = cand[in_time]
+        cand = np.array(
+            [j for j in earlier[larger].tolist()
+             if timedelta(0) < times[k] - times[j] <= time_windows[j]],
+            dtype=np.int64,
+        )
         if cand.size == 0:
             continue
         d = great_circle_km_arrays(lats[cand], lons[cand], lats[k], lons[k])

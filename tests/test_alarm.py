@@ -26,6 +26,7 @@ from eqalarm import (
     score,
     union_volume_fraction_mc,
 )
+from eqalarm.catalog import _to_us
 
 from conftest import T0, day, make_catalog, make_event, random_catalog
 from oracles import alarm_covers, great_circle_km, is_predicted
@@ -86,7 +87,7 @@ class TestGenerateAlarms:
         target = cat.with_events([replace(e, source_id="target")])
         index = AlarmTargetIndex(target, AlarmSet((alarm,)))
         for t, inside in cases:
-            assert index.predicted_mask(np.array([t.timestamp()])).tolist() == [inside]
+            assert index.predicted_mask(np.array([_to_us(t)])).tolist() == [inside]
 
     def test_event_never_predicted_by_own_alarm(self):
         cat = make_catalog([(10, 5, 5, 6.0)])
@@ -369,7 +370,7 @@ class TestKernelAgreesWithScalarPath:
             for rule in (FloorRule.THRESHOLD, FloorRule.TRIGGER):
                 aset = generate_alarms(cat, 5.5, floor_rule=rule)
                 index = AlarmTargetIndex(cat, aset)
-                mask = index.predicted_mask(cat.times_s())
+                mask = index.predicted_mask(cat.rows["time_us"])
                 scalar = [is_predicted(e, aset) for e in cat.events]
                 assert mask.tolist() == scalar
 
@@ -378,7 +379,7 @@ class TestKernelAgreesWithScalarPath:
         cat = filter_catalog(random_catalog(rng, n=20, span_days=60), 5.5)
         aset = generate_alarms(cat, 5.5, floor_rule=FloorRule.TRIGGER)
         index = AlarmTargetIndex(cat, aset)
-        times = cat.times_s()
+        times = cat.rows["time_us"]
         matrix = np.stack([rng.permutation(times) for _ in range(25)])
         counts = index.counts_for_time_matrix(matrix)
         for row, expected in zip(matrix, counts):

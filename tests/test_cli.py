@@ -83,6 +83,17 @@ class TestIngest:
         code, _, err = run(capsys, "ingest", "--input", "/nonexistent.csv")
         assert code == 1
 
+    def test_directory_as_input_exits_one(self, tmp_path, capsys):
+        code, out, err = run(capsys, "ingest", "--input", str(tmp_path))
+        assert code == 1
+        assert err.startswith("error: ") and str(tmp_path) in err and out == ""
+
+    def test_directory_as_out_exits_one(self, tmp_path, capsys, csv_path):
+        code, out, err = run(capsys, "ingest", "--input", csv_path(THREE_EVENT_ROWS),
+                             "--out", str(tmp_path))
+        assert code == 1
+        assert err.startswith("error: ") and str(tmp_path) in err and out == ""
+
     def test_csv_roundtrip_via_out_file(self, tmp_path, capsys, csv_path):
         src = csv_path(THREE_EVENT_ROWS)
         out_path = tmp_path / "out.csv"

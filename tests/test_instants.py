@@ -1,0 +1,196 @@
+"""Instants compare as exact int64 microseconds: the index, declustering and
+the alarm windows give the same answers wherever a catalog sits in time,
+durations round to microseconds as timedelta rounds them, and the index
+refuses float times."""
+
+import math
+from datetime import datetime, timedelta, timezone
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from eqalarm import (
+    AlarmTargetIndex,
+    Catalog,
+    Event,
+    FloorRule,
+    GeoPoint,
+    GlobalSphere,
+    StudyVolume,
+    count_predicted,
+    decluster,
+    generate_alarms,
+)
+from eqalarm.catalog import _OVERLONG_DAYS, SECONDS_PER_DAY, _from_us, _seconds_to_us, _to_us
+from eqalarm.decluster import WindowRow, WindowTable
+
+import oracles
+
+
+def utc(*args) -> datetime:
+    return datetime(*args, tzinfo=timezone.utc)
+
+
+def catalog_at(rows) -> Catalog:
+    """Catalog of (time_us, lat, lon, mb) rows, in time order, ids ev000...
+    in row order, over the global sphere from the first time to a second
+    after the last."""
+    events = sorted(
+        (Event(_from_us(t), GeoPoint(lat, lon), 10.0, mb, None, f"ev{i:03d}")
+         for i, (t, lat, lon, mb) in enumerate(rows)),
+        key=lambda e: e.time,
+    )
+    times = [e.time for e in events]
+    return Catalog(events, StudyVolume(GlobalSphere(), times[0], times[-1] + timedelta(seconds=1)))
+
+
+class TestMicrosecondEdges:
+    def test_decluster_does_not_depend_on_absolute_time(self):
+        # the M5 sits exactly at the end of the M7's window; as float POSIX
+        # seconds it was deleted for about a quarter of such shifts of t0
+        days = 13.123457
+        windows = WindowTable.uniform(days, 100.0)
+        window_us = oracles.seconds_to_us(days * SECONDS_PER_DAY)
+        lo, hi = _to_us(utc(2000, 1, 1)), _to_us(utc(2003, 1, 1))
+        for t0 in np.random.default_rng(2000).integers(lo, hi, size=60).tolist():
+            cat = catalog_at([(t0, 0.0, 0.0, 7.0), (t0 + window_us, 0.1, 0.0, 5.0)])
+            for retained_only in (False, True):
+                assert decluster(cat, windows, retained_only).deleted_indices == (1,)
+
+    @pytest.mark.parametrize("trigger", [utc(1650, 1, 1), utc(2900, 1, 1)])
+    def test_target_one_microsecond_past_the_alarm(self, trigger):
+        # float seconds this far from 1970 cannot tell the two targets apart
+        t0 = _to_us(trigger)
+        end = t0 + oracles.seconds_to_us(21 * SECONDS_PER_DAY)
+        at_end = catalog_at([(t0, 0.0, 0.0, 6.0), (end, 0.1, 0.0, 5.6)])
+        past_end = catalog_at([(t0, 0.0, 0.0, 6.0), (end + 1, 0.1, 0.0, 5.6)])
+        assert count_predicted(at_end, generate_alarms(at_end, 5.5)) == 1
+        assert count_predicted(past_end, generate_alarms(past_end, 5.5)) == 0
+
+
+# whole days give window ends that land on a later event exactly
+window_days_st = st.one_of(
+    st.integers(1, 5).map(float), st.floats(0.001, 20.0), st.just(13.123457)
+)
+# new start times, in microseconds, from the 1600s to the 2900s
+start_us_st = st.one_of(
+    st.sampled_from([utc(1600, 1, 1), utc(1697, 6, 1), utc(2243, 1, 1), utc(2900, 1, 1)]).map(
+        _to_us
+    ),
+    st.integers(_to_us(utc(1600, 1, 1)), _to_us(utc(2950, 1, 1))),
+)
+
+
+@st.composite
+def edge_catalogs(draw):
+    """(time_us, lat, lon, mb) rows from 2000 on, many of them within 2 µs of
+    the end of an earlier event's window, and the window's length in days."""
+    days = draw(window_days_st)
+    window_us = oracles.seconds_to_us(days * SECONDS_PER_DAY)
+    t0 = _to_us(utc(2000, 1, 1))
+    rows = []
+    for _ in range(draw(st.integers(1, 12))):
+        if rows and draw(st.booleans()):
+            t = draw(st.sampled_from(rows))[0] + window_us + draw(st.integers(-2, 2))
+        else:
+            t = t0 + draw(st.integers(0, 60 * 86_400 * 10**6))
+        lat, lon = draw(st.floats(-0.3, 0.3)), draw(st.floats(-0.3, 0.3))
+        rows.append((t, lat, lon, draw(st.sampled_from([None, 5.0, 5.5, 6.0, 6.5, 7.0]))))
+    return rows, days
+
+
+def _outcomes(rows, days, permutations):
+    """Everything that compares instants, for the catalog of ``rows``."""
+    cat = catalog_at(rows)
+    windows = WindowTable((WindowRow(-math.inf, days, 40.0), WindowRow(6.0, days, 80.0)))
+    out = [decluster(cat, windows, retained_only).deleted_indices for retained_only in (False, True)]
+    times = cat.rows["time_us"]
+    for rule in FloorRule:
+        index = AlarmTargetIndex(cat, generate_alarms(cat, 5.5, days, 50.0, rule))
+        out += [
+            index.predicted_mask(times).tolist(),
+            index.successful_alarms(times),
+            index.counts_for_time_matrix(times[permutations]).tolist(),
+        ]
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(edge_catalogs(), start_us_st, st.randoms(use_true_random=False))
+def test_common_shift_changes_nothing(inputs, start_us, random):
+    rows, days = inputs
+    n = len(rows)
+    permutations = np.array([random.sample(range(n), n) for _ in range(4)], dtype=np.int64)
+    shift = start_us - min(t for t, *_ in rows)
+    shifted = [(t + shift, *rest) for t, *rest in rows]
+    assert _outcomes(shifted, days, permutations) == _outcomes(rows, days, permutations)
+
+
+class TestRounding:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(
+                st.floats(0.0, _OVERLONG_DAYS * SECONDS_PER_DAY),
+                st.floats(0.0, 1.0),
+                # half a microsecond, where timedelta rounds to even
+                st.integers(0, 10**9).map(lambda k: k + 0.5e-6),
+                st.sampled_from((0.5e-6, 1.5e-6, 2.5e-6, 0.9999995, 1_133_866.6848)),
+            ),
+            max_size=20,
+        )
+    )
+    def test_matches_timedelta(self, seconds):
+        want = [oracles.seconds_to_us(s) for s in seconds]
+        assert _seconds_to_us(np.array(seconds, dtype=float)).tolist() == want
+
+    @pytest.mark.parametrize("days", [_OVERLONG_DAYS, _OVERLONG_DAYS + 0.5, 1e300])
+    def test_clamps_overlong_durations(self, days):
+        clamp = oracles.seconds_to_us(_OVERLONG_DAYS * SECONDS_PER_DAY)
+        assert _seconds_to_us(days * SECONDS_PER_DAY) == clamp
+        assert _seconds_to_us(np.array([days * SECONDS_PER_DAY])).dtype == np.int64
+
+    def test_decluster_accepts_the_longest_window(self):
+        cat = catalog_at([(0, 0.0, 0.0, 7.0), (1, 0.0, 0.0, 5.0)])
+        assert decluster(cat, WindowTable.uniform(1e300, 10.0)).deleted_indices == (1,)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(_to_us(utc(1600, 1, 1)), _to_us(utc(2950, 1, 1))),
+        st.one_of(window_days_st, st.floats(1e-6, 1e4)),
+    )
+    def test_one_window_rule_for_alarms_and_decluster(self, t0, days):
+        # an event exactly at trigger + window is covered and deleted; one a
+        # microsecond later is neither
+        end = t0 + oracles.seconds_to_us(days * SECONDS_PER_DAY)
+        for t, inside in ((end, True), (end + 1, False)):
+            cat = catalog_at([(t0, 0.0, 0.0, 7.0), (t, 0.1, 0.0, 5.0)])
+            (alarm,) = generate_alarms(cat, 6.0, days, 100.0).alarms
+            assert oracles.alarm_covers(alarm, _from_us(t), GeoPoint(0.1, 0.0)) == inside
+            deleted = decluster(cat, WindowTable.uniform(days, 100.0)).deleted_indices
+            assert deleted == ((1,) if inside else ())
+
+
+class TestIndexRefusesFloats:
+    @pytest.fixture
+    def index_and_times(self):
+        t0 = _to_us(utc(2004, 1, 1))
+        cat = catalog_at([(t0, 0.0, 0.0, 6.0), (t0 + 10**9, 0.1, 0.0, 5.6)])
+        return AlarmTargetIndex(cat, generate_alarms(cat, 5.5)), cat.rows["time_us"]
+
+    def test_float_seconds_raise(self, index_and_times):
+        index, times = index_and_times
+        seconds = times / 1e6
+        for call in (index.predicted_mask, index.count_predicted, index.successful_alarms):
+            with pytest.raises(TypeError, match="microseconds"):
+                call(seconds)
+        with pytest.raises(TypeError, match="microseconds"):
+            index.counts_for_time_matrix(seconds[None, :])
+
+    def test_integer_microseconds_accepted(self, index_and_times):
+        index, times = index_and_times
+        assert index.predicted_mask(times).tolist() == [False, True]
+        assert index.predicted_mask(np.zeros(2, dtype=np.int32)).tolist() == [False, False]
+        assert index.counts_for_time_matrix(times[None, ::-1]).tolist() == [0]

@@ -362,7 +362,7 @@ class TestMemoryBudget:
         ]
         cat = make_catalog(rows, span_days=301.0)
         index = AlarmTargetIndex(cat, generate_alarms(cat, 5.5))
-        times = cat.times_s()
+        times = cat.rows["time_us"]
         matrix = np.stack([rng.permutation(times) for _ in range(400)])
         # the unchunked kernel would hold rows x pairs x 11 B, about 390 MB
         assert matrix.shape[0] * index.n_pairs * index.BYTES_PER_PAIR > 100 * self.BUDGET

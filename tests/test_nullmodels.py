@@ -21,8 +21,7 @@ from eqalarm import (
     permute_times,
     randomize_times_uniform,
 )
-from eqalarm.catalog import _to_us
-from eqalarm.nullmodels import _after
+from eqalarm.catalog import _seconds_to_us, _to_us
 
 import oracles
 from conftest import T0, day, make_catalog, random_catalog, utc
@@ -330,4 +329,5 @@ class TestStreamContract:
 def test_after_rounds_like_timedelta(t0_us, offsets):
     t0 = datetime(1970, 1, 1, tzinfo=timezone.utc) + timedelta(microseconds=t0_us)
     want = [_to_us(t0 + timedelta(seconds=s)) for s in offsets]
-    assert _after(t0, np.array(offsets, dtype=float)).tolist() == want
+    got = _to_us(t0) + _seconds_to_us(np.array(offsets, dtype=float))
+    assert got.tolist() == want
