@@ -237,12 +237,12 @@ class AlarmTargetIndex:
         ))
         pk, pj = (np.concatenate(parts) for parts in zip(*blocks))
         keep = a_trig[pj] != pk
-        self._pk = pk[keep]
-        self._pj = pj[keep]
-        self._pair_start = rows["start_us"][self._pj]
-        self._pair_end = rows["end_us"][self._pj]
+        self._pk, self._pj = pk[keep], pj[keep]
+        self._pair_start, self._pair_end = rows["start_us"][self._pj], rows["end_us"][self._pj]
+        # verdict code per pair: 1 if the target reaches the alarm's floor, else 2 (NaN too)
         with np.errstate(invalid="ignore"):
-            self._pair_floor_ok = t_mag[self._pk] >= rows["mag_floor"][self._pj]
+            floor_ok = t_mag[self._pk] >= rows["mag_floor"][self._pj]
+        self._code = np.where(floor_ok, np.uint8(1), np.uint8(2))
         # pairs come sorted by target; segment boundaries for reduceat
         self._uniq_k, self._seg_idx = np.unique(self._pk, return_index=True)
 
@@ -250,15 +250,16 @@ class AlarmTargetIndex:
     def n_pairs(self) -> int:
         return int(self._pk.size)
 
+    def _covered(self, t_pair: np.ndarray) -> np.ndarray:
+        """Whether each pair's alarm window (start, end] holds its gathered time."""
+        return (t_pair > self._pair_start) & (t_pair <= self._pair_end)
+
     def _predicted_rows(self, times_rows: np.ndarray) -> np.ndarray:
         """Prediction flags of the paired targets (columns ``_uniq_k``) for
-        each row of event times; needs at least one pair."""
-        t_pair = times_rows[:, self._pk]
-        covered = (t_pair > self._pair_start) & (t_pair <= self._pair_end)
-        del t_pair
-        good = np.logical_or.reduceat(covered & self._pair_floor_ok, self._seg_idx, axis=1)
-        bad = np.logical_or.reduceat(covered & ~self._pair_floor_ok, self._seg_idx, axis=1)
-        return good & ~bad
+        each row of event times; needs at least one pair. A target's covered
+        codes OR to 0 (uncovered), 1 (predicted) or 2-3 (outranked)."""
+        covered = self._covered(times_rows[:, self._pk])
+        return np.bitwise_or.reduceat(covered * self._code, self._seg_idx, axis=1) == 1
 
     def predicted_mask(self, times_us: np.ndarray) -> np.ndarray:
         """Per-target prediction flags for one assignment of event times."""
@@ -287,8 +288,7 @@ class AlarmTargetIndex:
 
     def successful_alarms(self, times_us: np.ndarray) -> int:
         """Alarms containing at least one target above their floor."""
-        t_pair = _instants(times_us)[self._pk]
-        hit = (t_pair > self._pair_start) & (t_pair <= self._pair_end) & self._pair_floor_ok
+        hit = self._covered(_instants(times_us)[self._pk]) & (self._code == 1)
         return int(np.unique(self._pj[hit]).size)
 
 

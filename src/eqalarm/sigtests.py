@@ -408,8 +408,8 @@ def _scheme_probs(
     """
     if avg_occupied_cells is None:
         avg_occupied_cells = float(np.sum(1.0 - np.exp(-rates)))
-    if avg_occupied_cells <= 0.0:
-        raise ValueError("average number of occupied cells must be positive")
+    if not (math.isfinite(avg_occupied_cells) and avg_occupied_cells > 0.0):
+        raise ValueError(f"average occupied cells {avg_occupied_cells} not positive and finite")
     raw = rates * (n_predicted / avg_occupied_cells)
     clipped = int((raw > 1.0).sum())
     return np.clip(raw, 0.0, 1.0), clipped
@@ -459,7 +459,8 @@ def r_score_baseline(
     proportional to its historical rate; scheme 3 draws n_predicted cells
     without replacement with those same probabilities as weights
     (sequential renormalized draws, sampled by exponential keys). Replicates
-    are drawn as keyed blocks of ``rng``, like permutation replicates.
+    are drawn as keyed blocks of ``rng``, like permutation replicates. Rates
+    must be finite and nonnegative, and n_predicted nonnegative.
     """
     if n_reps < 1:
         raise ValueError(f"n_reps must be >= 1, got {n_reps}")
@@ -467,8 +468,10 @@ def r_score_baseline(
     n_cells = occurred.size
     if scheme not in (1, 2, 3):
         raise ValueError(f"scheme must be 1, 2, or 3, got {scheme!r}")
-    if scheme in (1, 3) and not 0 <= n_predicted <= n_cells:
-        raise ValueError(f"n_predicted {n_predicted} outside [0, {n_cells}]")
+    # scheme 2 predicts each cell by its own coin, so only its sign is bounded
+    upper = n_cells if scheme in (1, 3) else math.inf
+    if not 0 <= n_predicted <= upper:
+        raise ValueError(f"n_predicted {n_predicted} outside [0, {upper}]")
     probs = None
     n_clipped = 0
     if scheme in (2, 3):
@@ -477,6 +480,9 @@ def r_score_baseline(
         rates_arr = np.asarray(rates, dtype=float)
         if rates_arr.size != n_cells:
             raise ValueError("rates and outcomes differ in length")
+        bad = np.flatnonzero(~np.isfinite(rates_arr) | (rates_arr < 0.0))
+        if bad.size:
+            raise ValueError(f"rate of cell {bad[0]} is {rates_arr[bad[0]]}, not finite and >= 0")
         probs, n_clipped = _scheme_probs(rates_arr, n_predicted, avg_occupied_cells)
 
     n_occurred, n_aseismic = _r_score_denominators(occurred)

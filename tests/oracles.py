@@ -2,7 +2,7 @@
 for the vectorised paths in ``eqalarm``: point distance, region
 containment and window-table lookup, the rounding of durations to
 microseconds, the catalog invariants and the magnitude/window filter,
-alarm generation, the membership rule,
+alarm generation, the membership rule, alarm success,
 declustering, the alarm measure, the Monte-Carlo union volume, the
 gamma-renewal running sums, the scheme-3 weighted sampling of R-score
 baselines and the reference time-permutation shuffle."""
@@ -132,6 +132,21 @@ def is_predicted(event, alarm_set, selector: str = "mb") -> bool:
     if magnitude is None:
         return False
     return magnitude >= max(covering_floors)
+
+
+def successful_alarm_count(alarm_set, events, selector: str = "mb") -> int:
+    """Alarms that cover some event other than their own trigger whose
+    magnitude is present and reaches the alarm's floor, one alarm at a time."""
+    return sum(
+        any(
+            e.source_id != a.trigger_id
+            and alarm_covers(a, e.time, e.epicenter)
+            and (m := e.magnitude(selector)) is not None
+            and m >= a.mag_floor
+            for e in events
+        )
+        for a in alarm_set.alarms
+    )
 
 
 def decluster_deleted(catalog, windows, retained_only: bool = False) -> tuple[int, ...]:

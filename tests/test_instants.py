@@ -1,8 +1,10 @@
 """Instants compare as exact int64 microseconds: the index, declustering and
 the alarm windows give the same answers wherever a catalog sits in time,
-durations round to microseconds as timedelta rounds them, and the index
-refuses float times."""
+durations round to microseconds as timedelta rounds them, the index agrees
+with the per-event oracles under reassigned times, and it refuses float
+times."""
 
+import dataclasses
 import math
 from datetime import datetime, timedelta, timezone
 
@@ -126,6 +128,33 @@ def test_common_shift_changes_nothing(inputs, start_us, random):
     shift = start_us - min(t for t, *_ in rows)
     shifted = [(t + shift, *rest) for t, *rest in rows]
     assert _outcomes(shifted, days, permutations) == _outcomes(rows, days, permutations)
+
+
+@settings(max_examples=100, deadline=None)
+@given(edge_catalogs(), st.randoms(use_true_random=False))
+def test_reassigned_times_match_the_oracles(inputs, random):
+    # the count kernel and alarm success under permuted times, against the
+    # per-event membership rule and the per-alarm success rule
+    rows, days = inputs
+    cat = catalog_at(rows)
+    n = len(rows)
+    permutations = np.array(
+        [list(range(n))] + [random.sample(range(n), n) for _ in range(3)], dtype=np.int64
+    )
+    times = cat.rows["time_us"]
+    for rule in FloorRule:
+        alarm_set = generate_alarms(cat, 5.5, days, 50.0, rule)
+        index = AlarmTargetIndex(cat, alarm_set)
+        predicted = []
+        for perm in permutations:
+            events = [
+                dataclasses.replace(e, time=_from_us(t))
+                for e, t in zip(cat.events, times[perm].tolist())
+            ]
+            predicted.append(sum(oracles.is_predicted(e, alarm_set) for e in events))
+            want = oracles.successful_alarm_count(alarm_set, events)
+            assert index.successful_alarms(times[perm]) == want
+        assert index.counts_for_time_matrix(times[permutations]).tolist() == predicted
 
 
 class TestRounding:

@@ -1,5 +1,6 @@
 import itertools
 import math
+from datetime import datetime, timedelta, timezone
 from fractions import Fraction
 
 import numpy as np
@@ -35,17 +36,18 @@ def oracle_exact_pvalue(catalog, mag_threshold, window_days, radius_km, floor_ru
 
     Alarms keep the original catalog's trigger times; an event is predicted
     under an assignment iff a covering alarm from a different trigger exists
-    and its magnitude reaches the largest covering floor.
+    and its magnitude reaches the largest covering floor. Times compare as
+    exact datetimes.
     """
     targets = filter_catalog(catalog, mag_threshold)
     events = targets.events
     n = len(events)
-    window_s = window_days * 86400.0
+    window = timedelta(seconds=window_days * 86400)
     alarms = []
     for e in events:
         m = e.magnitude(targets.magnitude_selector)
         floor = mag_threshold if floor_rule is FloorRule.THRESHOLD else m
-        alarms.append((e.epicenter, e.time.timestamp(), floor, e.source_id))
+        alarms.append((e.epicenter, e.time, floor, e.source_id))
 
     def count(times):
         total = 0
@@ -54,7 +56,7 @@ def oracle_exact_pvalue(catalog, mag_threshold, window_days, radius_km, floor_ru
             for center, t_start, floor, trig_id in alarms:
                 if trig_id == e.source_id:
                     continue
-                if not (t_start < times[k] <= t_start + window_s):
+                if not (t_start < times[k] <= t_start + window):
                     continue
                 if great_circle_km(center, e.epicenter) > radius_km:
                     continue
@@ -63,7 +65,7 @@ def oracle_exact_pvalue(catalog, mag_threshold, window_days, radius_km, floor_ru
                 total += 1
         return total
 
-    base = [e.time.timestamp() for e in events]
+    base = [e.time for e in events]
     observed = count(base)
     hits = 0
     total = 0
@@ -162,6 +164,20 @@ class TestExactPermutation:
                 lib = exact_permutation_pvalue(cat, 5.5, floor_rule=rule)
                 oracle = oracle_exact_pvalue(cat, 5.5, 21.0, 50.0, rule)
                 assert lib == oracle, (rows, rule)
+
+    def test_target_one_microsecond_past_the_window_in_2900(self):
+        # float POSIX seconds this far from 1970 merge the M5.6 into the M6's
+        # window; identity then counts 1 and half the orders reach it
+        rows = [
+            (0.0, 0.0, 0.0, 6.0),
+            (21.0 + 1e-6 / 86_400, 0.1, 0.0, 5.6),
+            (10.0, 30.0, 30.0, 5.7),
+        ]
+        cat = make_catalog(rows, t_start=datetime(2900, 1, 1, tzinfo=timezone.utc))
+        assert cat.events[-1].time - cat.events[0].time == timedelta(days=21, microseconds=1)
+        lib = exact_permutation_pvalue(cat, 5.5, floor_rule=FloorRule.THRESHOLD)
+        assert lib == Fraction(1, 1)
+        assert oracle_exact_pvalue(cat, 5.5, 21.0, 50.0, FloorRule.THRESHOLD) == lib
 
     def test_monte_carlo_agrees_with_exact(self):
         cat = make_catalog(FIVE_EVENT_FIXTURE)
@@ -437,6 +453,26 @@ class TestRScoreBaselines:
         )
         # simulated R reaches 1 only when the single occupied cell is chosen
         assert report.p_estimate == pytest.approx(0.25, abs=3 * math.sqrt(0.25 * 0.75 / 2000))
+
+    @pytest.mark.parametrize(
+        "scheme, rates, cell",
+        [(2, [math.nan, 1.0, 1.0, 1.0], 0), (3, [1.0, 1.0, -1.0, 1.0], 2),
+         (2, [1.0, math.inf, 1.0, 1.0], 1)],
+    )
+    def test_bad_rate_named(self, scheme, rates, cell):
+        with pytest.raises(ValueError, match=f"rate of cell {cell} "):
+            r_score_baseline(scheme, rates, 2, (True, False, True, False), 200, Rng(0))
+
+    def test_negative_n_predicted_scheme2(self):
+        with pytest.raises(ValueError, match="n_predicted -3"):
+            r_score_baseline(2, [1.0] * 4, -3, (True, False, True, False), 200, Rng(0))
+
+    def test_nan_avg_occupied_cells(self):
+        with pytest.raises(ValueError, match="occupied cells"):
+            r_score_baseline(
+                2, [1.0] * 4, 2, (True, False, True, False), 200, Rng(0),
+                avg_occupied_cells=math.nan,
+            )
 
     def test_validation(self):
         with pytest.raises(ValueError):
