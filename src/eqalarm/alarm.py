@@ -143,14 +143,6 @@ class AlarmSet:
         )
 
 
-def _alarm_arrays(alarm_set: AlarmSet) -> tuple[np.ndarray, ...]:
-    """Per-alarm centre latitude and longitude, radius (km), and window
-    start and end (POSIX seconds); the first three are views of the rows."""
-    rows = alarm_set.rows
-    start_s, end_s = rows["start_us"] / 1e6, rows["end_us"] / 1e6
-    return rows["lat"], rows["lon"], rows["radius_km"], start_s, end_s
-
-
 def generate_alarms(
     catalog: Catalog,
     mag_threshold: float,
@@ -402,12 +394,11 @@ def union_volume_fraction_mc(
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
     g = as_generator(rng)
     lat, lon = sv.region.sample(n_samples, g)
-    t0 = sv.t_start.timestamp()
-    times = t0 + g.uniform(0.0, sv.duration_s, size=n_samples)
-    a_lat, a_lon, a_radius, a_start, a_end = _alarm_arrays(alarm_set)
+    times = _to_us(sv.t_start) + _seconds_to_us(g.uniform(0.0, sv.duration_s, size=n_samples))
+    rows = alarm_set.rows
     hit = np.zeros(n_samples, dtype=bool)
-    for k, j in pair_blocks(lat, lon, a_lat, a_lon, a_radius):
-        in_time = (times[k] > a_start[j]) & (times[k] <= a_end[j])
+    for k, j in pair_blocks(lat, lon, rows["lat"], rows["lon"], rows["radius_km"]):
+        in_time = (times[k] > rows["start_us"][j]) & (times[k] <= rows["end_us"][j])
         hit[k[in_time]] = True
     p_hat = float(hit.mean())
     stderr = math.sqrt(p_hat * (1.0 - p_hat) / n_samples)

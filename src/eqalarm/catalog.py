@@ -62,12 +62,9 @@ def parse_instant(text: str) -> datetime:
 
 
 def format_instant(t: datetime) -> str:
-    """Canonical ISO-8601 UTC rendering with a Z suffix."""
-    t = _as_utc(t)
-    base = t.strftime("%Y-%m-%dT%H:%M:%S")
-    if t.microsecond:
-        return f"{base}.{t.microsecond:06d}Z"
-    return base + "Z"
+    """Canonical ISO-8601 UTC rendering with a Z suffix: a four-digit year,
+    and microseconds only when nonzero."""
+    return _as_utc(t).replace(tzinfo=None).isoformat() + "Z"
 
 
 def _as_utc(t: datetime) -> datetime:

@@ -28,12 +28,11 @@ from .alarm import (
     AlarmSet,
     AlarmTargetIndex,
     FloorRule,
-    _alarm_arrays,
     generate_alarms,
     pair_blocks,
     rows_within_budget,
 )
-from .catalog import Catalog, _as_utc, filter_catalog
+from .catalog import Catalog, _to_us, filter_catalog
 from .geo import GeoPoint
 
 MAX_EXACT_EVENTS = 8
@@ -228,7 +227,11 @@ def exact_permutation_pvalue(
     observed = index.count_predicted(times)
     if n == 0:
         return Fraction(1, 1)
-    perms = np.array(list(itertools.permutations(range(n))), dtype=np.int64)
+    perms = np.fromiter(
+        itertools.chain.from_iterable(itertools.permutations(range(n))),
+        np.int64,
+        count=n * math.factorial(n),
+    ).reshape(-1, n)
     counts = index.counts_for_time_matrix(times[perms])
     return Fraction(int((counts >= observed).sum()), len(perms))
 
@@ -297,47 +300,33 @@ def alarm_measure_pi(
 ) -> float:
     """Normalized alarm measure: counting measure in space, uniform in time.
 
-    For each historical epicenter, the fraction of the interval during
-    which some alarm covers that point, by exact interval-union arithmetic;
-    pi is the average of those fractions over the epicenters.
+    For each historical epicenter, the microseconds of the interval during
+    which some alarm covers that point; pi is their exact integer total over
+    the interval's length times the number of epicenters, one correctly
+    rounded division.
     """
     if not historical_epicenters:
         raise ValueError("historical_epicenters must be nonempty")
-    t_start, t_end = (_as_utc(t) for t in t_interval)
-    t0 = t_start.timestamp()
-    t1 = t_end.timestamp()
+    t0, t1 = (_to_us(t) for t in t_interval)
     if not t0 < t1:
         raise ValueError("t_interval is empty")
     lat = np.array([p.lat for p in historical_epicenters], dtype=float)
     lon = np.array([p.lon for p in historical_epicenters], dtype=float)
-    a_lat, a_lon, a_radius, a_start, a_end = _alarm_arrays(alarm_set)
-    total = 0.0
-    for k, j in pair_blocks(lat, lon, a_lat, a_lon, a_radius):
-        lo = np.maximum(a_start[j], t0)
-        hi = np.minimum(a_end[j], t1)
+    rows = alarm_set.rows
+    covered = 0
+    for k, j in pair_blocks(lat, lon, rows["lat"], rows["lon"], rows["radius_km"]):
+        lo = np.maximum(rows["start_us"][j], t0)
+        hi = np.minimum(rows["end_us"][j], t1)
         keep = hi > lo
         k, lo, hi = k[keep], lo[keep], hi[keep]
-        order = np.lexsort((hi, lo, k))
-        # one sorted segment list per epicenter, in epicenter order; an
-        # epicenter without segments adds 0.0, which leaves the sum as is
-        groups = np.flatnonzero(np.diff(k[order])) + 1
-        for starts, ends in zip(np.split(lo[order], groups), np.split(hi[order], groups)):
-            total += _union_length(starts.tolist(), ends.tolist()) / (t1 - t0)
-    return total / len(historical_epicenters)
-
-
-def _union_length(starts: list[float], ends: list[float]) -> float:
-    """Length of the union of intervals sorted by (start, end)."""
-    covered = 0.0
-    end = -math.inf
-    for lo, hi in zip(starts, ends):
-        if lo > end:
-            covered += hi - lo
-            end = hi
-        elif hi > end:
-            covered += hi - end
-            end = hi
-    return covered
+        # sorting an epicenter's starts and its ends apart keeps its coverage
+        # depth, so its union is that of the sorted (start, end) pairs, each of
+        # which adds what lies past the previous pair's end
+        lo, hi = lo[np.lexsort((lo, k))], hi[np.lexsort((hi, k))]
+        prev_end = np.where(np.diff(k, prepend=-1) == 0, np.roll(hi, 1), lo)
+        # Python ints: a block's total can pass int64 on a long interval
+        covered += int(np.maximum(hi - np.maximum(lo, prev_end), 0).sum(dtype=object))
+    return covered / ((t1 - t0) * len(historical_epicenters))
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,6 @@ baselines and the reference time-permutation shuffle."""
 from __future__ import annotations
 
 import itertools
-import math
 from bisect import bisect_right
 from datetime import timedelta
 
@@ -18,7 +17,7 @@ import numpy as np
 
 from eqalarm import Alarm, FloorRule, GlobalSphere, LatLonBox, SphericalCap
 from eqalarm._random import as_generator
-from eqalarm.catalog import SECONDS_PER_DAY, _as_utc
+from eqalarm.catalog import SECONDS_PER_DAY, _as_utc, _to_us
 from eqalarm.geo import great_circle_km_arrays
 
 
@@ -194,40 +193,38 @@ def decluster_deleted(catalog, windows, retained_only: bool = False) -> tuple[in
 
 
 def alarm_measure_pi(alarm_set, historical_epicenters, t_interval) -> float:
-    """``sigtests.alarm_measure_pi`` by a scalar epicenter x alarm loop."""
-    t0, t1 = (_as_utc(t).timestamp() for t in t_interval)
-    total = 0.0
+    """``sigtests.alarm_measure_pi`` by a scalar epicenter x alarm loop in
+    microseconds: the covered microseconds summed over the epicenters, over
+    the interval's length times their number."""
+    t0, t1 = (_to_us(t) for t in t_interval)
+    covered = 0
     for point in historical_epicenters:
         segments = []
         for a in alarm_set.alarms:
-            lo = max(a.t_start.timestamp(), t0)
-            hi = min(a.t_end.timestamp(), t1)
+            lo = max(_to_us(a.t_start), t0)
+            hi = min(_to_us(a.t_end), t1)
             if hi <= lo:
                 continue
             if great_circle_km(a.center, point) <= a.radius_km:
                 segments.append((lo, hi))
-        covered = 0.0
-        end = -math.inf
+        end = t0
         for lo, hi in sorted(segments):
-            if lo > end:
-                covered += hi - lo
+            if hi > end:
+                covered += hi - max(lo, end)
                 end = hi
-            elif hi > end:
-                covered += hi - end
-                end = hi
-        total += covered / (t1 - t0)
-    return total / len(historical_epicenters)
+    return covered / ((t1 - t0) * len(historical_epicenters))
 
 
 def union_volume_hit_fraction(alarm_set, sv, n_samples: int, rng) -> float:
     """``union_volume_fraction_mc``'s estimate by a per-alarm loop over the
-    same samples."""
+    same samples, each rounded to microseconds as timedelta rounds it."""
     g = as_generator(rng)
     lat, lon = sv.region.sample(n_samples, g)
-    times = sv.t_start.timestamp() + g.uniform(0.0, sv.duration_s, size=n_samples)
+    offsets = g.uniform(0.0, sv.duration_s, size=n_samples).tolist()
+    times = np.array([_to_us(sv.t_start) + seconds_to_us(s) for s in offsets], dtype=np.int64)
     hit = np.zeros(n_samples, dtype=bool)
     for a in alarm_set.alarms:
-        in_time = (times > a.t_start.timestamp()) & (times <= a.t_end.timestamp())
+        in_time = (times > _to_us(a.t_start)) & (times <= _to_us(a.t_end))
         idx = np.nonzero(in_time & ~hit)[0]
         if idx.size == 0:
             continue

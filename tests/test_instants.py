@@ -1,18 +1,22 @@
-"""Instants compare as exact int64 microseconds: the index, declustering and
-the alarm windows give the same answers wherever a catalog sits in time,
-durations round to microseconds as timedelta rounds them, the index agrees
-with the per-event oracles under reassigned times, and it refuses float
-times."""
+"""Instants compare as exact int64 microseconds: the index, declustering,
+the alarm windows, the alarm measure and the union volume give the same
+answers wherever a catalog sits in time, durations round to microseconds as
+timedelta rounds them, the index agrees with the per-event oracles under
+reassigned times, it refuses float times, and no module of the package
+converts an instant to float seconds."""
 
+import ast
 import dataclasses
 import math
 from datetime import datetime, timedelta, timezone
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import eqalarm
 from eqalarm import (
     AlarmTargetIndex,
     Catalog,
@@ -20,10 +24,13 @@ from eqalarm import (
     FloorRule,
     GeoPoint,
     GlobalSphere,
+    SphericalCap,
     StudyVolume,
+    alarm_measure_pi,
     count_predicted,
     decluster,
     generate_alarms,
+    union_volume_fraction_mc,
 )
 from eqalarm.catalog import _OVERLONG_DAYS, SECONDS_PER_DAY, _from_us, _seconds_to_us, _to_us
 from eqalarm.decluster import WindowRow, WindowTable
@@ -128,6 +135,58 @@ def test_common_shift_changes_nothing(inputs, start_us, random):
     shift = start_us - min(t for t, *_ in rows)
     shifted = [(t + shift, *rest) for t, *rest in rows]
     assert _outcomes(shifted, days, permutations) == _outcomes(rows, days, permutations)
+
+
+def _measures(rows, days, interval_us, seed):
+    """The alarm measure over the catalog's epicenters and the union-volume
+    estimate near them, for the catalog of ``rows`` and an interval in µs."""
+    cat = catalog_at(rows)
+    alarm_set = generate_alarms(cat, 5.5, days, 50.0)
+    interval = tuple(_from_us(t) for t in interval_us)
+    pi = alarm_measure_pi(alarm_set, [e.epicenter for e in cat.events], interval)
+    sv = StudyVolume(SphericalCap(GeoPoint(0.0, 0.0), 60.0), *interval)
+    return pi, union_volume_fraction_mc(alarm_set, sv, 500, seed).estimate
+
+
+def _days_after_2000(year: int) -> int:
+    return (utc(year, 1, 1) - utc(2000, 1, 1)).days
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    edge_catalogs(),
+    st.data(),
+    st.one_of(
+        st.integers(_days_after_2000(1600), _days_after_2000(1699)),
+        st.integers(_days_after_2000(2900), _days_after_2000(2999)),
+    ),
+    st.integers(0, 2**32 - 1),
+)
+def test_common_shift_keeps_the_measures(inputs, data, shift_days, seed):
+    # the interval's ends fall on or within 2 µs of an alarm's start or end
+    rows, days = inputs
+    window_us = oracles.seconds_to_us(days * SECONDS_PER_DAY)
+    edges = [t + d for t, *_ in rows for d in (0, window_us)]
+    edge_st = st.sampled_from(edges).flatmap(lambda t: st.integers(t - 2, t + 2))
+    interval = sorted(data.draw(st.lists(edge_st, min_size=2, max_size=2, unique=True)))
+    shift = shift_days * 86_400 * 10**6
+    shifted = [(t + shift, *rest) for t, *rest in rows]
+    want = _measures(rows, days, interval, seed)
+    assert _measures(shifted, days, [t + shift for t in interval], seed) == want
+
+
+def test_no_module_calls_timestamp():
+    # .timestamp() turns an instant into float seconds, which merge adjacent
+    # microseconds far from 1970
+    calls = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(Path(eqalarm.__file__).parent.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "timestamp"
+    ]
+    assert calls == []
 
 
 @settings(max_examples=100, deadline=None)

@@ -29,8 +29,8 @@ from eqalarm import (
     format_instant,
     generate_alarms,
     parse_csv,
+    parse_instant,
 )
-from eqalarm.alarm import _alarm_arrays
 
 from conftest import make_catalog
 from oracles import alarms_per_trigger, catalog_invariant_error, filter_events
@@ -171,6 +171,24 @@ def test_empty_and_one_event_round_trip():
         assert parse_csv(dumps_csv(once)) == once
 
 
+def test_csv_round_trip_before_year_1000():
+    # instants before 1000 are written with a four-digit year, as parse_instant needs
+    evs = (
+        Event(datetime(1, 1, 1, tzinfo=timezone.utc), GeoPoint(0.0, 0.0), 10.0, 6.0, None, "a"),
+        Event(datetime(999, 3, 1, tzinfo=timezone.utc), GeoPoint(1.0, 2.0), 5.0, 5.5, None, "b"),
+        Event(datetime(999, 3, 1, 0, 0, 0, 5, timezone.utc), GeoPoint(0.0, 0.1), 5.0, None, 6.5, "c"),
+    )
+    cat = Catalog(evs, envelope(evs))
+    text = dumps_csv(cat)
+    assert "\n0999-03-01T00:00:00Z," in text and "\n0999-03-01T00:00:00.000005Z," in text
+    assert parse_csv(text) == cat
+    alarm_set = generate_alarms(cat, 5.5)
+    lines = dumps_alarms_csv(alarm_set).splitlines()[1:]
+    for line, a in zip(lines, alarm_set.alarms, strict=True):
+        trigger, _, _, _, start, end, _ = line.split(",")
+        assert [parse_instant(t) for t in (trigger, start, end)] == [a.t_start, a.t_start, a.t_end]
+
+
 class TestReadOnly:
     def test_rows_cannot_be_written(self):
         cat = make_catalog([(1.0, 10.0, 20.0, 6.0)])
@@ -236,20 +254,6 @@ def test_alarm_csv_matches_per_alarm_rendering(alarm_list):
         for a in alarm_list
     ]
     assert dumps_alarms_csv(AlarmSet(alarm_list)).splitlines()[1:] == want
-
-
-@SETTINGS
-@given(st.lists(alarms(), max_size=8))
-def test_alarm_arrays_are_exact_timestamps(alarm_list):
-    lat, lon, radius, start, end = _alarm_arrays(AlarmSet(alarm_list))
-    for got, want in (
-        (lat, [a.center.lat for a in alarm_list]),
-        (lon, [a.center.lon for a in alarm_list]),
-        (radius, [a.radius_km for a in alarm_list]),
-        (start, [a.t_start.timestamp() for a in alarm_list]),
-        (end, [a.t_end.timestamp() for a in alarm_list]),
-    ):
-        assert got.tobytes() == np.array(want, dtype=float).tobytes()
 
 
 @SETTINGS

@@ -358,6 +358,14 @@ class TestAlarmMeasurePi:
         with pytest.raises(ValueError):
             alarm_measure_pi(AlarmSet(()), [], self.interval())
 
+    def test_covered_total_past_int64(self):
+        # 30 epicenters covered through the whole datetime range hold about
+        # 9.5e18 covered microseconds, more than an int64 sum holds
+        p = GeoPoint(0, 0)
+        interval = (datetime(1, 1, 1, tzinfo=timezone.utc), datetime.max)
+        alarms = AlarmSet((Alarm(p, 100.0, *interval, 5.5),))
+        assert alarm_measure_pi(alarms, [p] * 30, interval) == 1.0
+
 
 class TestRScore:
     def test_perfect_prediction(self):
