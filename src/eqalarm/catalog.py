@@ -85,8 +85,15 @@ def _from_us(us: int) -> datetime:
 def _seconds_to_us(seconds) -> np.ndarray:
     """Microseconds in each duration of ``seconds`` >= 0, rounded as timedelta
     rounds them (half to even) after clamping at _OVERLONG_DAYS, so they fit int64."""
-    frac, whole = np.modf(np.minimum(seconds, _OVERLONG_DAYS * SECONDS_PER_DAY))
-    return whole.astype(np.int64) * 10**6 + np.rint(frac * 1e6).astype(np.int64)
+    # in place where the steps allow: at most three arrays the size of the
+    # input are alive at once, and the copy ends up holding the fraction
+    x = np.array(seconds, dtype=float)
+    np.minimum(x, _OVERLONG_DAYS * SECONDS_PER_DAY, out=x)
+    us = np.modf(x, out=(x, None))[1].astype(np.int64)
+    us *= 10**6
+    x *= 1e6
+    us += np.rint(x, out=x).astype(np.int64)
+    return us[()]
 
 
 def _checked_row(time_us, epicenter, depth_km, mb, ms, source_id) -> tuple:

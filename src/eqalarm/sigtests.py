@@ -13,8 +13,6 @@ alarm successes, and the grid R-score with its three randomized baselines.
 
 from __future__ import annotations
 
-import itertools
-import math
 from dataclasses import dataclass, field
 from datetime import datetime
 from fractions import Fraction
@@ -109,22 +107,25 @@ def _replicate_chunks(key: Rng, n_reps: int, bytes_per_row: int):
             yield lo, min(lo + chunk, block_hi), g
 
 
-def _simulated_counts(
-    index: AlarmTargetIndex, times_us: np.ndarray, n_reps: int, key: Rng
-) -> np.ndarray:
-    """Predicted-event counts under n_reps random permutations of times_us.
+def _simulated_counts(index: AlarmTargetIndex, n_reps: int, key: Rng) -> np.ndarray:
+    """Predicted-event counts under n_reps random permutations of the targets' times.
 
-    Each chunk holds the tiled times, shuffled in place row by row, and the
-    count kernel's arrays; consecutive permuted calls on row chunks draw the
-    same stream as one call on the whole block.
+    Each chunk holds rows of the time positions ``range(n_targets)``,
+    shuffled in place row by row; consecutive permuted calls on row chunks
+    draw the same stream as one call on the whole block, and the draws do
+    not depend on the values shuffled, so the positions move as the times
+    would. The chunks refill one array, the size of the first and largest.
     """
-    n = times_us.size
+    n = index.n_targets
     counts = np.empty(n_reps, dtype=np.int64)
-    bytes_per_row = 8 * n + index.BYTES_PER_PAIR * index.n_pairs
-    for lo, hi, g in _replicate_chunks(key, n_reps, bytes_per_row):
-        rows = np.tile(times_us, (hi - lo, 1))
-        g.permuted(rows, axis=1, out=rows)
-        counts[lo:hi] = index.counts_for_time_matrix(rows)
+    rows = np.empty((0, n), dtype=np.intp)
+    for lo, hi, g in _replicate_chunks(key, n_reps, rows.itemsize * n):
+        if len(rows) < hi - lo:
+            rows = np.empty((hi - lo, n), dtype=np.intp)
+        chunk = rows[: hi - lo]
+        chunk[:] = np.arange(n)
+        g.permuted(chunk, axis=1, out=chunk)
+        counts[lo:hi] = index.counts_for_time_matrix(chunk)
     return counts
 
 
@@ -149,7 +150,7 @@ def permutation_test_fixed_alarms(
     index = AlarmTargetIndex(targets, alarm_set)
     times = targets.rows["time_us"]
     observed = index.count_predicted(times)
-    sims = _simulated_counts(index, times, n_reps, key)
+    sims = _simulated_counts(index, n_reps, key)
     sims_geq = int((sims >= observed).sum())
     report = TestReport(
         observed=float(observed),
@@ -227,13 +228,24 @@ def exact_permutation_pvalue(
     observed = index.count_predicted(times)
     if n == 0:
         return Fraction(1, 1)
-    perms = np.fromiter(
-        itertools.chain.from_iterable(itertools.permutations(range(n))),
-        np.int64,
-        count=n * math.factorial(n),
-    ).reshape(-1, n)
-    counts = index.counts_for_time_matrix(times[perms])
+    perms = _all_orderings(n)
+    counts = index.counts_for_time_matrix(perms)
     return Fraction(int((counts >= observed).sum()), len(perms))
+
+
+def _all_orderings(n: int) -> np.ndarray:
+    """The n! orderings of range(n) as rows, in itertools.permutations order:
+    block v of the orderings of range(m) is v followed by the orderings of
+    range(m - 1), each entry from v up shifted by one."""
+    rows = np.zeros((1, 0), dtype=np.intp)
+    for m in range(1, n + 1):
+        out = np.empty((m, len(rows), m), dtype=np.intp)
+        out[:, :, 0] = np.arange(m)[:, None]
+        tail = out[:, :, 1:]
+        tail[...] = rows
+        tail += tail >= out[:, :, :1]
+        rows = out.reshape(-1, m)
+    return rows
 
 
 def binomial_tail_pvalue(s: int, q: int, pi: float) -> float:
@@ -397,7 +409,7 @@ def _scheme_probs(
     """
     if avg_occupied_cells is None:
         avg_occupied_cells = float(np.sum(1.0 - np.exp(-rates)))
-    if not (math.isfinite(avg_occupied_cells) and avg_occupied_cells > 0.0):
+    if not (np.isfinite(avg_occupied_cells) and avg_occupied_cells > 0.0):
         raise ValueError(f"average occupied cells {avg_occupied_cells} not positive and finite")
     raw = rates * (n_predicted / avg_occupied_cells)
     clipped = int((raw > 1.0).sum())
@@ -458,7 +470,7 @@ def r_score_baseline(
     if scheme not in (1, 2, 3):
         raise ValueError(f"scheme must be 1, 2, or 3, got {scheme!r}")
     # scheme 2 predicts each cell by its own coin, so only its sign is bounded
-    upper = n_cells if scheme in (1, 3) else math.inf
+    upper = n_cells if scheme in (1, 3) else np.inf
     if not 0 <= n_predicted <= upper:
         raise ValueError(f"n_predicted {n_predicted} outside [0, {upper}]")
     probs = None

@@ -2,7 +2,8 @@
 for the vectorised paths in ``eqalarm``: point distance, region
 containment and window-table lookup, the rounding of durations to
 microseconds, the catalog invariants and the magnitude/window filter,
-alarm generation, the membership rule, alarm success,
+alarm generation, the membership rule, alarm success, the batched
+pair kernel that counts predicted events over rows of event times,
 declustering, the alarm measure, the Monte-Carlo union volume, the
 gamma-renewal running sums, the scheme-3 weighted sampling of R-score
 baselines and the reference time-permutation shuffle."""
@@ -146,6 +147,22 @@ def successful_alarm_count(alarm_set, events, selector: str = "mb") -> int:
         )
         for a in alarm_set.alarms
     )
+
+
+def pair_kernel_counts(index, times_matrix) -> np.ndarray:
+    """Predicted-event counts of an AlarmTargetIndex for each row of event
+    times, by the batched pair kernel: gather each pair's target time, test
+    it against the alarm window (start, end], and OR the covered pairs'
+    verdict codes (1 reaches the floor, 2 does not) per target with one
+    reduceat; a target whose codes OR to 1 is predicted."""
+    times_matrix = np.asarray(times_matrix, dtype=np.int64)
+    if index.n_pairs == 0:
+        return np.zeros(len(times_matrix), dtype=np.int64)
+    t_pair = times_matrix[:, index._pk]
+    covered = (t_pair > index._pair_start) & (t_pair <= index._pair_end)
+    _, segments = np.unique(index._pk, return_index=True)
+    codes = np.bitwise_or.reduceat(covered * index._code, segments, axis=1)
+    return (codes == 1).sum(axis=1)
 
 
 def decluster_deleted(catalog, windows, retained_only: bool = False) -> tuple[int, ...]:

@@ -380,10 +380,10 @@ class TestKernelAgreesWithScalarPath:
         aset = generate_alarms(cat, 5.5, floor_rule=FloorRule.TRIGGER)
         index = AlarmTargetIndex(cat, aset)
         times = cat.rows["time_us"]
-        matrix = np.stack([rng.permutation(times) for _ in range(25)])
+        matrix = np.stack([rng.permutation(len(times)) for _ in range(25)])
         counts = index.counts_for_time_matrix(matrix)
         for row, expected in zip(matrix, counts):
-            assert index.count_predicted(row) == expected
+            assert index.count_predicted(times[row]) == expected
 
 
 class TestEligibilityEquivalence:

@@ -10,6 +10,7 @@ import dataclasses
 import math
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -36,6 +37,7 @@ from eqalarm.catalog import _OVERLONG_DAYS, SECONDS_PER_DAY, _from_us, _seconds_
 from eqalarm.decluster import WindowRow, WindowTable
 
 import oracles
+from conftest import traced_peak
 
 
 def utc(*args) -> datetime:
@@ -121,7 +123,7 @@ def _outcomes(rows, days, permutations):
         out += [
             index.predicted_mask(times).tolist(),
             index.successful_alarms(times),
-            index.counts_for_time_matrix(times[permutations]).tolist(),
+            index.counts_for_time_matrix(permutations).tolist(),
         ]
     return out
 
@@ -213,7 +215,36 @@ def test_reassigned_times_match_the_oracles(inputs, random):
             predicted.append(sum(oracles.is_predicted(e, alarm_set) for e in events))
             want = oracles.successful_alarm_count(alarm_set, events)
             assert index.successful_alarms(times[perm]) == want
-        assert index.counts_for_time_matrix(times[permutations]).tolist() == predicted
+        assert index.counts_for_time_matrix(permutations).tolist() == predicted
+
+
+# one paired target per block and one row per chunk, blocks and chunks of
+# a few targets and rows, and one of each
+KERNEL_BUDGETS = (1, 64 * 2**10, eqalarm.alarm.MEMORY_BUDGET_BYTES)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    edge_catalogs(), start_us_st, st.sampled_from(KERNEL_BUDGETS), st.randoms(use_true_random=False)
+)
+def test_position_kernel_matches_the_pair_kernel(inputs, start_us, budget, random):
+    # permutations and arbitrary rows of positions, which may give several
+    # targets one time, against the pair kernel on the times they select
+    rows, days = inputs
+    shift = start_us - min(t for t, *_ in rows)
+    cat = catalog_at([(t + shift, *rest) for t, *rest in rows])
+    n = len(rows)
+    order = np.array(
+        [random.sample(range(n), n) for _ in range(3)]
+        + [[random.randrange(n) for _ in range(n)] for _ in range(3)],
+        dtype=np.intp,
+    )
+    times = cat.rows["time_us"]
+    for rule in FloorRule:
+        index = AlarmTargetIndex(cat, generate_alarms(cat, 5.5, days, 50.0, rule))
+        with mock.patch.object(eqalarm.alarm, "MEMORY_BUDGET_BYTES", budget):
+            got = index.counts_for_time_matrix(order)
+        assert got.tolist() == oracles.pair_kernel_counts(index, times[order]).tolist()
 
 
 class TestRounding:
@@ -233,6 +264,26 @@ class TestRounding:
     def test_matches_timedelta(self, seconds):
         want = [oracles.seconds_to_us(s) for s in seconds]
         assert _seconds_to_us(np.array(seconds, dtype=float)).tolist() == want
+
+    def test_matches_the_one_expression_formula(self):
+        # the in-place steps give what modf, rint and one product and sum of
+        # fresh arrays give, and hold at most three arrays of the input's size
+        def formula(seconds):
+            frac, whole = np.modf(np.minimum(seconds, _OVERLONG_DAYS * SECONDS_PER_DAY))
+            return whole.astype(np.int64) * 10**6 + np.rint(frac * 1e6).astype(np.int64)
+
+        ties = np.arange(0, 4000) + 0.5e-6
+        seconds = np.concatenate((
+            [0.0, 0.5e-6, 1.5e-6, 2.5e-6, 0.9999995, _OVERLONG_DAYS * SECONDS_PER_DAY, 1e300],
+            ties,
+            np.random.default_rng(3).uniform(0.0, 1e11, 100_000),
+        ))
+        got, peak = traced_peak(lambda: _seconds_to_us(seconds))
+        assert got.dtype == np.int64
+        np.testing.assert_array_equal(got, formula(seconds))
+        assert peak <= 3 * seconds.nbytes + 10_000
+        for s in (0.0, 2.5e-6, 1e300):
+            assert _seconds_to_us(s) == formula(s)
 
     @pytest.mark.parametrize("days", [_OVERLONG_DAYS, _OVERLONG_DAYS + 0.5, 1e300])
     def test_clamps_overlong_durations(self, days):
@@ -274,11 +325,47 @@ class TestIndexRefusesFloats:
         for call in (index.predicted_mask, index.count_predicted, index.successful_alarms):
             with pytest.raises(TypeError, match="microseconds"):
                 call(seconds)
-        with pytest.raises(TypeError, match="microseconds"):
-            index.counts_for_time_matrix(seconds[None, :])
+        with pytest.raises(TypeError, match="positions"):
+            index.counts_for_time_matrix(np.array([[1.0, 0.0]]))
 
     def test_integer_microseconds_accepted(self, index_and_times):
         index, times = index_and_times
         assert index.predicted_mask(times).tolist() == [False, True]
         assert index.predicted_mask(np.zeros(2, dtype=np.int32)).tolist() == [False, False]
-        assert index.counts_for_time_matrix(times[None, ::-1]).tolist() == [0]
+        assert index.counts_for_time_matrix(np.array([[1, 0], [0, 1]])).tolist() == [0, 1]
+        assert index.counts_for_time_matrix(np.array([[0, 1]], dtype=np.int32)).tolist() == [1]
+
+
+class TestCountKernelInput:
+    @pytest.fixture
+    def index(self):
+        t0 = _to_us(utc(2004, 1, 1))
+        cat = catalog_at(
+            [(t0, 0.0, 0.0, 6.0), (t0 + 10**9, 0.1, 0.0, 5.6), (t0 + 10**10, 5.0, 5.0, 5.7)]
+        )
+        return AlarmTargetIndex(cat, generate_alarms(cat, 5.5))
+
+    @pytest.mark.parametrize(
+        "order", [[[0, 1, 3]], [[0, -1, 2]], [[0, 1, 2], [2, 1, -3]], np.array([[0, 1, 2**40]])]
+    )
+    def test_out_of_range_positions_raise(self, index, order):
+        with pytest.raises(ValueError, match=r"\[0, 3\)"):
+            index.counts_for_time_matrix(np.array(order))
+
+    def test_unsigned_positions_past_int64_raise(self, index):
+        with pytest.raises(ValueError, match=r"\[0, 3\)"):
+            index.counts_for_time_matrix(np.array([[0, 1, 2**64 - 1]], dtype=np.uint64))
+
+    @pytest.mark.parametrize("order", [[[0, 1]], [[0, 1, 2, 0]], [0, 1, 2], [[[0, 1, 2]]]])
+    def test_wrong_widths_raise(self, index, order):
+        with pytest.raises(ValueError, match="3 time positions"):
+            index.counts_for_time_matrix(np.array(order))
+
+    @pytest.mark.parametrize("dtype", [float, np.float32, bool])
+    def test_non_integer_positions_raise(self, index, dtype):
+        with pytest.raises(TypeError, match="positions"):
+            index.counts_for_time_matrix(np.array([[0, 1, 2]], dtype=dtype))
+
+    def test_in_range_rows_and_no_rows(self, index):
+        assert index.counts_for_time_matrix(np.array([[0, 1, 2], [0, 0, 0]])).tolist() == [1, 0]
+        assert index.counts_for_time_matrix(np.zeros((0, 3), dtype=np.int64)).tolist() == []

@@ -1,6 +1,7 @@
 """The pair join against the dense haversine oracle, its callers
 (declustering, the alarm measure, the union volume) against their old
-loops, and the memory budget of the batched kernels."""
+loops, the count kernel against the pair kernel, and the memory budget of
+the batched kernels."""
 
 import math
 from unittest import mock
@@ -273,6 +274,38 @@ def alarm_inputs(draw):
     return AlarmSet(tuple(alarms)), epicenters, interval
 
 
+# one paired target per block and one row per chunk, a few of each, and one of each
+kernel_budget_st = st.sampled_from([1, 64 * 2**10, eqalarm.alarm.MEMORY_BUDGET_BYTES])
+
+
+class TestCountKernel:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(st.tuples(days_st, lat_st, lon_st, mag_st), min_size=1, max_size=25),
+        length_st,
+        radius_st,
+        kernel_budget_st,
+        st.randoms(use_true_random=False),
+    )
+    def test_matches_the_pair_kernel(self, rows, window_days, radius_km, budget, random):
+        # tied times, windows ending on a later event, absent magnitudes, the
+        # poles and the dateline; permutations and arbitrary in-range rows
+        cat = make_catalog(rows, span_days=31.0)
+        n = len(cat)
+        order = np.array(
+            [random.sample(range(n), n) for _ in range(3)]
+            + [[random.randrange(n) for _ in range(n)] for _ in range(3)],
+            dtype=np.intp,
+        )
+        times = cat.rows["time_us"]
+        for rule in FloorRule:
+            aset = generate_alarms(cat, 5.5, window_days, radius_km, rule)
+            index = AlarmTargetIndex(cat, aset)
+            with _budget(budget):
+                got = index.counts_for_time_matrix(order)
+            assert got.tolist() == oracles.pair_kernel_counts(index, times[order]).tolist()
+
+
 class TestJoinCallersMatchLoops:
     @settings(max_examples=300, deadline=None)
     @given(decluster_inputs(), st.booleans(), budget_st)
@@ -363,13 +396,30 @@ class TestMemoryBudget:
         cat = make_catalog(rows, span_days=301.0)
         index = AlarmTargetIndex(cat, generate_alarms(cat, 5.5))
         times = cat.rows["time_us"]
-        matrix = np.stack([rng.permutation(times) for _ in range(400)])
-        # the unchunked kernel would hold rows x pairs x 11 B, about 390 MB
-        assert matrix.shape[0] * index.n_pairs * index.BYTES_PER_PAIR > 100 * self.BUDGET
+        matrix = np.stack([rng.permutation(len(times)) for _ in range(400)])
+        # a kernel holding 11 B per (row, pair) would take about 390 MB
+        assert matrix.shape[0] * index.n_pairs * 11 > 100 * self.BUDGET
         counts, peak = traced_peak(lambda: index.counts_for_time_matrix(matrix))
         assert peak <= 2 * self.BUDGET + counts.nbytes
-        expected = [index.count_predicted(row) for row in matrix[:40]]
+        expected = [index.count_predicted(times[row]) for row in matrix[:40]]
         assert counts[:40].tolist() == expected
+
+    def test_count_kernel_blocks_its_verdict_table(self, monkeypatch):
+        # 1200 targets on the equator, nearly all paired: the verdict table
+        # of every paired target at every position is over 4x the budget
+        budget = 256 * 2**10
+        monkeypatch.setattr(eqalarm.alarm, "MEMORY_BUDGET_BYTES", budget)
+        rows = [(i * 0.01, 0.0, -180.0 + 0.3 * i, 5.5 + 0.1 * (i % 10)) for i in range(1200)]
+        cat = make_catalog(rows, span_days=20.0)
+        index = AlarmTargetIndex(cat, generate_alarms(cat, 5.5, floor_rule=FloorRule.TRIGGER))
+        assert np.unique(index._pk).size * len(cat) > 4 * budget
+        rng = np.random.default_rng(12)
+        order = np.stack([rng.permutation(len(cat)) for _ in range(300)])
+        counts, peak = traced_peak(lambda: index.counts_for_time_matrix(order))
+        assert peak <= 2 * budget + counts.nbytes
+        expected = oracles.pair_kernel_counts(index, cat.rows["time_us"][order])
+        assert counts.tolist() == expected.tolist()
+        assert len(set(counts.tolist())) > 1
 
     def test_decluster_half_circumference_window(self, monkeypatch):
         # 1200 events on the equator with a 20,000 km window: every event

@@ -26,6 +26,7 @@ from eqalarm import (
     r_score_baseline,
     randomize_times_uniform,
 )
+from eqalarm.sigtests import _all_orderings
 
 from conftest import T0, day, make_catalog, random_catalog
 from oracles import great_circle_km
@@ -185,6 +186,13 @@ class TestExactPermutation:
         report = permutation_test(cat, 5.5, n_reps=10_000, rng=Rng(100))
         se = math.sqrt(float(exact) * (1 - float(exact)) / 10_000)
         assert abs(report.p_estimate - float(exact)) <= 3 * se + 1e-12
+
+    @pytest.mark.parametrize("q", range(9))
+    def test_orderings_follow_itertools(self, q):
+        want = list(itertools.permutations(range(q)))
+        got = _all_orderings(q)
+        assert got.shape == (len(want), q)
+        assert list(map(tuple, got.tolist())) == want
 
     def test_guard_against_large_catalogs(self):
         cat = make_catalog([(float(i), 0.0, float(i), 6.0) for i in range(9)])
