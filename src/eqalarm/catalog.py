@@ -18,7 +18,7 @@ from typing import IO, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .geo import GeoPoint, GlobalSphere, Region
+from .geo import GeoPoint, GlobalSphere, Region, normalize_lon
 
 CSV_COLUMNS = ("time", "lat", "lon", "depth_km", "mb", "ms", "id")
 MAGNITUDE_SELECTORS = ("mb", "ms")
@@ -279,17 +279,15 @@ class Catalog:
 
 
 def _decode(source: bytes | str | IO) -> str:
+    """The text of ``source``, without a leading byte-order mark."""
+    if not isinstance(source, (bytes, str)):
+        source = source.read()
     if isinstance(source, bytes):
         try:
-            return source.decode("utf-8")
+            source = source.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise CatalogParseError(f"input is not valid UTF-8: {exc}") from exc
-    if isinstance(source, str):
-        return source
-    data = source.read()
-    if isinstance(data, bytes):
-        return _decode(data)
-    return data
+    return source.removeprefix("\ufeff")
 
 
 def csv_rows(source: bytes | str | IO, columns: Sequence[str]) -> Iterator[tuple[int, list[str]]]:
@@ -301,7 +299,7 @@ def csv_rows(source: bytes | str | IO, columns: Sequence[str]) -> Iterator[tuple
     rejects (a line break in an unquoted field) raises
     :class:`CatalogParseError` naming its line.
     """
-    reader = csv.reader(io.StringIO(_decode(source).removeprefix("\ufeff")))
+    reader = csv.reader(io.StringIO(_decode(source)))
     end = 0
     try:
         header = next(reader, None)
@@ -410,24 +408,79 @@ def _parse_ndk_hypocenter(line: str, record_index: int) -> tuple:
         raise CatalogParseError(f"NDK record {record_index + 1}: {exc}") from exc
 
 
+# The first columns of a hypocenter line in the layout the column-wise scan
+# reads: D a digit, N a digit, blank or minus of the integer part of a number,
+# which spells " *-?\d*", ? a column _parse_ndk_hypocenter skips, anything else itself.
+_NDK_LAYOUT = "?????DDDD/DD/DD?DD:DD:DD.D?NNN.DD?NNNN.DD?NNN.D?D.D D.D"
+_MAX_US = _to_us(datetime.max)
+
+
+def _scan_ndk_hypocenters(lines: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    """Rows of the hypocenter ``lines``, read column-wise, and the mask of the
+    canonical ones: those in _NDK_LAYOUT whose values pass every check of
+    _parse_ndk_hypocenter, which reads each of them to the same row. An
+    integer over 10^k is correctly rounded, as float() of its text is, and a
+    tenth of a second is a whole number of microseconds, as timedelta rounds it."""
+    n, width = len(lines), len(_NDK_LAYOUT)
+    c = np.array(lines, dtype=f"U{width}").view(np.uint32).reshape(n, width)
+    d = c - np.uint32(ord("0"))  # wraps below "0": the digits are exactly d <= 9
+    digit, blank, minus = d <= 9, c == ord(" "), c == ord("-")
+    layout = np.array(list(_NDK_LAYOUT))
+    fixed, num = ~np.isin(layout, ["?", "D", "N"]), layout == "N"
+    ok = (c[:, fixed] == [ord(ch) for ch in layout[fixed]]).all(1)
+    ok &= digit[:, layout == "D"].all(1) & (digit | blank | minus)[:, num].all(1)
+    # in an integer part, only a blank comes before a blank or a minus
+    ok &= (digit[:, 1:] | blank[:, :-1])[:, num[:-1] & num[1:]].all(1)
+
+    columns = np.where(digit, d, 0).T  # a row per column
+
+    def number(start, stop):  # the integer its digits in columns [start, stop) spell
+        value = np.zeros(n, np.int64)
+        for j in range(start, stop):
+            if _NDK_LAYOUT[j] in "DN":
+                value = value * 10 + columns[j]
+        return value
+
+    def decimal(start, stop, places):
+        sign = np.where(minus[:, start:stop].any(1), -1.0, 1.0)
+        return number(start, stop) / 10.0**places * sign
+
+    year, month, day = number(5, 9), number(10, 12), number(13, 15)
+    hour, minute, tenths_s = number(16, 18), number(19, 21), number(22, 26)
+    lat, lon, depth = decimal(27, 33, 2), decimal(34, 41, 2), decimal(42, 47, 1)
+    months = ((year - 1970) * 12 + month - 1).astype("M8[M]")
+    days = months.astype("M8[D]").astype(np.int64) + day - 1
+    month_end = (months + 1).astype("M8[D]").astype(np.int64)
+    time_us = days * 86_400_000_000 + ((hour * 60 + minute) * 600 + tenths_s) * 100_000
+    ok &= (year >= 1) & (month >= 1) & (month <= 12) & (day >= 1) & (days < month_end)
+    ok &= (hour < 24) & (minute < 60) & (time_us <= _MAX_US)
+    ok &= (np.abs(lat) <= 90.0) & (depth >= 0.0)
+
+    rows = np.zeros(n, ROW_DTYPE)  # np.empty fills the object field slower
+    rows["time_us"], rows["lat"], rows["lon"] = time_us, lat, normalize_lon(lon)
+    rows["depth_km"], rows["mb"], rows["ms"] = depth, decimal(48, 51, 1), decimal(52, 55, 1)
+    rows["source_id"] = ("ndk%06d " * n % tuple(range(n))).split()  # one C loop, not n f-strings
+    return rows, ok
+
+
 def parse_ndk(source: bytes | str | IO, magnitude_selector: str = "mb") -> Catalog:
     """Parse the published 5-lines-per-event NDK format.
 
     Only the hypocenter line of each record is consumed. Records whose
     magnitudes are all undetermined are retained; thresholding happens in
-    :func:`filter_catalog`.
+    :func:`filter_catalog`. Canonical records are read column-wise; every
+    other record goes through :func:`_parse_ndk_hypocenter`, in record order.
     """
-    text = _decode(source)
-    lines = text.splitlines()
+    lines = _decode(source).splitlines()
     if len(lines) % NDK_LINES_PER_RECORD != 0:
         raise CatalogParseError(
             f"NDK line count {len(lines)} is not a multiple of {NDK_LINES_PER_RECORD}"
         )
-    rows = [
-        _parse_ndk_hypocenter(lines[i * NDK_LINES_PER_RECORD], i)
-        for i in range(len(lines) // NDK_LINES_PER_RECORD)
-    ]
-    return Catalog._from_rows(np.array(rows, dtype=ROW_DTYPE), None, magnitude_selector)
+    hypocenters = lines[::NDK_LINES_PER_RECORD]
+    rows, canonical = _scan_ndk_hypocenters(hypocenters)
+    for i in np.flatnonzero(~canonical).tolist():
+        rows[i] = _parse_ndk_hypocenter(hypocenters[i], i)
+    return Catalog._from_rows(rows, None, magnitude_selector)
 
 
 def filter_catalog(

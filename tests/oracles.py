@@ -1,10 +1,10 @@
 """Slow scalar and per-alarm reference implementations, kept as test oracles
 for the vectorised paths in ``eqalarm``: point distance, region
 containment and window-table lookup, the rounding of durations to
-microseconds, the catalog invariants and the magnitude/window filter,
-alarm generation, the membership rule, alarm success, the batched
-pair kernel that counts predicted events over rows of event times,
-declustering, the alarm measure, the Monte-Carlo union volume, the
+microseconds, the per-record NDK reader, the catalog invariants and the
+magnitude/window filter, alarm generation, the membership rule, alarm
+success, the batched pair kernel that counts predicted events over rows of
+event times, declustering, the alarm measure, the Monte-Carlo union volume, the
 gamma-renewal running sums, the scheme-3 weighted sampling of R-score
 baselines and the reference time-permutation shuffle."""
 
@@ -16,9 +16,14 @@ from datetime import timedelta
 
 import numpy as np
 
-from eqalarm import Alarm, FloorRule, GlobalSphere, LatLonBox, SphericalCap
+from eqalarm import (
+    Alarm, Catalog, CatalogParseError, FloorRule, GlobalSphere, LatLonBox, SphericalCap,
+)
 from eqalarm._random import as_generator
-from eqalarm.catalog import SECONDS_PER_DAY, _as_utc, _to_us
+from eqalarm.catalog import (
+    NDK_LINES_PER_RECORD, ROW_DTYPE, SECONDS_PER_DAY,
+    _as_utc, _decode, _parse_ndk_hypocenter, _to_us,
+)
 from eqalarm.geo import great_circle_km_arrays
 
 
@@ -50,6 +55,20 @@ def window_lookup(windows, magnitude: float):
 def seconds_to_us(seconds: float) -> int:
     """Whole microseconds in a duration of ``seconds``, as timedelta rounds it."""
     return timedelta(seconds=seconds) // timedelta(microseconds=1)
+
+
+def parse_ndk_by_record(source, magnitude_selector: str = "mb") -> Catalog:
+    """``parse_ndk`` as a loop that reads every hypocenter line, in record
+    order, with ``catalog._parse_ndk_hypocenter``."""
+    lines = _decode(source).splitlines()
+    if len(lines) % NDK_LINES_PER_RECORD != 0:
+        raise CatalogParseError(
+            f"NDK line count {len(lines)} is not a multiple of {NDK_LINES_PER_RECORD}"
+        )
+    rows = [
+        _parse_ndk_hypocenter(line, i) for i, line in enumerate(lines[::NDK_LINES_PER_RECORD])
+    ]
+    return Catalog._from_rows(np.array(rows, dtype=ROW_DTYPE), None, magnitude_selector)
 
 
 def catalog_invariant_error(events, span, magnitude_selector: str = "mb") -> str | None:

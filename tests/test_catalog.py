@@ -1,3 +1,4 @@
+import io
 from datetime import timezone
 
 import pytest
@@ -283,6 +284,18 @@ class TestParseNdk:
         ]
         text = ndk_file(records)
         assert len(parse_ndk(text)) == len(text.splitlines()) // 5
+
+    def test_byte_order_mark_is_ignored(self):
+        text = ndk_file([
+            ndk_record(date="2000/01/15", time="04:03:29.6", lat=0.47, depth=492.8, mb=5.1, ms=5.4)
+        ])
+        bom = "\ufeff" + text
+        for source in (bom, bom.encode(), io.StringIO(bom), io.BytesIO(bom.encode())):
+            cat = parse_ndk(source)
+            assert cat == parse_ndk(text)
+            event = cat.events[0]
+            assert event.time == utc(2000, 1, 15, 4, 3, 29, 600000)
+            assert (event.epicenter.lat, event.depth_km, event.ms) == (0.47, 492.8, 5.4)
 
     def test_sorted_by_time(self):
         text = ndk_file(
