@@ -184,26 +184,18 @@ def generate_alarms(
     return AlarmSet._from_rows(rows)
 
 
-def _instants(times_us) -> np.ndarray:
-    """``times_us`` as int64; floats are refused (they merge microseconds far from 1970)."""
-    times_us = np.asarray(times_us)
-    if not np.issubdtype(times_us.dtype, np.signedinteger):
-        raise TypeError(f"event times must be int64 microseconds, got {times_us.dtype}")
-    return times_us.astype(np.int64, copy=False)
-
-
 class AlarmTargetIndex:
     """Precomputed spatial join between a fixed alarm set and target events.
 
     The spatial containment, floor comparisons, and trigger-identity
     exclusions do not depend on event times, so they are resolved once into
-    a pair list; evaluating a new assignment of times is then a few
-    vectorised comparisons. This is what makes time-permutation replicates
-    cheap. Target ids must be unique, since an alarm's trigger is found
-    among the targets by id. Event times are ``targets.rows["time_us"]``, or
-    a rearrangement of it: int64 microseconds since the epoch.
-    The count kernel takes positions into the sorted times instead, at which
-    each paired target's verdicts are stored as sorted switch keys.
+    a pair list. Target ids must be unique, since an alarm's trigger is found
+    among the targets by id. The targets are sorted by time, and every
+    evaluation takes time *positions* into those sorted times: target k takes
+    ``times[positions[k]]``, so ``np.arange(n_targets)`` is the observed
+    assignment and a permutation of it reassigns the times. Each paired
+    target's verdict at every position is stored once, as sorted switch keys,
+    and every membership question reads them.
     """
 
     # peak working bytes per (row, paired target) of a count chunk: the
@@ -236,55 +228,63 @@ class AlarmTargetIndex:
         pk, pj = (np.concatenate(parts) for parts in zip(*blocks))
         keep = a_trig[pj] != pk
         self._pk, self._pj = pk[keep], pj[keep]
-        self._pair_start, self._pair_end = rows["start_us"][self._pj], rows["end_us"][self._pj]
         # verdict code per pair: 1 if the target reaches the alarm's floor, else 2 (NaN too)
         with np.errstate(invalid="ignore"):
             floor_ok = t_mag[self._pk] >= rows["mag_floor"][self._pj]
         self._code = np.where(floor_ok, np.uint8(1), np.uint8(2))
+        # a pair's window (start, end] holds the sorted times at positions [lo, hi)
+        times = targets.rows["time_us"]
+        self._lo = np.searchsorted(times, rows["start_us"][self._pj], "right")
+        self._hi = np.searchsorted(times, rows["end_us"][self._pj], "right")
 
         # Switch keys u * n + position over the paired targets u = 0..U-1: a
-        # pair's window holds the sorted times at positions [lo, hi), so the
         # pair adds its weight from lo and takes it back at hi, 1 for code 1
         # and n_pairs + 1 (more than all code-1 pairs together) for code 2, so
         # the segment from a key to the next is predicted exactly when its
         # summed weight lies in (0, n_pairs + 1). A zero-weight marker at
         # u * n starts a segment where each target's row starts.
         self._uniq_k, pair_u = np.unique(self._pk, return_inverse=True)
-        times = targets.rows["time_us"]
         base = np.arange(self._uniq_k.size, dtype=np.int64) * n
         weight = np.where(self._code == 1, 1, self.n_pairs + 1)
-        keys = np.concatenate((
-            base,
-            pair_u * n + np.searchsorted(times, self._pair_start, "right"),
-            pair_u * n + np.searchsorted(times, self._pair_end, "right"),
-        ))
+        keys = np.concatenate((base, pair_u * n + self._lo, pair_u * n + self._hi))
         by_key = np.argsort(keys, kind="stable")
         depth = np.concatenate((np.zeros(base.size, np.int64), weight, -weight))[by_key].cumsum()
-        keys = keys[by_key]
+        self._keys = keys[by_key]
         self._ok = (depth > 0) & (depth <= self.n_pairs)
-        self._seg_len = np.diff(keys, append=base.size * n)
+        self._seg_len = np.diff(self._keys, append=base.size * n)
         # first segment of each paired target's row, and the end of the last
-        self._row_seg = np.append(np.searchsorted(keys, base, "left"), keys.size)
+        self._row_seg = np.append(np.searchsorted(self._keys, base, "left"), keys.size)
 
     @property
     def n_pairs(self) -> int:
         return int(self._pk.size)
 
-    def _covered(self, t_pair: np.ndarray) -> np.ndarray:
-        """Whether each pair's alarm window (start, end] holds its gathered time."""
-        return (t_pair > self._pair_start) & (t_pair <= self._pair_end)
+    def _positions(self, positions, ndim: int) -> np.ndarray:
+        """``positions`` as intp, refused unless they are integers with ``ndim``
+        axes, the last of n_targets, each in [0, n_targets)."""
+        positions = np.asarray(positions)
+        if not np.issubdtype(positions.dtype, np.integer):
+            raise TypeError(f"time positions must be integers, got {positions.dtype}")
+        n = self.n_targets
+        if positions.ndim != ndim or positions.shape[-1:] != (n,):
+            raise ValueError(
+                f"need {n} time positions per assignment, got shape {positions.shape}"
+            )
+        positions = positions.astype(np.intp, copy=False)
+        # one pass: a negative position reads as a huge unsigned one
+        if positions.size and positions.view(np.uintp).max() >= n:
+            raise ValueError(f"time positions must lie in [0, {n})")
+        return positions
 
-    def predicted_mask(self, times_us: np.ndarray) -> np.ndarray:
-        """Per-target prediction flags for one assignment of event times. A
-        target's covered codes OR to 0 (uncovered), 1 (predicted) or 2-3
-        (outranked)."""
-        covered = self._covered(_instants(times_us)[self._pk])
-        codes = np.zeros(self.n_targets, dtype=np.uint8)
-        np.bitwise_or.at(codes, self._pk[covered], self._code[covered])
-        return codes == 1
-
-    def count_predicted(self, times_us: np.ndarray) -> int:
-        return int(self.predicted_mask(times_us).sum())
+    def predicted_mask(self, positions: np.ndarray) -> np.ndarray:
+        """Per-target prediction flags when target k takes the time at
+        ``positions[k]``: each paired target's verdict is that of the last
+        switch key at or before its own key."""
+        positions = self._positions(positions, 1)
+        keys = np.arange(self._uniq_k.size) * self.n_targets + positions[self._uniq_k]
+        mask = np.zeros(self.n_targets, dtype=bool)
+        mask[self._uniq_k] = self._ok[np.searchsorted(self._keys, keys, "right") - 1]
+        return mask
 
     def counts_for_time_matrix(self, order: np.ndarray) -> np.ndarray:
         """Predicted-event counts for a batch of time assignments: row r gives
@@ -296,19 +296,10 @@ class AlarmTargetIndex:
         chunks of rows then read it, one gather per paired target, within the
         other half.
         """
-        order = np.asarray(order)
-        if not np.issubdtype(order.dtype, np.integer):
-            raise TypeError(f"time positions must be integers, got {order.dtype}")
-        n = self.n_targets
-        if order.ndim != 2 or order.shape[1] != n:
-            raise ValueError(f"need rows of {n} time positions, got shape {order.shape}")
-        order = order.astype(np.intp, copy=False)
-        # one pass: a negative position reads as a huge unsigned one
-        if order.size and order.view(np.uintp).max() >= n:
-            raise ValueError(f"time positions must lie in [0, {n})")
+        order = self._positions(order, 2)
         counts = np.zeros(len(order), dtype=np.int64)
         n_paired = self._uniq_k.size
-        block = max(1, min(MEMORY_BUDGET_BYTES // 2, self.TABLE_BYTES) // max(n, 1))
+        block = max(1, min(MEMORY_BUDGET_BYTES // 2, self.TABLE_BYTES) // max(self.n_targets, 1))
         for u0 in range(0, n_paired, block):
             self._add_block_counts(order, u0, min(u0 + block, n_paired), counts)
         return counts
@@ -330,9 +321,11 @@ class AlarmTargetIndex:
             np.take(table, at[:m], out=hit[:m], mode="clip")
             counts[lo : lo + m] += np.count_nonzero(hit[:m], axis=1)
 
-    def successful_alarms(self, times_us: np.ndarray) -> int:
-        """Alarms containing at least one target above their floor."""
-        hit = self._covered(_instants(times_us)[self._pk]) & (self._code == 1)
+    def successful_alarms(self, positions: np.ndarray) -> int:
+        """Alarms containing at least one target above their floor when target
+        k takes the time at ``positions[k]``."""
+        at = self._positions(positions, 1)[self._pk]
+        hit = (at >= self._lo) & (at < self._hi) & (self._code == 1)
         return int(np.unique(self._pj[hit]).size)
 
 
@@ -344,7 +337,7 @@ def count_predicted(targets: Catalog, alarm_set: AlarmSet) -> int:
     magnitude reaches the largest floor among the covering alarms.
     """
     index = AlarmTargetIndex(targets, alarm_set)
-    return index.count_predicted(targets.rows["time_us"])
+    return int(index.predicted_mask(np.arange(len(targets))).sum())
 
 
 def count_successful_alarms(alarm_set: AlarmSet, targets: Catalog) -> int:
@@ -354,7 +347,7 @@ def count_successful_alarms(alarm_set: AlarmSet, targets: Catalog) -> int:
     success is binary per alarm, and an alarm's own trigger never counts.
     """
     index = AlarmTargetIndex(targets, alarm_set)
-    return index.successful_alarms(targets.rows["time_us"])
+    return index.successful_alarms(np.arange(len(targets)))
 
 
 @dataclass(frozen=True)
@@ -413,12 +406,12 @@ def alarm_volume_fraction(alarm_set: AlarmSet, sv: StudyVolume) -> float:
 def score(targets: Catalog, alarm_set: AlarmSet, sv: StudyVolume) -> ScoreSummary:
     """All count and rate statistics for an alarm set against a catalog."""
     index = AlarmTargetIndex(targets, alarm_set)
-    times = targets.rows["time_us"]
+    observed = np.arange(len(targets))
     return ScoreSummary(
         Q=len(targets),
         A=len(alarm_set),
-        S=index.successful_alarms(times),
-        P=index.count_predicted(times),
+        S=index.successful_alarms(observed),
+        P=int(index.predicted_mask(observed).sum()),
         v_upper=min(1.0, alarm_volume_fraction(alarm_set, sv)),
     )
 

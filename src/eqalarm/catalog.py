@@ -404,7 +404,7 @@ def _parse_ndk_hypocenter(line: str, record_index: int) -> tuple:
         mb, ms = (m if m > 0.0 else None for m in (mb_raw, ms_raw))
         record_id = f"ndk{record_index:06d}"
         return _checked_row(_to_us(time), GeoPoint(lat, lon), depth, mb, ms, record_id)
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         raise CatalogParseError(f"NDK record {record_index + 1}: {exc}") from exc
 
 

@@ -148,8 +148,7 @@ def permutation_test_fixed_alarms(
         raise ValueError(f"n_reps must be >= 1, got {n_reps}")
     key = _resolve_key(rng)
     index = AlarmTargetIndex(targets, alarm_set)
-    times = targets.rows["time_us"]
-    observed = index.count_predicted(times)
+    observed = int(index.predicted_mask(np.arange(len(targets))).sum())
     sims = _simulated_counts(index, n_reps, key)
     sims_geq = int((sims >= observed).sum())
     report = TestReport(
@@ -224,8 +223,7 @@ def exact_permutation_pvalue(
         targets, mag_threshold, window_days, radius_km, FloorRule(floor_rule)
     )
     index = AlarmTargetIndex(targets, alarm_set)
-    times = targets.rows["time_us"]
-    observed = index.count_predicted(times)
+    observed = int(index.predicted_mask(np.arange(len(targets))).sum())
     if n == 0:
         return Fraction(1, 1)
     perms = _all_orderings(n)

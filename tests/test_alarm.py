@@ -26,7 +26,6 @@ from eqalarm import (
     score,
     union_volume_fraction_mc,
 )
-from eqalarm.catalog import _to_us
 
 from conftest import T0, day, make_catalog, make_event, random_catalog
 from oracles import alarm_covers, great_circle_km, is_predicted
@@ -82,12 +81,13 @@ class TestGenerateAlarms:
         cases = ((e.time, False), (e.time + timedelta(seconds=1), True), (alarm.t_end, True))
         for t, inside in cases:
             assert alarm_covers(alarm, t, e.epicenter) == inside
-        # the same three instants through the kernel, for a target that is
-        # not the trigger itself
-        target = cat.with_events([replace(e, source_id="target")])
-        index = AlarmTargetIndex(target, AlarmSet((alarm,)))
-        for t, inside in cases:
-            assert index.predicted_mask(np.array([_to_us(t)])).tolist() == [inside]
+        # the same three instants through the index, as three targets that
+        # are not the trigger itself, each at its own time position
+        targets = cat.with_events(
+            [replace(e, time=t, source_id=f"target{i}") for i, (t, _) in enumerate(cases)]
+        )
+        index = AlarmTargetIndex(targets, AlarmSet((alarm,)))
+        assert index.predicted_mask(np.arange(3)).tolist() == [False, True, True]
 
     def test_event_never_predicted_by_own_alarm(self):
         cat = make_catalog([(10, 5, 5, 6.0)])
@@ -370,7 +370,7 @@ class TestKernelAgreesWithScalarPath:
             for rule in (FloorRule.THRESHOLD, FloorRule.TRIGGER):
                 aset = generate_alarms(cat, 5.5, floor_rule=rule)
                 index = AlarmTargetIndex(cat, aset)
-                mask = index.predicted_mask(cat.rows["time_us"])
+                mask = index.predicted_mask(np.arange(len(cat)))
                 scalar = [is_predicted(e, aset) for e in cat.events]
                 assert mask.tolist() == scalar
 
@@ -379,11 +379,10 @@ class TestKernelAgreesWithScalarPath:
         cat = filter_catalog(random_catalog(rng, n=20, span_days=60), 5.5)
         aset = generate_alarms(cat, 5.5, floor_rule=FloorRule.TRIGGER)
         index = AlarmTargetIndex(cat, aset)
-        times = cat.rows["time_us"]
-        matrix = np.stack([rng.permutation(len(times)) for _ in range(25)])
+        matrix = np.stack([rng.permutation(len(cat)) for _ in range(25)])
         counts = index.counts_for_time_matrix(matrix)
         for row, expected in zip(matrix, counts):
-            assert index.count_predicted(times[row]) == expected
+            assert index.predicted_mask(row).sum() == expected
 
 
 class TestEligibilityEquivalence:

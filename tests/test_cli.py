@@ -70,6 +70,13 @@ class TestIngest:
         assert code == 2
         assert "parse error" in err and "multiple of 5" in err
 
+    def test_ndk_date_past_datetime_max_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "late.ndk"
+        path.write_text(ndk_file([ndk_record(date="9999/12/31", time="23:59:60.0")]))
+        code, out, err = run(capsys, "ingest", "--input", str(path), "--format", "ndk")
+        assert code == 2
+        assert "parse error: NDK record 1: " in err and out == ""
+
     def test_lone_carriage_return_in_unquoted_field_exits_two(self, tmp_path, capsys):
         path = tmp_path / "cr.csv"
         path.write_bytes(

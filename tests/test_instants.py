@@ -2,8 +2,9 @@
 the alarm windows, the alarm measure and the union volume give the same
 answers wherever a catalog sits in time, durations round to microseconds as
 timedelta rounds them, the index agrees with the per-event oracles under
-reassigned times, it refuses float times, and no module of the package
-converts an instant to float seconds."""
+reassigned times, every evaluation of the index refuses the same bad time
+positions, and no module of the package converts an instant to float
+seconds."""
 
 import ast
 import dataclasses
@@ -117,12 +118,12 @@ def _outcomes(rows, days, permutations):
     cat = catalog_at(rows)
     windows = WindowTable((WindowRow(-math.inf, days, 40.0), WindowRow(6.0, days, 80.0)))
     out = [decluster(cat, windows, retained_only).deleted_indices for retained_only in (False, True)]
-    times = cat.rows["time_us"]
+    observed = np.arange(len(cat))
     for rule in FloorRule:
         index = AlarmTargetIndex(cat, generate_alarms(cat, 5.5, days, 50.0, rule))
         out += [
-            index.predicted_mask(times).tolist(),
-            index.successful_alarms(times),
+            index.predicted_mask(observed).tolist(),
+            index.successful_alarms(observed),
             index.counts_for_time_matrix(permutations).tolist(),
         ]
     return out
@@ -214,8 +215,37 @@ def test_reassigned_times_match_the_oracles(inputs, random):
             ]
             predicted.append(sum(oracles.is_predicted(e, alarm_set) for e in events))
             want = oracles.successful_alarm_count(alarm_set, events)
-            assert index.successful_alarms(times[perm]) == want
+            assert index.successful_alarms(perm) == want
         assert index.counts_for_time_matrix(permutations).tolist() == predicted
+
+
+@settings(max_examples=100, deadline=None)
+@given(edge_catalogs(), st.randoms(use_true_random=False))
+def test_predicted_mask_reads_the_switch_keys(inputs, random):
+    # the per-target lookup under the identity row, permutations and
+    # arbitrary rows of positions, against the per-event membership rule and
+    # against the count kernel's rows
+    rows, days = inputs
+    cat = catalog_at(rows)
+    n = len(rows)
+    order = np.array(
+        [list(range(n))]
+        + [random.sample(range(n), n) for _ in range(3)]
+        + [[random.randrange(n) for _ in range(n)] for _ in range(2)],
+        dtype=np.intp,
+    )
+    times = cat.rows["time_us"]
+    for rule in FloorRule:
+        alarm_set = generate_alarms(cat, 5.5, days, 50.0, rule)
+        index = AlarmTargetIndex(cat, alarm_set)
+        masks = [index.predicted_mask(row) for row in order]
+        for row, mask in zip(order, masks):
+            want = [
+                oracles.is_predicted(dataclasses.replace(e, time=_from_us(t)), alarm_set)
+                for e, t in zip(cat.events, times[row].tolist())
+            ]
+            assert mask.tolist() == want
+        assert [int(m.sum()) for m in masks] == index.counts_for_time_matrix(order).tolist()
 
 
 # one paired target per block and one row per chunk, blocks and chunks of
@@ -241,10 +271,12 @@ def test_position_kernel_matches_the_pair_kernel(inputs, start_us, budget, rando
     )
     times = cat.rows["time_us"]
     for rule in FloorRule:
-        index = AlarmTargetIndex(cat, generate_alarms(cat, 5.5, days, 50.0, rule))
+        alarm_set = generate_alarms(cat, 5.5, days, 50.0, rule)
+        index = AlarmTargetIndex(cat, alarm_set)
         with mock.patch.object(eqalarm.alarm, "MEMORY_BUDGET_BYTES", budget):
             got = index.counts_for_time_matrix(order)
-        assert got.tolist() == oracles.pair_kernel_counts(index, times[order]).tolist()
+        want = oracles.pair_kernel_counts(index, alarm_set, times[order])
+        assert got.tolist() == want.tolist()
 
 
 class TestRounding:
@@ -312,39 +344,56 @@ class TestRounding:
             assert deleted == ((1,) if inside else ())
 
 
-class TestIndexRefusesFloats:
-    @pytest.fixture
-    def index_and_times(self):
-        t0 = _to_us(utc(2004, 1, 1))
-        cat = catalog_at([(t0, 0.0, 0.0, 6.0), (t0 + 10**9, 0.1, 0.0, 5.6)])
-        return AlarmTargetIndex(cat, generate_alarms(cat, 5.5)), cat.rows["time_us"]
+@pytest.fixture
+def index():
+    """Index of three targets: an M6 trigger at position 0, an M5.6 it
+    predicts at position 1 and an unrelated M5.7 at position 2."""
+    t0 = _to_us(utc(2004, 1, 1))
+    cat = catalog_at(
+        [(t0, 0.0, 0.0, 6.0), (t0 + 10**9, 0.1, 0.0, 5.6), (t0 + 10**10, 5.0, 5.0, 5.7)]
+    )
+    return AlarmTargetIndex(cat, generate_alarms(cat, 5.5))
 
-    def test_float_seconds_raise(self, index_and_times):
-        index, times = index_and_times
-        seconds = times / 1e6
-        for call in (index.predicted_mask, index.count_predicted, index.successful_alarms):
-            with pytest.raises(TypeError, match="microseconds"):
-                call(seconds)
-        with pytest.raises(TypeError, match="positions"):
-            index.counts_for_time_matrix(np.array([[1.0, 0.0]]))
 
-    def test_integer_microseconds_accepted(self, index_and_times):
-        index, times = index_and_times
-        assert index.predicted_mask(times).tolist() == [False, True]
-        assert index.predicted_mask(np.zeros(2, dtype=np.int32)).tolist() == [False, False]
-        assert index.counts_for_time_matrix(np.array([[1, 0], [0, 1]])).tolist() == [0, 1]
-        assert index.counts_for_time_matrix(np.array([[0, 1]], dtype=np.int32)).tolist() == [1]
+# each evaluation and what it gives when every target keeps its own time:
+# the trigger's alarm predicts the M5.6
+OBSERVED = {
+    "predicted_mask": [False, True, False],
+    "successful_alarms": 1,
+    "counts_for_time_matrix": [1],
+}
+
+
+@pytest.mark.parametrize("method", OBSERVED)
+def test_every_evaluation_checks_positions_alike(index, method):
+    # predicted_mask and successful_alarms take one row of positions, the
+    # count kernel a batch of rows; each refuses the same rows alike
+    ndim = 2 if method == "counts_for_time_matrix" else 1
+    call = getattr(index, method)
+
+    def as_input(row, dtype=None):
+        row = np.array(row, dtype=dtype)
+        return row.reshape((1,) * (ndim - 1) + row.shape)
+
+    for dtype in (float, np.float32, bool):
+        with pytest.raises(TypeError, match="time positions must be integers"):
+            call(as_input([0, 1, 2], dtype))
+    for row in ([0, 1, 3], [0, -1, 2], [2, 1, -3], [0, 1, 2**40]):
+        with pytest.raises(ValueError, match=r"must lie in \[0, 3\)"):
+            call(as_input(row))
+    with pytest.raises(ValueError, match=r"must lie in \[0, 3\)"):
+        call(as_input([0, 1, 2**64 - 1], np.uint64))
+    # too few, too many, one axis too many and one too few
+    row = as_input([0, 1, 2])
+    for positions in (as_input([0, 1]), as_input([0, 1, 2, 0]), row[None], row[0]):
+        with pytest.raises(ValueError, match="need 3 time positions"):
+            call(positions)
+    for dtype in (np.int32, np.int64, np.uint8):
+        got = call(as_input([0, 1, 2], dtype))
+        assert (got.tolist() if isinstance(got, np.ndarray) else got) == OBSERVED[method]
 
 
 class TestCountKernelInput:
-    @pytest.fixture
-    def index(self):
-        t0 = _to_us(utc(2004, 1, 1))
-        cat = catalog_at(
-            [(t0, 0.0, 0.0, 6.0), (t0 + 10**9, 0.1, 0.0, 5.6), (t0 + 10**10, 5.0, 5.0, 5.7)]
-        )
-        return AlarmTargetIndex(cat, generate_alarms(cat, 5.5))
-
     @pytest.mark.parametrize(
         "order", [[[0, 1, 3]], [[0, -1, 2]], [[0, 1, 2], [2, 1, -3]], np.array([[0, 1, 2**40]])]
     )

@@ -303,7 +303,7 @@ class TestCountKernel:
             index = AlarmTargetIndex(cat, aset)
             with _budget(budget):
                 got = index.counts_for_time_matrix(order)
-            assert got.tolist() == oracles.pair_kernel_counts(index, times[order]).tolist()
+            assert got.tolist() == oracles.pair_kernel_counts(index, aset, times[order]).tolist()
 
 
 class TestJoinCallersMatchLoops:
@@ -401,7 +401,7 @@ class TestMemoryBudget:
         assert matrix.shape[0] * index.n_pairs * 11 > 100 * self.BUDGET
         counts, peak = traced_peak(lambda: index.counts_for_time_matrix(matrix))
         assert peak <= 2 * self.BUDGET + counts.nbytes
-        expected = [index.count_predicted(times[row]) for row in matrix[:40]]
+        expected = [index.predicted_mask(row).sum() for row in matrix[:40]]
         assert counts[:40].tolist() == expected
 
     def test_count_kernel_blocks_its_verdict_table(self, monkeypatch):
@@ -411,13 +411,14 @@ class TestMemoryBudget:
         monkeypatch.setattr(eqalarm.alarm, "MEMORY_BUDGET_BYTES", budget)
         rows = [(i * 0.01, 0.0, -180.0 + 0.3 * i, 5.5 + 0.1 * (i % 10)) for i in range(1200)]
         cat = make_catalog(rows, span_days=20.0)
-        index = AlarmTargetIndex(cat, generate_alarms(cat, 5.5, floor_rule=FloorRule.TRIGGER))
+        aset = generate_alarms(cat, 5.5, floor_rule=FloorRule.TRIGGER)
+        index = AlarmTargetIndex(cat, aset)
         assert np.unique(index._pk).size * len(cat) > 4 * budget
         rng = np.random.default_rng(12)
         order = np.stack([rng.permutation(len(cat)) for _ in range(300)])
         counts, peak = traced_peak(lambda: index.counts_for_time_matrix(order))
         assert peak <= 2 * budget + counts.nbytes
-        expected = oracles.pair_kernel_counts(index, cat.rows["time_us"][order])
+        expected = oracles.pair_kernel_counts(index, aset, cat.rows["time_us"][order])
         assert counts.tolist() == expected.tolist()
         assert len(set(counts.tolist())) > 1
 
