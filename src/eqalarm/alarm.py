@@ -25,7 +25,7 @@ import numpy as np
 from ._random import as_generator
 from .catalog import SECONDS_PER_DAY, Catalog, StudyVolume, _as_utc, _from_us, _to_us
 from .catalog import _seconds_to_us, format_instant
-from .geo import JOIN_BYTES_PER_CANDIDATE, GeoPoint, cap_area_km2, pairs_within_km
+from .geo import EARTH_RADIUS_KM, GeoPoint, cap_area_km2, great_circle_km_arrays
 
 # Working memory the batched kernels (the alarm x target join, the count
 # kernel and the replicate blocks) may hold at once; each divides it by its
@@ -38,22 +38,62 @@ def rows_within_budget(bytes_per_row: int) -> int:
     return max(1, MEMORY_BUDGET_BYTES // max(bytes_per_row, 1))
 
 
+# Peak bytes per pair of a join block and of its callers' reductions of it,
+# under tracemalloc with every candidate a pair: the block 56, decluster 81,
+# union_volume_fraction_mc 74, alarm_measure_pi 97. Candidates bound pairs.
+JOIN_BYTES_PER_CANDIDATE = 104
+# Haversines evaluated at once: 196,608 candidates take 24-25 ms in one pass
+# and 14.7-15.3 ms in slices of 2**14, whose temporaries fit a 2 MiB L2 cache.
+CANDIDATE_SLICE = 2**14
+
+
 def pair_blocks(lat_t, lon_t, lat_a, lon_a, radius_km_a):
-    """:func:`pairs_within_km` over consecutive blocks of targets, each small
-    enough that its pairs fit MEMORY_BUDGET_BYTES even when every alarm
-    covers every target. Yields (target, alarm) index arrays block by block
-    in target order, each sorted by target then alarm, so the blocks
-    concatenate to the whole join's pairs. With no targets it yields one
-    empty block."""
-    # the join's bytes per candidate also bound its callers' reductions of a
-    # block: decluster, alarm_measure_pi and union_volume_fraction_mc peak at
-    # about 88 B per pair under tracemalloc when every candidate is a pair
-    step = rows_within_budget(JOIN_BYTES_PER_CANDIDATE * len(lat_a))
-    for lo in range(0, max(len(lat_t), 1), step):
-        t, a = pairs_within_km(
-            lat_t[lo : lo + step], lon_t[lo : lo + step], lat_a, lon_a, radius_km_a
-        )
-        yield t + lo, a
+    """Every (target, alarm) index pair whose haversine distance is at most
+    the alarm's radius, in blocks of targets, each sorted by target then
+    alarm. A block starts as all targets (one empty block if none) and is
+    halved, lower half first, while it holds more than one target and its
+    candidates at JOIN_BYTES_PER_CANDIDATE each overflow MEMORY_BUDGET_BYTES.
+
+    An alarm's candidates are the targets whose latitude lies within its
+    radius in degrees (great-circle distance is never below R * |dlat|) plus
+    1e-5: near the antipode the haversine's arcsin loses up to some 5e-7
+    degrees, and the slack keeps every pair it accepts. Each candidate is
+    re-checked against ``<= radius``, so the pairs are exactly the dense
+    haversine join's. Latitudes must lie in [-90, 90].
+    """
+    lat_t, lon_t, lat_a, lon_a = (np.asarray(x, float) for x in (lat_t, lon_t, lat_a, lon_a))
+    radius = np.full(lat_a.shape, radius_km_a, dtype=float)
+    half_band = np.degrees(radius / EARTH_RADIUS_KM) + 1e-5
+    band_lo, band_hi = lat_a - half_band, lat_a + half_band
+
+    def block(lo, hi):
+        order = np.argsort(lat_t[lo:hi]) + lo
+        lat_sorted = lat_t[order]
+        first = np.searchsorted(lat_sorted, band_lo, "left")
+        n_cand = np.searchsorted(lat_sorted, band_hi, "right") - first
+        # alarm j's candidates c = offsets[j], ..., offsets[j + 1] - 1 sit at
+        # sorted positions first[j] + c - offsets[j]
+        offsets = np.concatenate(([0], np.cumsum(n_cand)))
+        n_total = int(offsets[-1])
+        if n_total * JOIN_BYTES_PER_CANDIDATE > MEMORY_BUDGET_BYTES and hi - lo > 1:
+            yield from block(lo, (lo + hi) // 2)
+            yield from block((lo + hi) // 2, hi)
+            return
+        # alarms in runs of about CANDIDATE_SLICE candidates, at least one run;
+        # the last cut lies past n_total, so the last run ends with the alarms
+        cuts = np.arange(0, n_total + CANDIDATE_SLICE + 1, CANDIDATE_SLICE)
+        bounds = np.searchsorted(offsets[1:], cuts, "left").tolist()
+        shift, kept = first - offsets[:-1], []
+        for a0, a1 in zip(bounds, bounds[1:]):
+            a = np.repeat(np.arange(a0, a1), n_cand[a0:a1])
+            t = order[np.arange(offsets[a0], offsets[a0] + a.size) + shift[a]]
+            keep = great_circle_km_arrays(lat_t[t], lon_t[t], lat_a[a], lon_a[a]) <= radius[a]
+            kept.append((t[keep], a[keep]))
+        t, a = (np.concatenate(parts) for parts in zip(*kept))
+        by_target = np.lexsort((a, t))
+        yield t[by_target], a[by_target]
+
+    yield from block(0, lat_t.size)
 
 
 class FloorRule(str, Enum):
@@ -222,10 +262,9 @@ class AlarmTargetIndex:
         # trigger id resolved to a target position, or -1 when not a target
         a_trig = np.array([id_of.get(s, -1) for s in rows["trigger_id"]], dtype=np.int64)
 
-        blocks = list(pair_blocks(
+        pk, pj = (np.concatenate(parts) for parts in zip(*pair_blocks(
             targets.latitudes(), targets.longitudes(), rows["lat"], rows["lon"], rows["radius_km"]
-        ))
-        pk, pj = (np.concatenate(parts) for parts in zip(*blocks))
+        )))
         keep = a_trig[pj] != pk
         self._pk, self._pj = pk[keep], pj[keep]
         # verdict code per pair: 1 if the target reaches the alarm's floor, else 2 (NaN too)
@@ -398,8 +437,9 @@ def alarm_volume_fraction(alarm_set: AlarmSet, sv: StudyVolume) -> float:
     """
     total = sv.area_km2 * sv.duration_s
     rows = alarm_set.rows
-    durations_s = ((rows["end_us"] - rows["start_us"]) / 1e6).tolist()
-    covered = sum(cap_area_km2(r) * d for r, d in zip(rows["radius_km"].tolist(), durations_s))
+    durations_s = (rows["end_us"] - rows["start_us"]) / 1e6
+    # Python's sum, in alarm order, keeps the rounding of a running total
+    covered = sum((cap_area_km2(rows["radius_km"]) * durations_s).tolist())
     return covered / total
 
 

@@ -18,12 +18,15 @@ HALF_CIRCUMFERENCE_KM = math.pi * EARTH_RADIUS_KM
 
 
 def normalize_lon(lon):
-    """Map longitudes in degrees (a float or an array) onto [-180, 180).
-
+    """Map longitudes in degrees (a float or an array) onto [-180, 180):
+    one in range comes back as it was, -0.0 included, and any other wraps.
     Python's float ``%`` and numpy's ``%`` both take the C ``fmod`` and add
     360 to a negative remainder, so scalars and arrays wrap alike.
     """
-    return (lon + 180.0) % 360.0 - 180.0
+    if np.ndim(lon):
+        return np.where((lon >= -180.0) & (lon < 180.0), lon, (lon + 180.0) % 360.0 - 180.0)
+    lon = float(lon)
+    return lon if -180.0 <= lon < 180.0 else (lon + 180.0) % 360.0 - 180.0
 
 
 @dataclass(frozen=True, slots=True)
@@ -55,65 +58,21 @@ def great_circle_km_arrays(lat1, lon1, lat2, lon2) -> np.ndarray:
     return 2.0 * EARTH_RADIUS_KM * np.arcsin(np.sqrt(np.clip(h, 0.0, 1.0)))
 
 
-# peak working bytes per candidate pair in pairs_within_km (about 88 under
-# tracemalloc): the two index arrays, four gathered coordinates, their
-# radians and the haversine temporaries
-JOIN_BYTES_PER_CANDIDATE = 96
-
-
-def pairs_within_km(lat_t, lon_t, lat_a, lon_a, radius_km_a) -> tuple[np.ndarray, np.ndarray]:
-    """Every (target, alarm) index pair whose haversine distance is at most
-    the alarm's radius, sorted by target then alarm.
-
-    Latitudes must lie in [-90, 90]. Targets are sorted by latitude once;
-    each alarm's candidates are the targets whose latitude differs by at
-    most its radius in degrees (great-circle distance is never below
-    R * |dlat|) plus a slack of 1e-5 degrees: near the antipode the
-    haversine's arcsin loses up to about sqrt(eps), some 5e-7 degrees of
-    computed distance, and the slack keeps every pair it accepts. Every
-    candidate is then re-checked with :func:`great_circle_km_arrays`
-    against ``<= radius``, so the pair set is exactly the dense haversine
-    join's. All candidates are evaluated in one pass, about
-    JOIN_BYTES_PER_CANDIDATE bytes each; callers that need a memory bound
-    go through :func:`eqalarm.alarm.pair_blocks`, which joins blocks of
-    targets.
+def cap_area_km2(radius_km):
+    """Area in km^2 of a spherical cap of the given great-circle radius, a
+    float or an array of them: 2*pi*R^2*(1 - cos(r/R)). A radius of half the
+    circumference gives the whole sphere.
     """
-    lat_t = np.asarray(lat_t, dtype=float)
-    lon_t = np.asarray(lon_t, dtype=float)
-    lat_a = np.asarray(lat_a, dtype=float)
-    lon_a = np.asarray(lon_a, dtype=float)
-    radius = np.broadcast_to(np.asarray(radius_km_a, dtype=float), lat_a.shape)
-    order = np.argsort(lat_t)
-    lat_sorted = lat_t[order]
-    half_band = np.degrees(radius / EARTH_RADIUS_KM) + 1e-5
-    lo = np.searchsorted(lat_sorted, lat_a - half_band, side="left")
-    n_cand = np.searchsorted(lat_sorted, lat_a + half_band, side="right") - lo
-    a_idx = np.repeat(np.arange(lat_a.size), n_cand)
-    # candidate c of alarm j sits at sorted position lo[j] + c
-    run_start = np.cumsum(n_cand) - n_cand
-    t_idx = order[np.arange(a_idx.size) + np.repeat(lo - run_start, n_cand)]
-    d = great_circle_km_arrays(lat_t[t_idx], lon_t[t_idx], lat_a[a_idx], lon_a[a_idx])
-    keep = d <= radius[a_idx]
-    t_idx, a_idx = t_idx[keep], a_idx[keep]
-    by_target = np.lexsort((a_idx, t_idx))
-    return t_idx[by_target], a_idx[by_target]
-
-
-def cap_area_km2(radius_km: float) -> float:
-    """Area in km^2 of a spherical cap of the given great-circle radius.
-
-    2*pi*R^2*(1 - cos(r/R)); a radius of half the circumference gives the
-    whole sphere.
-    """
-    if not math.isfinite(radius_km) or radius_km < 0.0:
-        raise ValueError(f"cap radius must be a nonnegative number, got {radius_km!r}")
-    if radius_km > HALF_CIRCUMFERENCE_KM * (1.0 + 1e-12):
+    r = np.asarray(radius_km, dtype=float)
+    bad = ~((r >= 0.0) & (r <= HALF_CIRCUMFERENCE_KM * (1.0 + 1e-12)))  # NaN too
+    if bad.any():
         raise ValueError(
-            f"cap radius {radius_km} km exceeds half the circumference "
-            f"({HALF_CIRCUMFERENCE_KM:.1f} km)"
+            f"cap radius must be in [0, {HALF_CIRCUMFERENCE_KM:.1f}] km (half the "
+            f"circumference), got {float(r[bad].flat[0])!r}"
         )
-    radius_km = min(radius_km, HALF_CIRCUMFERENCE_KM)
-    return 2.0 * math.pi * EARTH_RADIUS_KM**2 * (1.0 - math.cos(radius_km / EARTH_RADIUS_KM))
+    r = np.minimum(r, HALF_CIRCUMFERENCE_KM)
+    area = 2.0 * math.pi * EARTH_RADIUS_KM**2 * (1.0 - np.cos(r / EARTH_RADIUS_KM))
+    return area if area.ndim else float(area)
 
 
 def _latlon_from_unit(xyz: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -193,6 +193,19 @@ class TestParseCsv:
         assert once == again
         assert dumps_csv(once) == dumps_csv(again)
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.floats(-180.0, 180.0, exclude_max=True), min_size=1, max_size=20))
+    def test_round_trip_keeps_in_range_longitudes(self, lons):
+        # a longitude in [-180, 180) is stored, written and read back as
+        # given, -0.0 included
+        text = CSV_HEADER + "".join(
+            f"2004-01-02T00:00:{i:02d}Z,0.0,{lon!r},10.0,5.5,,e{i}\n" for i, lon in enumerate(lons)
+        )
+        once = parse_csv(text)
+        assert dumps_csv(once) == text
+        again = parse_csv(dumps_csv(once)).longitudes().tolist()
+        assert [repr(x) for x in again] == [repr(x) for x in lons]
+
     def test_round_trip_ids_that_need_quoting(self):
         text = (
             CSV_HEADER

@@ -54,6 +54,13 @@ class TestGeoPoint:
         assert wrapped.tolist() == [normalize_lon(float(x)) for x in lons]
         assert np.all((wrapped >= -180.0) & (wrapped < 180.0))
 
+    @given(st.floats(min_value=-180.0, max_value=180.0, exclude_max=True))
+    def test_normalize_lon_keeps_in_range_values(self, lon):
+        # written digits survive, and -0.0 keeps its sign as latitude does
+        assert type(normalize_lon(lon)) is float
+        assert repr(normalize_lon(lon)) == repr(lon)
+        assert repr(normalize_lon(np.array([lon, 200.0]))[0].item()) == repr(lon)
+
 
 class TestGreatCircle:
     def test_coincident_points(self):
@@ -116,6 +123,18 @@ class TestCapArea:
     def test_beyond_half_circumference_rejected(self):
         with pytest.raises(ValueError):
             cap_area_km2(HALF_CIRCUMFERENCE_KM * 1.01)
+
+    def test_arrays_match_scalars(self):
+        radii = np.concatenate(
+            [np.random.default_rng(2).uniform(0.0, HALF_CIRCUMFERENCE_KM, 1000), [0.0, 50.0]]
+        )
+        areas = cap_area_km2(radii)
+        assert areas.tolist() == [cap_area_km2(r) for r in radii.tolist()]
+        assert type(cap_area_km2(50.0)) is float
+        assert cap_area_km2(np.empty(0)).shape == (0,)
+        for bad in (-1.0, math.nan, math.inf, HALF_CIRCUMFERENCE_KM * 1.01):
+            with pytest.raises(ValueError):
+                cap_area_km2(np.array([50.0, bad]))
 
     @settings(max_examples=60, deadline=None)
     @given(

@@ -1,15 +1,18 @@
-"""The pair join against the dense haversine oracle, its callers
-(declustering, the alarm measure, the union volume) against their old
-loops, the count kernel against the pair kernel, and the memory budget of
-the batched kernels."""
+"""The pair join against the dense haversine oracle, its blocks against the
+budget, its callers (declustering, the alarm measure, the union volume)
+against their old loops, the count kernel against the pair kernel, the
+memory budget of the batched kernels, and no second join in the package."""
 
+import ast
 import math
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import eqalarm
 import eqalarm.alarm
 from eqalarm import (
     Alarm,
@@ -28,13 +31,9 @@ from eqalarm import (
     poisson_binomial_pvalue,
     union_volume_fraction_mc,
 )
+from eqalarm.alarm import JOIN_BYTES_PER_CANDIDATE, pair_blocks
 from eqalarm.decluster import WindowRow, WindowTable
-from eqalarm.geo import (
-    EARTH_RADIUS_KM,
-    HALF_CIRCUMFERENCE_KM,
-    great_circle_km_arrays,
-    pairs_within_km,
-)
+from eqalarm.geo import EARTH_RADIUS_KM, HALF_CIRCUMFERENCE_KM, great_circle_km_arrays
 
 import oracles
 from conftest import T0, day, make_catalog, traced_peak
@@ -73,6 +72,12 @@ def dense_index_pairs(targets, alarm_set):
     trig = np.array([x.trigger_index for x in alarm_set], dtype=np.int64)
     keep = trig[a] != t
     return t[keep], a[keep]
+
+
+def pairs_within_km(lat_t, lon_t, lat_a, lon_a, radius_km_a):
+    """The whole join's pairs: :func:`pair_blocks`' blocks concatenated."""
+    blocks = list(pair_blocks(lat_t, lon_t, lat_a, lon_a, radius_km_a))
+    return tuple(np.concatenate(parts) for parts in zip(*blocks))
 
 
 def assert_same_pairs(got, expected):
@@ -124,10 +129,16 @@ def join_inputs(draw):
 # the default (one block), one target per block, and a few targets per block;
 # a pytest fixture is not reset between hypothesis examples, so tests patch
 budget_st = st.sampled_from([eqalarm.alarm.MEMORY_BUDGET_BYTES, 1, 10_000])
+# one candidate per slice, a few, and the default
+slice_st = st.sampled_from([1, 7, eqalarm.alarm.CANDIDATE_SLICE])
 
 
 def _budget(budget_bytes):
     return mock.patch.object(eqalarm.alarm, "MEMORY_BUDGET_BYTES", budget_bytes)
+
+
+def _slice(n_candidates):
+    return mock.patch.object(eqalarm.alarm, "CANDIDATE_SLICE", n_candidates)
 
 
 class TestPairsWithinKm:
@@ -136,15 +147,13 @@ class TestPairsWithinKm:
     def test_matches_dense_oracle(self, inputs):
         assert_same_pairs(pairs_within_km(*inputs), dense_pairs_within_km(*inputs))
 
-    @settings(max_examples=100, deadline=None)
-    @given(join_inputs(), budget_st)
-    def test_budget_blocks_do_not_change_pairs(self, inputs, budget_bytes):
-        # pair_blocks is the one place the join is blocked; its blocks
-        # concatenate to the whole join's pairs under any budget
-        lat_t, lon_t, lat_a, lon_a, radius = (np.asarray(x, dtype=float) for x in inputs)
-        with _budget(budget_bytes):
-            blocks = list(eqalarm.alarm.pair_blocks(lat_t, lon_t, lat_a, lon_a, radius))
-        got = tuple(np.concatenate(parts) for parts in zip(*blocks))
+    @settings(max_examples=200, deadline=None)
+    @given(join_inputs(), budget_st, slice_st)
+    def test_budget_blocks_do_not_change_pairs(self, inputs, budget_bytes, n_slice):
+        # the blocks concatenate to the whole join's pairs under any budget,
+        # whatever the number of candidates evaluated at once
+        with _budget(budget_bytes), _slice(n_slice):
+            got = pairs_within_km(*(np.asarray(x, dtype=float) for x in inputs))
         assert_same_pairs(got, dense_pairs_within_km(*inputs))
 
     def test_exactly_at_radius_counts_as_inside(self):
@@ -189,6 +198,142 @@ class TestPairsWithinKm:
             assert t.size == a.size == 0 and t.dtype == a.dtype == np.int64
         t, a = pairs_within_km([1.0], [2.0], [1.0], [2.0], 50.0)
         assert (t.tolist(), a.tolist()) == ([0], [0])
+
+    def test_longitudes_at_the_dateline(self):
+        lons = [180.0, -180.0, 179.999, -179.999]
+        lat_t = [0.0, 0.0, 0.0, 0.0, 30.0, -30.0, 30.0, -30.0]
+        lon_t = lons + lons
+        lat_a = [0.0, 0.0, 30.0, -30.0]
+        args = (lat_t, lon_t, lat_a, lons, [1.0, 0.5, 1.0, 0.5])
+        got = pairs_within_km(*args)
+        assert_same_pairs(got, dense_pairs_within_km(*args))
+        # points on one parallel lie at most 0.002 degrees of longitude apart
+        # across the dateline: 0.22 km on the equator, 0.19 km at +-30
+        assert set(zip(*(x.tolist() for x in got))) == {
+            (0, 0), (1, 0), (2, 0), (3, 0), (0, 1), (1, 1), (2, 1), (3, 1),
+            (4, 2), (5, 3), (6, 2), (7, 3),
+        }
+
+    def test_caps_over_a_pole(self):
+        # an alarm within r / R of a pole covers points on every meridian,
+        # across the pole; its latitude band reaches past +-90 degrees
+        rng = np.random.default_rng(6)
+        lat_t = np.concatenate([rng.uniform(88.0, 90.0, 300), rng.uniform(-90.0, -88.0, 300)])
+        lon_t = rng.uniform(-180.0, 180.0, 600)
+        lat_a = np.array([89.9, 89.8, 90.0, -89.7, -90.0])
+        lon_a = np.array([0.0, 180.0, -37.0, -179.999, 12.0])
+        radius = np.array([25.0, 40.0, 45.0, 60.0, 100.0])
+        assert np.all(90.0 - np.abs(lat_a) < np.degrees(radius / EARTH_RADIUS_KM))
+        got = pairs_within_km(lat_t, lon_t, lat_a, lon_a, radius)
+        assert_same_pairs(got, dense_pairs_within_km(lat_t, lon_t, lat_a, lon_a, radius))
+        for j in range(lat_a.size):
+            lons = lon_t[got[0][got[1] == j]]
+            assert np.ptp(lons) > 300.0  # pairs all round the pole
+
+    def test_radii_up_to_half_the_circumference(self):
+        rng = np.random.default_rng(7)
+        lat_t = np.degrees(np.arcsin(rng.uniform(-1.0, 1.0, 400)))
+        lon_t = rng.uniform(-180.0, 180.0, 400)
+        lat_a, lon_a = np.array([0.0, 90.0, -45.0, 12.0]), np.array([0.0, 0.0, 170.0, -180.0])
+        radius = np.array([HALF_CIRCUMFERENCE_KM, HALF_CIRCUMFERENCE_KM, 15_000.0, 19_000.0])
+        got = pairs_within_km(lat_t, lon_t, lat_a, lon_a, radius)
+        assert_same_pairs(got, dense_pairs_within_km(lat_t, lon_t, lat_a, lon_a, radius))
+        # half the circumference covers the whole sphere
+        assert np.bincount(got[1], minlength=4)[:2].tolist() == [400, 400]
+
+    def test_one_alarm_with_more_candidates_than_a_slice(self):
+        # every target lies in the band of the middle alarm; its neighbours in
+        # the alarm order have a few candidates each
+        n = eqalarm.alarm.CANDIDATE_SLICE + 3000
+        rng = np.random.default_rng(8)
+        lat_t = rng.uniform(-0.4, 0.4, n)
+        lon_t = rng.uniform(-180.0, 180.0, n)
+        lat_a, lon_a = np.array([0.3, 0.0, -0.3]), np.array([10.0, 0.0, -10.0])
+        radius = np.array([20.0, 60.0, 20.0])
+        first = np.searchsorted(np.sort(lat_t), lat_a - np.degrees(radius / EARTH_RADIUS_KM))
+        last = np.searchsorted(np.sort(lat_t), lat_a + np.degrees(radius / EARTH_RADIUS_KM))
+        assert (last - first)[1] == n
+        for n_slice in (eqalarm.alarm.CANDIDATE_SLICE, 1000):
+            with _slice(n_slice):
+                got = pairs_within_km(lat_t, lon_t, lat_a, lon_a, radius)
+            assert_same_pairs(got, dense_pairs_within_km(lat_t, lon_t, lat_a, lon_a, radius))
+
+
+def band_candidates(lat_t, lat_a, radius_km_a):
+    """Candidates of a join block by the band rule: target latitudes within
+    an alarm's radius in degrees plus 1e-5."""
+    half_band = np.degrees(np.asarray(radius_km_a) / EARTH_RADIUS_KM) + 1e-5
+    lat_t = np.asarray(lat_t)[:, None]
+    return int(((lat_t >= lat_a - half_band) & (lat_t <= lat_a + half_band)).sum())
+
+
+class TestPairBlocksBudget:
+    def test_a_sparse_global_join_is_one_block(self):
+        # 3000 targets and 3000 alarms of 50 km over the globe: about 70,000
+        # candidates, far inside the default budget
+        rng = np.random.default_rng(9)
+        lat, lon = GlobalSphere().sample(6000, rng)
+        radius = np.full(3000, 50.0)
+        blocks = list(pair_blocks(lat[:3000], lon[:3000], lat[3000:], lon[3000:], radius))
+        assert len(blocks) == 1
+        assert band_candidates(lat[:3000], lat[3000:], 50.0) * JOIN_BYTES_PER_CANDIDATE < (
+            eqalarm.alarm.MEMORY_BUDGET_BYTES
+        )
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([1, 20_000, 200_000]))
+    def test_blocks_are_halved_only_past_the_budget(self, seed, budget_bytes):
+        # a self-join with clustered points and mixed radii: every point pairs
+        # with itself, so each block's targets are the range its pairs span.
+        # The blocks are the leaves of halving [0, n) while a block of more
+        # than one target holds over budget // JOIN_BYTES_PER_CANDIDATE
+        # candidates, in target order, lower half first
+        rng = np.random.default_rng(seed)
+        n = 300
+        lat = np.clip(rng.normal(rng.choice([-60.0, 0.0, 89.0], n), 2.0), -90.0, 90.0)
+        lon = rng.uniform(-180.0, 180.0, n)
+        radius = rng.choice([10.0, 100.0, 500.0], n)
+
+        def fits(lo, hi):
+            n_cand = band_candidates(lat[lo:hi], lat, radius)
+            return n_cand * JOIN_BYTES_PER_CANDIDATE <= budget_bytes
+
+        def halved(lo, hi):
+            if hi - lo > 1 and not fits(lo, hi):
+                return halved(lo, (lo + hi) // 2) + halved((lo + hi) // 2, hi)
+            return [(lo, hi)]
+
+        with _budget(budget_bytes):
+            blocks = list(pair_blocks(lat, lon, lat, lon, radius))
+        spans = [(int(t[0]), int(t[-1]) + 1) for t, _ in blocks]
+        assert spans == halved(0, n)
+        assert all(fits(lo, hi) for lo, hi in spans if hi - lo > 1)
+        assert_same_pairs(
+            tuple(np.concatenate(parts) for parts in zip(*blocks)),
+            dense_pairs_within_km(lat, lon, lat, lon, radius),
+        )
+
+
+def test_one_pair_join_in_the_package():
+    # pair_blocks is the one place points are paired by distance; a region
+    # tests its points against one centre
+    allowed = {"alarm.py:pair_blocks", "geo.py:SphericalCap.contains_arrays"}
+    uses, joins = set(), []
+    for path in sorted(Path(eqalarm.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for top in tree.body:
+            for item in top.body if isinstance(top, ast.ClassDef) else [top]:
+                # the top-level function or class method holding the node,
+                # the class for a class attribute, "" at module level
+                scope = ".".join(getattr(x, "name", "") for x in dict.fromkeys((top, item)))
+                for node in ast.walk(item):
+                    name = getattr(node, "id", getattr(node, "attr", None))
+                    if name == "great_circle_km_arrays":
+                        uses.add(f"{path.name}:{scope.strip('.')}")
+                    if "pairs_within_km" in (name, getattr(node, "name", None)):
+                        joins.append(f"{path.name}:{node.lineno}")
+    assert uses == allowed
+    assert joins == []
 
 
 class TestIndexPairs:
