@@ -238,7 +238,7 @@ class AlarmTargetIndex:
     and every membership question reads them.
     """
 
-    # peak working bytes per (row, paired target) of a count chunk: the
+    # peak working bytes per (row, paired target) of a block's gathers: the
     # gathered intp table offsets and the bool verdicts read at them
     BYTES_PER_GATHER = 9
     # largest verdict table a block expands, whatever the budget: gathers from
@@ -267,24 +267,23 @@ class AlarmTargetIndex:
         )))
         keep = a_trig[pj] != pk
         self._pk, self._pj = pk[keep], pj[keep]
-        # verdict code per pair: 1 if the target reaches the alarm's floor, else 2 (NaN too)
+        # per pair: does the target reach the alarm's floor (a NaN never does)
         with np.errstate(invalid="ignore"):
-            floor_ok = t_mag[self._pk] >= rows["mag_floor"][self._pj]
-        self._code = np.where(floor_ok, np.uint8(1), np.uint8(2))
+            self._floor_ok = t_mag[self._pk] >= rows["mag_floor"][self._pj]
         # a pair's window (start, end] holds the sorted times at positions [lo, hi)
         times = targets.rows["time_us"]
         self._lo = np.searchsorted(times, rows["start_us"][self._pj], "right")
         self._hi = np.searchsorted(times, rows["end_us"][self._pj], "right")
 
         # Switch keys u * n + position over the paired targets u = 0..U-1: a
-        # pair adds its weight from lo and takes it back at hi, 1 for code 1
-        # and n_pairs + 1 (more than all code-1 pairs together) for code 2, so
+        # pair adds its weight from lo and takes it back at hi, 1 if its target
+        # reaches the floor and n_pairs + 1 (more than all such pairs) if not, so
         # the segment from a key to the next is predicted exactly when its
         # summed weight lies in (0, n_pairs + 1). A zero-weight marker at
         # u * n starts a segment where each target's row starts.
         self._uniq_k, pair_u = np.unique(self._pk, return_inverse=True)
         base = np.arange(self._uniq_k.size, dtype=np.int64) * n
-        weight = np.where(self._code == 1, 1, self.n_pairs + 1)
+        weight = np.where(self._floor_ok, 1, self.n_pairs + 1)
         keys = np.concatenate((base, pair_u * n + self._lo, pair_u * n + self._hi))
         by_key = np.argsort(keys, kind="stable")
         depth = np.concatenate((np.zeros(base.size, np.int64), weight, -weight))[by_key].cumsum()
@@ -330,41 +329,33 @@ class AlarmTargetIndex:
         target k the time ``times[order[r, k]]`` of the sorted target times, so
         a permutation of ``range(n_targets)`` per row reassigns the times.
 
-        Blocks of paired targets expand their switch keys into a bool verdict
-        table of n_targets bytes per target, within half of the memory budget;
-        chunks of rows then read it, one gather per paired target, within the
-        other half.
+        Each block of paired targets expands its switch keys into a bool
+        verdict table of n_targets bytes per target, and all rows read it with
+        one gather per paired target. The table and the gathers fit half of
+        the memory budget, and the table TABLE_BYTES.
         """
         order = self._positions(order, 2)
         counts = np.zeros(len(order), dtype=np.int64)
-        n_paired = self._uniq_k.size
-        block = max(1, min(MEMORY_BUDGET_BYTES // 2, self.TABLE_BYTES) // max(self.n_targets, 1))
+        n, n_paired = self.n_targets, self._uniq_k.size
+        width = max(n, 1)  # no target is paired when n is 0
+        per_target = width + self.BYTES_PER_GATHER * len(order)
+        block = max(1, min(self.TABLE_BYTES // width, MEMORY_BUDGET_BYTES // 2 // per_target))
         for u0 in range(0, n_paired, block):
-            self._add_block_counts(order, u0, min(u0 + block, n_paired), counts)
+            u1 = min(u0 + block, n_paired)
+            s0, s1 = self._row_seg[u0], self._row_seg[u1]
+            table = np.repeat(self._ok[s0:s1], self._seg_len[s0:s1])
+            # positions were checked, so clipping changes none
+            at = np.take(order, self._uniq_k[u0:u1], axis=1, mode="clip")
+            at += np.arange(u1 - u0) * n
+            counts += np.count_nonzero(np.take(table, at, mode="clip"), axis=1)
+            del table, at  # freed before the next block's table is built
         return counts
-
-    def _add_block_counts(self, order, u0: int, u1: int, counts: np.ndarray) -> None:
-        """Add the predicted paired targets u0..u1-1 of each row of order to counts."""
-        s0, s1 = self._row_seg[u0], self._row_seg[u1]
-        table = np.repeat(self._ok[s0:s1], self._seg_len[s0:s1])
-        columns, offsets = self._uniq_k[u0:u1], np.arange(u1 - u0) * self.n_targets
-        chunk = rows_within_budget(2 * self.BYTES_PER_GATHER * (u1 - u0))
-        at = np.empty((min(chunk, len(order)), u1 - u0), dtype=np.intp)
-        hit = np.empty(at.shape, dtype=bool)
-        for lo in range(0, len(order), chunk):
-            m = min(chunk, len(order) - lo)
-            # positions were checked, so clipping changes none; it also keeps
-            # take from buffering its output
-            np.take(order[lo : lo + m], columns, axis=1, out=at[:m], mode="clip")
-            at[:m] += offsets
-            np.take(table, at[:m], out=hit[:m], mode="clip")
-            counts[lo : lo + m] += np.count_nonzero(hit[:m], axis=1)
 
     def successful_alarms(self, positions: np.ndarray) -> int:
         """Alarms containing at least one target above their floor when target
         k takes the time at ``positions[k]``."""
         at = self._positions(positions, 1)[self._pk]
-        hit = (at >= self._lo) & (at < self._hi) & (self._code == 1)
+        hit = (at >= self._lo) & (at < self._hi) & self._floor_ok
         return int(np.unique(self._pj[hit]).size)
 
 

@@ -21,12 +21,14 @@ def normalize_lon(lon):
     """Map longitudes in degrees (a float or an array) onto [-180, 180):
     one in range comes back as it was, -0.0 included, and any other wraps.
     Python's float ``%`` and numpy's ``%`` both take the C ``fmod`` and add
-    360 to a negative remainder, so scalars and arrays wrap alike.
+    360 to a negative remainder, so scalars and arrays wrap alike. Just below
+    -180 that sum rounds to 360, which the second ``% 360`` takes to 0.
     """
     if np.ndim(lon):
-        return np.where((lon >= -180.0) & (lon < 180.0), lon, (lon + 180.0) % 360.0 - 180.0)
+        wrapped = (lon + 180.0) % 360.0 % 360.0 - 180.0
+        return np.where((lon >= -180.0) & (lon < 180.0), lon, wrapped)
     lon = float(lon)
-    return lon if -180.0 <= lon < 180.0 else (lon + 180.0) % 360.0 - 180.0
+    return lon if -180.0 <= lon < 180.0 else (lon + 180.0) % 360.0 % 360.0 - 180.0
 
 
 @dataclass(frozen=True, slots=True)

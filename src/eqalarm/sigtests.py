@@ -114,12 +114,13 @@ def _simulated_counts(index: AlarmTargetIndex, n_reps: int, key: Rng) -> np.ndar
     shuffled in place row by row; consecutive permuted calls on row chunks
     draw the same stream as one call on the whole block, and the draws do
     not depend on the values shuffled, so the positions move as the times
-    would. The chunks refill one array, the size of the first and largest.
+    would. The chunks refill one array, the size of the first and largest,
+    and take half of the memory budget; the count kernel takes the other.
     """
     n = index.n_targets
     counts = np.empty(n_reps, dtype=np.int64)
     rows = np.empty((0, n), dtype=np.intp)
-    for lo, hi, g in _replicate_chunks(key, n_reps, rows.itemsize * n):
+    for lo, hi, g in _replicate_chunks(key, n_reps, 2 * rows.itemsize * n):
         if len(rows) < hi - lo:
             rows = np.empty((hi - lo, n), dtype=np.intp)
         chunk = rows[: hi - lo]
@@ -157,7 +158,7 @@ def permutation_test_fixed_alarms(
         sims_geq=sims_geq,
         p_estimate=sims_geq / n_reps,
         p_is_upper_bound=sims_geq == 0,
-        max_sim=float(sims.max()) if n_reps else 0.0,
+        max_sim=float(sims.max()),
         seed=key.seed,
         config=dict(config or {}),
     )
@@ -292,7 +293,8 @@ def poisson_binomial_pvalue(
             nxt[:-1] = pmf * (1.0 - p)
             nxt[1:] += pmf * p
             pmf = nxt
-        return float(pmf[s_obs:].sum())
+        # rounding can carry the tail just past 1 when some p_j are 1
+        return min(1.0, float(pmf[s_obs:].sum()))
     if method == "simulate":
         hits = 0
         # a row holds A float64 uniforms and their bool mask

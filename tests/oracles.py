@@ -168,21 +168,25 @@ def successful_alarm_count(alarm_set, events, selector: str = "mb") -> int:
     )
 
 
-def pair_kernel_counts(index, alarm_set, times_matrix) -> np.ndarray:
-    """Predicted-event counts of an AlarmTargetIndex over ``alarm_set`` for
-    each row of event times in µs, by the batched pair kernel: gather each
-    of the index's pairs' target time, test it against the alarm's own
-    window (start, end] from ``alarm_set.rows``, and OR the covered pairs'
-    verdict codes (1 reaches the floor, 2 does not) per target with one
-    reduceat; a target whose codes OR to 1 is predicted."""
+def pair_kernel_counts(index, alarm_set, targets, times_matrix) -> np.ndarray:
+    """Predicted-event counts of an AlarmTargetIndex of ``targets`` over
+    ``alarm_set`` for each row of event times in µs, by the batched pair
+    kernel: gather each of the index's pairs' target time, test it against
+    the alarm's own window (start, end] from ``alarm_set.rows``, and OR the
+    covered pairs' verdict codes per target with one reduceat. A pair's code
+    is 1 if the target's magnitude reaches the alarm's ``mag_floor`` and 2 if
+    not (a NaN magnitude too); a target whose codes OR to 1 is predicted."""
     times_matrix = np.asarray(times_matrix, dtype=np.int64)
     if index.n_pairs == 0:
         return np.zeros(len(times_matrix), dtype=np.int64)
+    rows = alarm_set.rows
+    with np.errstate(invalid="ignore"):
+        floor_ok = targets.magnitudes()[index._pk] >= rows["mag_floor"][index._pj]
+    code = np.where(floor_ok, 1, 2)
     t_pair = times_matrix[:, index._pk]
-    start, end = alarm_set.rows["start_us"][index._pj], alarm_set.rows["end_us"][index._pj]
-    covered = (t_pair > start) & (t_pair <= end)
+    covered = (t_pair > rows["start_us"][index._pj]) & (t_pair <= rows["end_us"][index._pj])
     _, segments = np.unique(index._pk, return_index=True)
-    codes = np.bitwise_or.reduceat(covered * index._code, segments, axis=1)
+    codes = np.bitwise_or.reduceat(covered * code, segments, axis=1)
     return (codes == 1).sum(axis=1)
 
 

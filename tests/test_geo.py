@@ -54,6 +54,14 @@ class TestGeoPoint:
         assert wrapped.tolist() == [normalize_lon(float(x)) for x in lons]
         assert np.all((wrapped >= -180.0) & (wrapped < 180.0))
 
+    def test_normalize_lon_just_below_minus_180_wraps_to_minus_180(self):
+        # the float below -180: (lon + 180) % 360 rounds to 360, giving 180.0
+        lon = -180.00000000000003
+        assert normalize_lon(lon) == -180.0
+        wrapped = normalize_lon(np.array([lon, 200.0, np.nan]))
+        assert wrapped[:2].tolist() == [-180.0, -160.0] and np.isnan(wrapped[2])
+        assert GeoPoint(0.0, lon).lon == -180.0
+
     @given(st.floats(min_value=-180.0, max_value=180.0, exclude_max=True))
     def test_normalize_lon_keeps_in_range_values(self, lon):
         # written digits survive, and -0.0 keeps its sign as latitude does

@@ -275,7 +275,7 @@ def test_position_kernel_matches_the_pair_kernel(inputs, start_us, budget, rando
         index = AlarmTargetIndex(cat, alarm_set)
         with mock.patch.object(eqalarm.alarm, "MEMORY_BUDGET_BYTES", budget):
             got = index.counts_for_time_matrix(order)
-        want = oracles.pair_kernel_counts(index, alarm_set, times[order])
+        want = oracles.pair_kernel_counts(index, alarm_set, cat, times[order])
         assert got.tolist() == want.tolist()
 
 

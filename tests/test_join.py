@@ -448,7 +448,7 @@ class TestCountKernel:
             index = AlarmTargetIndex(cat, aset)
             with _budget(budget):
                 got = index.counts_for_time_matrix(order)
-            assert got.tolist() == oracles.pair_kernel_counts(index, aset, times[order]).tolist()
+            assert got.tolist() == oracles.pair_kernel_counts(index, aset, cat, times[order]).tolist()
 
 
 class TestJoinCallersMatchLoops:
@@ -563,7 +563,7 @@ class TestMemoryBudget:
         order = np.stack([rng.permutation(len(cat)) for _ in range(300)])
         counts, peak = traced_peak(lambda: index.counts_for_time_matrix(order))
         assert peak <= 2 * budget + counts.nbytes
-        expected = oracles.pair_kernel_counts(index, aset, cat.rows["time_us"][order])
+        expected = oracles.pair_kernel_counts(index, aset, cat, cat.rows["time_us"][order])
         assert counts.tolist() == expected.tolist()
         assert len(set(counts.tolist())) > 1
 

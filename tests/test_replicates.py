@@ -147,7 +147,8 @@ class TestPermutationReplicates:
         index = AlarmTargetIndex(targets, alarms)
         monkeypatch.setattr(eqalarm.alarm, "MEMORY_BUDGET_BYTES", BUDGET)
         sims, peak = traced_peak(lambda: _simulated_counts(index, 1100, Rng(77, 3)))
-        assert peak <= 2 * BUDGET + sims.nbytes
+        # the position rows and the count kernel share one budget
+        assert peak <= BUDGET + BUDGET // 8 + sims.nbytes
         assert np.array_equal(sims, expected)
         assert np.unique(sims).size > 2
 

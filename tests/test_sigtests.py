@@ -269,6 +269,21 @@ class TestPoissonBinomial:
                     exact += weight
             assert poisson_binomial_pvalue(s, probs) == pytest.approx(exact, abs=1e-12)
 
+    def test_exact_tail_never_passes_one_with_certain_alarms(self):
+        # uncapped, rounding carries some of these tails to 1 + 2e-16
+        rng = np.random.default_rng(5)
+        for _ in range(200):
+            a = int(rng.integers(2, 12))
+            probs = rng.random(a)
+            n_certain = int(rng.integers(1, a))
+            probs[:n_certain] = 1.0
+            rng.shuffle(probs)
+            for s in range(1, a + 1):
+                tail = poisson_binomial_pvalue(s, probs)
+                assert tail <= 1.0
+                if s <= n_certain:
+                    assert tail == pytest.approx(1.0, abs=1e-12)
+
     def test_simulate_within_three_se(self):
         probs = [0.15, 0.6, 0.45, 0.8]
         s = 2
