@@ -23,9 +23,9 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from ._random import as_generator
-from .catalog import SECONDS_PER_DAY, Catalog, StudyVolume, _as_utc, _from_us, _to_us
+from .catalog import _MAX_US, SECONDS_PER_DAY, Catalog, StudyVolume, _as_utc, _from_us, _to_us
 from .catalog import _seconds_to_us, format_instant
-from .geo import EARTH_RADIUS_KM, GeoPoint, cap_area_km2, great_circle_km_arrays
+from .geo import EARTH_RADIUS_KM, GeoPoint, cap_area_km2, check_cap_radius, great_circle_km_arrays
 
 # Working memory the batched kernels (the alarm x target join, the count
 # kernel and the replicate blocks) may hold at once; each divides it by its
@@ -102,15 +102,6 @@ class FloorRule(str, Enum):
     THRESHOLD = "threshold"  # floor = the trigger threshold
     TRIGGER = "trigger"      # floor = the triggering event's magnitude
 
-    @classmethod
-    def from_cli(cls, label: str) -> "FloorRule":
-        """Map the CLI's predictor labels: 'i' -> THRESHOLD, 'ii' -> TRIGGER."""
-        mapping = {"i": cls.THRESHOLD, "ii": cls.TRIGGER}
-        try:
-            return mapping[label]
-        except KeyError:
-            raise ValueError(f"unknown predictor {label!r}; use 'i' or 'ii'") from None
-
 
 @dataclass(frozen=True, slots=True)
 class Alarm:
@@ -127,10 +118,11 @@ class Alarm:
     def __post_init__(self):
         object.__setattr__(self, "t_start", _as_utc(self.t_start))
         object.__setattr__(self, "t_end", _as_utc(self.t_end))
-        if not (math.isfinite(self.radius_km) and self.radius_km > 0.0):
-            raise ValueError(f"alarm radius must be positive, got {self.radius_km!r}")
+        check_cap_radius(self.radius_km)
         if not self.t_start < self.t_end:
             raise ValueError("alarm interval is empty")
+        if math.isnan(self.mag_floor):  # it would outrank every target it covers
+            raise ValueError("alarm mag_floor may not be NaN")
 
 
 # One row per alarm: the window (start_us, end_us] in exact microseconds since
@@ -139,7 +131,6 @@ ALARM_DTYPE = np.dtype([
     ("lat", float), ("lon", float), ("radius_km", float), ("start_us", np.int64),
     ("end_us", np.int64), ("mag_floor", float), ("trigger_index", object), ("trigger_id", object),
 ])
-_MAX_US = _to_us(datetime.max)
 
 
 @dataclass(frozen=True, eq=False)
@@ -203,8 +194,7 @@ def generate_alarms(
         raise ValueError(f"mag_threshold must be finite, got {mag_threshold!r}")
     if not (math.isfinite(window_days) and window_days > 0.0):
         raise ValueError(f"window_days must be positive, got {window_days!r}")
-    if not (math.isfinite(radius_km) and radius_km > 0.0):
-        raise ValueError(f"radius_km must be positive, got {radius_km!r}")
+    check_cap_radius(radius_km)
     floor_rule = FloorRule(floor_rule)
     window_us = int(_seconds_to_us(window_days * SECONDS_PER_DAY))
     selector = catalog.magnitude_selector

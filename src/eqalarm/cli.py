@@ -54,6 +54,8 @@ DEFAULT_SEED = 20002004
 DEFAULT_WINDOW_DAYS = 21.0
 DEFAULT_RADIUS_KM = 50.0
 DEFAULT_REPS = 1000
+# --predictor labels: (i) floors every alarm at the threshold, (ii) at its trigger's magnitude
+PREDICTORS = {"i": FloorRule.THRESHOLD, "ii": FloorRule.TRIGGER}
 
 TABLE1_ROWS = (
     ("2004", 5.5, "2004-01-01T00:00:00Z", "2005-01-01T00:00:00Z"),
@@ -76,6 +78,14 @@ def _parse_cli_time(text: str) -> datetime:
     if len(text.strip()) == 10:
         text = text.strip() + "T00:00:00Z"
     return parse_instant(text)
+
+
+def positive_int(text: str) -> int:
+    """The --reps rule of every subcommand that takes it."""
+    reps = int(text)
+    if reps < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {reps}")
+    return reps
 
 
 def _load_catalog(path: str, fmt: str) -> Catalog:
@@ -107,7 +117,8 @@ def _config_echo(args, subcommand: str) -> dict:
     return echo
 
 
-def _window_from_args(args, catalog: Catalog) -> tuple[datetime, datetime]:
+def _window_from_args(args, catalog: Catalog | None) -> tuple[datetime, datetime]:
+    """--from and --to; the catalog's span stands in for either one missing."""
     t_start = _parse_cli_time(args.time_from) if args.time_from else catalog.span.t_start
     t_end = _parse_cli_time(args.time_to) if args.time_to else catalog.span.t_end
     if not t_start < t_end:
@@ -132,9 +143,8 @@ def cmd_eval(args) -> int:
     targets = filter_catalog(catalog, args.mag_threshold, window)
     if len(targets) == 0:
         print("warning: no events pass the magnitude/window filter", file=sys.stderr)
-    floor_rule = FloorRule.from_cli(args.predictor)
     alarms = generate_alarms(
-        targets, args.mag_threshold, args.window_days, args.radius_km, floor_rule
+        targets, args.mag_threshold, args.window_days, args.radius_km, PREDICTORS[args.predictor]
     )
     summary = score(targets, alarms, targets.span)
     if args.alarms_out:
@@ -150,8 +160,6 @@ def cmd_eval(args) -> int:
 
 
 def cmd_test(args) -> int:
-    if args.reps < 1:
-        raise _UsageError(f"--reps must be >= 1, got {args.reps}")
     catalog = _load_catalog(args.input, args.format)
     window = _window_from_args(args, catalog)
     windowed = filter_catalog(catalog, -10.0, window)
@@ -160,7 +168,7 @@ def cmd_test(args) -> int:
         args.mag_threshold,
         window_days=args.window_days,
         radius_km=args.radius_km,
-        floor_rule=FloorRule.from_cli(args.predictor),
+        floor_rule=PREDICTORS[args.predictor],
         n_reps=args.reps,
         rng=Rng(args.seed),
     )
@@ -266,34 +274,24 @@ def cmd_simulate(args) -> int:
         catalog = _load_catalog(args.input, args.format)
         generator = permute_times if args.model == "permute" else randomize_times_uniform
         out_catalog = generator(catalog, rng)
-    elif args.model == "poisson":
-        if args.rate_per_day is None or not (args.time_from and args.time_to):
-            raise _UsageError("model 'poisson' needs --rate-per-day, --from, and --to")
-        interval = (_parse_cli_time(args.time_from), _parse_cli_time(args.time_to))
+    else:  # a generative model; argparse restricts the choices
+        flag, value = {
+            "poisson": ("--rate-per-day", args.rate_per_day),
+            "heterogeneous-poisson": ("--cells", args.cells),
+            "gamma-renewal": ("--mean-interval-days", args.mean_interval_days),
+        }[args.model]
+        if value in (None, "") or not (args.time_from and args.time_to):
+            raise _UsageError(f"model {args.model!r} needs {flag}, --from, and --to")
+        interval = _window_from_args(args, None)
         sv = StudyVolume(GlobalSphere(), *interval)
         marks = _load_catalog(args.input, args.format) if args.input else None
-        out_catalog = gen_homogeneous_poisson(args.rate_per_day / 86400.0, sv, marks, rng)
-    elif args.model == "heterogeneous-poisson":
-        if not args.cells or not (args.time_from and args.time_to):
-            raise _UsageError(
-                "model 'heterogeneous-poisson' needs --cells, --from, and --to"
-            )
-        grid = _load_cell_grid(args.cells)
-        interval = (_parse_cli_time(args.time_from), _parse_cli_time(args.time_to))
-        marks = _load_catalog(args.input, args.format) if args.input else None
-        out_catalog = gen_heterogeneous_poisson(grid, interval, marks, rng)
-    else:  # gamma-renewal; argparse restricts the choices
-        if args.mean_interval_days is None or not (args.time_from and args.time_to):
-            raise _UsageError(
-                "model 'gamma-renewal' needs --mean-interval-days, --from, and --to"
-            )
-        interval = (_parse_cli_time(args.time_from), _parse_cli_time(args.time_to))
-        time_us = _gamma_renewal_us(
-            args.shape, args.mean_interval_days * 86400.0, interval, rng
-        )
-        sv = StudyVolume(GlobalSphere(), *interval)
-        marks = _load_catalog(args.input, args.format) if args.input else None
-        out_catalog = _marked_catalog(time_us, sv, marks, rng.replicate(1).generator())
+        if args.model == "poisson":
+            out_catalog = gen_homogeneous_poisson(value / 86400.0, sv, marks, rng)
+        elif args.model == "heterogeneous-poisson":
+            out_catalog = gen_heterogeneous_poisson(_load_cell_grid(value), interval, marks, rng)
+        else:
+            time_us = _gamma_renewal_us(args.shape, value * 86400.0, interval, rng)
+            out_catalog = _marked_catalog(time_us, sv, marks, rng.replicate(1).generator())
     _write_text(dumps_csv(out_catalog), args.out)
     print(f"simulated {len(out_catalog)} events (model={args.model})", file=sys.stderr)
     return 0
@@ -314,9 +312,14 @@ def _add_prediction_flags(sub):
                      dest="window_days")
     sub.add_argument("--radius-km", type=float, default=DEFAULT_RADIUS_KM,
                      dest="radius_km")
-    sub.add_argument("--predictor", choices=("i", "ii"), default="ii")
+    sub.add_argument("--predictor", choices=PREDICTORS, default="ii")
     sub.add_argument("--from", dest="time_from", default=None, metavar="ISO")
     sub.add_argument("--to", dest="time_to", default=None, metavar="ISO")
+
+
+def _add_replicate_flags(sub):
+    sub.add_argument("--reps", type=positive_int, default=DEFAULT_REPS)
+    sub.add_argument("--seed", type=int, default=DEFAULT_SEED)
 
 
 def build_parser() -> _Parser:
@@ -336,8 +339,7 @@ def build_parser() -> _Parser:
     p = subs.add_parser("test", help="permutation test of the automatic alarms")
     _add_common_io(p)
     _add_prediction_flags(p)
-    p.add_argument("--reps", type=int, default=DEFAULT_REPS)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    _add_replicate_flags(p)
     p.set_defaults(func=cmd_test)
 
     p = subs.add_parser("table1", help="four-row benchmark table for 2000-2004")
@@ -346,8 +348,7 @@ def build_parser() -> _Parser:
                    dest="window_days")
     p.add_argument("--radius-km", type=float, default=DEFAULT_RADIUS_KM,
                    dest="radius_km")
-    p.add_argument("--reps", type=int, default=DEFAULT_REPS)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    _add_replicate_flags(p)
     p.set_defaults(func=cmd_table1)
 
     p = subs.add_parser("decluster", help="window-decluster a catalog")
@@ -359,13 +360,11 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_decluster)
 
     p = subs.add_parser("simulate", help="draw synthetic catalogs from the null models")
+    _add_common_io(p, with_input=False)
     p.add_argument("--model", required=True,
                    choices=("permute", "uniform-times", "poisson",
                             "heterogeneous-poisson", "gamma-renewal"))
     p.add_argument("--input", default=None, help="catalog for times/marks (model-dependent)")
-    p.add_argument("--format", choices=("csv", "ndk"), default="csv")
-    p.add_argument("--out", default=None)
-    p.add_argument("--deterministic", action="store_true")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--rate-per-day", type=float, default=None, dest="rate_per_day")
     p.add_argument("--cells", default=None, help="cell grid CSV for the heterogeneous model")

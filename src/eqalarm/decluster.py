@@ -95,8 +95,6 @@ def decluster(
     nor get deleted. Retained events keep their original order.
     """
     n = len(catalog)
-    if n == 0:
-        return DeclusterResult(catalog, ())
     times = catalog.rows["time_us"]
     lats = catalog.latitudes()
     lons = catalog.longitudes()

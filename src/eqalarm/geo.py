@@ -47,6 +47,15 @@ class GeoPoint:
         object.__setattr__(self, "lon", normalize_lon(float(self.lon)))
 
 
+def check_cap_radius(radius_km: float) -> None:
+    """The one rule for alarm and cap radii: refuse any outside
+    (0, HALF_CIRCUMFERENCE_KM], NaN included, with a ValueError."""
+    if not 0.0 < radius_km <= HALF_CIRCUMFERENCE_KM:
+        raise ValueError(
+            f"cap radius must be in (0, {HALF_CIRCUMFERENCE_KM:.1f}] km, got {radius_km!r}"
+        )
+
+
 def great_circle_km_arrays(lat1, lon1, lat2, lon2) -> np.ndarray:
     """Vectorised haversine distance in km between degree coordinates."""
     lat1, lon1, lat2, lon2 = (
@@ -135,10 +144,7 @@ class LatLonBox:
 
     @property
     def lon_width_deg(self) -> float:
-        width = math.fmod(self.lon_max - self.lon_min, 360.0)
-        if width < 0.0:
-            width += 360.0
-        return width if width > 0.0 else 360.0
+        return (self.lon_max - self.lon_min) % 360.0 or 360.0
 
     @property
     def area_km2(self) -> float:
@@ -167,8 +173,7 @@ class SphericalCap:
     radius_km: float
 
     def __post_init__(self):
-        if not (0.0 < self.radius_km <= HALF_CIRCUMFERENCE_KM):
-            raise ValueError(f"cap radius must be in (0, {HALF_CIRCUMFERENCE_KM:.1f}] km")
+        check_cap_radius(self.radius_km)
 
     @property
     def area_km2(self) -> float:

@@ -224,9 +224,7 @@ def exact_permutation_pvalue(
         targets, mag_threshold, window_days, radius_km, FloorRule(floor_rule)
     )
     index = AlarmTargetIndex(targets, alarm_set)
-    observed = int(index.predicted_mask(np.arange(len(targets))).sum())
-    if n == 0:
-        return Fraction(1, 1)
+    observed = int(index.predicted_mask(np.arange(n)).sum())
     perms = _all_orderings(n)
     counts = index.counts_for_time_matrix(perms)
     return Fraction(int((counts >= observed).sum()), len(perms))
@@ -353,10 +351,6 @@ class GridOutcome:
         object.__setattr__(self, "occurred", tuple(bool(x) for x in self.occurred))
         if len(self.predicted) != len(self.occurred):
             raise ValueError("predicted and occurred must have equal length")
-
-    @property
-    def n_cells(self) -> int:
-        return len(self.predicted)
 
 
 def _r_score_denominators(occurred: np.ndarray) -> tuple[int, int]:

@@ -27,6 +27,8 @@ from eqalarm import (
     union_volume_fraction_mc,
 )
 
+from eqalarm.geo import HALF_CIRCUMFERENCE_KM
+
 from conftest import T0, day, make_catalog, make_event, random_catalog
 from oracles import alarm_covers, great_circle_km, is_predicted
 
@@ -136,6 +138,19 @@ class TestGenerateAlarms:
         with pytest.raises(ValueError, match="alarm interval is empty"):
             generate_alarms(cat, 5.5, window_days=1e-12)
 
+    @pytest.mark.parametrize("radius_km", [0.0, -1.0, math.nan, math.inf, 30_000.0])
+    def test_radius_outside_half_circumference_refused(self, radius_km):
+        # the one cap-radius rule of eqalarm.geo, shared with Alarm and SphericalCap
+        cat = make_catalog([(1, 0, 0, 6.0)])
+        with pytest.raises(ValueError, match="cap radius must be in"):
+            generate_alarms(cat, 5.5, radius_km=radius_km)
+        with pytest.raises(ValueError, match="cap radius must be in"):
+            Alarm(GeoPoint(0, 0), radius_km, T0, T0 + day(1), 5.5)
+        # no trigger, yet the radius is still refused
+        with pytest.raises(ValueError, match="cap radius must be in"):
+            generate_alarms(make_catalog([]), 5.5, radius_km=radius_km)
+        assert len(generate_alarms(cat, 5.5, radius_km=HALF_CIRCUMFERENCE_KM)) == 1
+
     def test_raising_threshold_never_adds_alarms(self):
         rng = np.random.default_rng(42)
         cat = random_catalog(rng, n=40)
@@ -193,6 +208,15 @@ class TestCounts:
         aset = AlarmSet((Alarm(GeoPoint(0, 0), 100.0, T0, T0 + day(10), 5.5),))
         cat = make_catalog([(1, 0, 0, 6.0), (2, 0.1, 0, 6.0), (3, 0, 0.1, 6.0)])
         assert count_successful_alarms(aset, cat) == 1
+
+    def test_nan_floor_refused(self):
+        # such an alarm would outrank every target it covers: one among the
+        # alarms of a two-event set would drop the count from 2 to 0
+        cat = make_catalog([(1, 0, 0, 6.0), (2, 0.1, 0, 6.0)])
+        alarm = Alarm(GeoPoint(0, 0), 100.0, T0, T0 + day(10), 5.5)
+        assert count_predicted(cat, AlarmSet((alarm,))) == 2
+        with pytest.raises(ValueError, match="mag_floor may not be NaN"):
+            replace(alarm, mag_floor=math.nan)
 
     def test_empty_alarm_set(self):
         cat = make_catalog([(1, 0, 0, 6.0)])

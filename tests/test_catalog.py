@@ -115,6 +115,23 @@ class TestParseCsv:
         with pytest.raises(CatalogParseError, match="line 3"):
             parse_csv(text)
 
+    def test_lon_out_of_range_cites_line(self):
+        text = (
+            CSV_HEADER
+            + "2004-01-02T03:04:05Z,10.0,359.5,33.0,5.5,,a\n"
+            + "2004-01-03T03:04:05Z,10.0,360.0,33.0,5.5,,b\n"
+        )
+        with pytest.raises(CatalogParseError, match=r"line 3: longitude 360.0 outside \[-180, 360\)"):
+            parse_csv(text)
+        with pytest.raises(CatalogParseError, match="line 2: longitude -180.5"):
+            parse_csv(CSV_HEADER + "2004-01-02T03:04:05Z,10.0,-180.5,33.0,5.5,,a\n")
+
+    def test_blank_rows_skipped(self):
+        row = "2004-01-02T03:04:05Z,10.0,20.0,33.0,5.5,,ev1\n"
+        cat = parse_csv(CSV_HEADER + "\n" + row + "\n\n")
+        assert cat == parse_csv(CSV_HEADER + row)
+        assert [e.source_id for e in cat.events] == ["ev1"]
+
     def test_bad_timestamp_cites_line(self):
         text = CSV_HEADER + "2004/01/02 03:04,10.0,20.0,33.0,5.5,,a\n"
         with pytest.raises(CatalogParseError, match="line 2"):

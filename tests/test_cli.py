@@ -40,6 +40,10 @@ def csv_path(tmp_path):
     return write
 
 
+def _never_called(*args, **kwargs):
+    raise AssertionError("reached past the argument checks")
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -85,6 +89,13 @@ class TestIngest:
         code, out, err = run(capsys, "ingest", "--input", str(path))
         assert code == 2
         assert "parse error: line 2: new-line character" in err and out == ""
+
+    def test_input_not_utf8_exits_two(self, tmp_path, capsys, csv_path):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(Path(csv_path(THREE_EVENT_ROWS)).read_bytes() + b"\xe9\n")
+        code, out, err = run(capsys, "ingest", "--input", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("parse error: input is not valid UTF-8")
 
     def test_missing_file_exits_one(self, capsys):
         code, _, err = run(capsys, "ingest", "--input", "/nonexistent.csv")
@@ -349,6 +360,32 @@ class TestSimulate:
     def test_missing_model_inputs_usage_error(self, capsys):
         code, _, err = run(capsys, "simulate", "--model", "poisson")
         assert code == 1
+        for model, flag in (
+            ("poisson", "--rate-per-day"),
+            ("heterogeneous-poisson", "--cells"),
+            ("gamma-renewal", "--mean-interval-days"),
+        ):
+            code, _, err = run(capsys, "simulate", "--model", model, *SIM_SPAN)
+            assert code == 1
+            assert err == f"error: model {model!r} needs {flag}, --from, and --to\n"
+
+    @pytest.mark.parametrize(
+        "model_args",
+        [
+            ("poisson", "--rate-per-day", "0.1"),
+            ("heterogeneous-poisson", "--cells", str(DATA_DIR / "simulate" / "cells.csv")),
+            ("gamma-renewal", "--mean-interval-days", "9"),
+        ],
+        ids=lambda a: a[0],
+    )
+    def test_reversed_interval_one_message(self, capsys, model_args):
+        code, out, err = run(
+            capsys, "simulate", "--model", *model_args, "--from", "2004-07-01", "--to", "2004-01-01"
+        )
+        assert (code, out) == (1, "")
+        assert err == (
+            "error: --from 2004-07-01 00:00:00+00:00 must precede --to 2004-01-01 00:00:00+00:00\n"
+        )
 
     def test_permute_requires_input(self, capsys):
         code, _, err = run(capsys, "simulate", "--model", "permute")
@@ -495,6 +532,13 @@ class TestTable1:
         assert [(*r[:5], r[7]) for r in rows] == undrawn
         assert out == (DATA_DIR / "table1_golden.csv").read_text(encoding="utf-8")
 
+    def test_zero_reps_is_usage_error_before_the_catalog_is_read(self, capsys, monkeypatch):
+        # the --reps rule of ``test`` too
+        monkeypatch.setattr("eqalarm.cli._load_catalog", _never_called)
+        code, out, err = run(capsys, "table1", "--input", "absent.ndk", "--reps", "0")
+        assert (code, out) == (1, "")
+        assert err == "error: argument --reps: must be >= 1, got 0\n"
+
     def test_non_covering_catalog_rejected(self, tmp_path, capsys):
         path = tmp_path / "short.ndk"
         path.write_text(ndk_file([ndk_record(date="2004/01/10")]))
@@ -520,6 +564,27 @@ class TestUsage:
         )
         assert code == 1
         assert "precede" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("eval", "--mag-threshold", "5.5"),
+            ("test", "--mag-threshold", "5.5", "--reps", "10"),
+            ("table1", "--reps", "10"),
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_radius_past_half_circumference_refused_before_any_join(
+        self, tmp_path, capsys, monkeypatch, argv
+    ):
+        path = tmp_path / "synthetic.ndk"
+        path.write_text(synthetic_ndk_2000_2004())
+        monkeypatch.setattr("eqalarm.alarm.pair_blocks", _never_called)
+        code, out, err = run(
+            capsys, *argv, "--input", str(path), "--format", "ndk", "--radius-km", "30000"
+        )
+        assert (code, out) == (1, "")
+        assert err == "error: cap radius must be in (0, 20015.1] km, got 30000.0\n"
 
     @pytest.mark.parametrize("subcommand", ["eval", "test"])
     @pytest.mark.parametrize("days", ["1e8", "1e9", "1e300"])

@@ -81,6 +81,13 @@ class TestWindowTable:
 
 
 class TestDecluster:
+    def test_empty_catalog_unchanged(self):
+        cat = make_catalog([])
+        for retained_only in (False, True):
+            result = decluster(cat, W10_20, retained_only=retained_only)
+            assert result.catalog == cat
+            assert result.deleted_indices == ()
+
     def test_single_event_unchanged(self):
         cat = make_catalog([(1.0, 0, 0, 6.0)])
         result = decluster(cat, W10_20)

@@ -211,6 +211,28 @@ class TestRegions:
         d = [great_circle_km(GeoPoint(float(a), float(b)), cap.center) for a, b in zip(lat, lon)]
         assert max(d) <= 800.0 * (1 + 1e-9)
 
+    def test_cap_sample_at_south_pole(self):
+        cap = SphericalCap(GeoPoint(-90.0, 0.0), 500.0)
+        lat, lon = cap.sample(200, np.random.default_rng(5))
+        assert np.all(cap.contains_arrays(lat, lon))
+        assert np.all(lat < -85.0)
+
+    @pytest.mark.parametrize("radius_km", [0.0, -1.0, math.nan, HALF_CIRCUMFERENCE_KM * 1.01])
+    def test_cap_radius_rule(self, radius_km):
+        with pytest.raises(ValueError, match="cap radius must be in"):
+            SphericalCap(GeoPoint(0.0, 0.0), radius_km)
+
+    @pytest.mark.parametrize(
+        "lon_min,lon_max",
+        [(0.0, 0.0), (-0.0, 0.0), (0.0, -0.0), (10.0, 10.0 + 1e-14), (10.0 + 1e-14, 10.0),
+         (-180.0, 180.0), (180.0, -180.0), (0.0, 720.0), (170.0, -170.0), (-1e-14, 0.0),
+         (5.0, 4.0), (359.9, -0.1)],
+    )
+    def test_box_lon_width_is_the_fmod_rule(self, lon_min, lon_max):
+        width = math.fmod(lon_max - lon_min, 360.0)
+        width = width + 360.0 if width < 0.0 else width
+        assert LatLonBox(0.0, 1.0, lon_min, lon_max).lon_width_deg == (width or 360.0)
+
     def test_cap_sample_near_pole(self):
         cap = SphericalCap(GeoPoint(90.0, 0.0), 500.0)
         rng = np.random.default_rng(5)

@@ -94,6 +94,11 @@ class TestPermutationTest:
         assert report.p_estimate == 1.0
         assert report.max_sim == 0
 
+    def test_int_seed_is_the_rng_of_that_seed(self):
+        cat = make_catalog(FIVE_EVENT_FIXTURE)
+        by_int = permutation_test(cat, 5.5, n_reps=300, rng=42)
+        assert by_int == permutation_test(cat, 5.5, n_reps=300, rng=Rng(42))
+
     def test_deterministic_given_seed(self):
         cat = make_catalog(FIVE_EVENT_FIXTURE)
         a = permutation_test(cat, 5.5, n_reps=300, rng=Rng(42))
@@ -143,6 +148,11 @@ class TestExactPermutation:
     def test_single_event_p_one(self):
         cat = make_catalog([(1.0, 0, 0, 6.0)])
         assert exact_permutation_pvalue(cat, 5.5) == Fraction(1, 1)
+
+    def test_no_event_above_threshold_gives_one(self):
+        cat = make_catalog([(1.0, 0, 0, 5.0), (2.0, 0.1, 0, 5.2)])
+        assert exact_permutation_pvalue(cat, 5.5) == Fraction(1, 1)
+        assert exact_permutation_pvalue(make_catalog([]), 5.5) == Fraction(1, 1)
 
     def test_two_colocated_events(self):
         # identity order predicts the second event (count 1); the swapped

@@ -4,6 +4,7 @@ and the benchmark's checks (``perfbench/worker.py``) read members of
 catalogs, events and alarm sets; these checks catch a rename or a signature
 change without running the benchmark."""
 
+import ast
 import importlib
 import importlib.util
 from collections import Counter
@@ -18,6 +19,7 @@ from eqalarm import AlarmTargetIndex, Event, generate_alarms
 from conftest import make_catalog
 
 SPANS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+SRC = Path(__file__).resolve().parents[1] / "src" / "eqalarm"
 
 
 def _load_spans():
@@ -54,6 +56,32 @@ def test_arguments_read_by_position():
     sigtests = importlib.import_module("eqalarm.sigtests")
     assert _params(sigtests.permutation_test_fixed_alarms)[2] == "n_reps"
     assert _params(sigtests.alarm_measure_pi)[1] == "historical_epicenters"
+
+
+def _function(module: str, name: str) -> ast.FunctionDef:
+    tree = ast.parse((SRC / f"{module}.py").read_text(encoding="utf-8"))
+    (fn,) = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == name]
+    return fn
+
+
+def test_table1_counts_succ_by_a_positional_count_predicted_call():
+    # the benchmark's wrong-count check replaces eqalarm.cli.count_predicted
+    # with ``lambda *a: original(*a) + 1``: only a positional call by that
+    # name reaches the replacement
+    (value,) = [
+        node.value
+        for node in ast.walk(_function("cli", "cmd_table1"))
+        if isinstance(node, ast.Assign) and [ast.unparse(t) for t in node.targets] == ["succ"]
+    ]
+    assert isinstance(value, ast.Call) and ast.unparse(value.func) == "count_predicted"
+    assert value.args and not value.keywords
+
+
+def test_n_reps_is_the_third_parameter_of_the_fixed_alarm_test():
+    # the tracer reads the replicate count as argument 2 or keyword n_reps
+    args = _function("sigtests", "permutation_test_fixed_alarms").args
+    assert not args.posonlyargs
+    assert [a.arg for a in args.args[:3]] == ["targets", "alarm_set", "n_reps"]
 
 
 def test_members_the_benchmark_checks_read():
