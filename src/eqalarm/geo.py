@@ -71,17 +71,17 @@ def great_circle_km_arrays(lat1, lon1, lat2, lon2) -> np.ndarray:
 
 def cap_area_km2(radius_km):
     """Area in km^2 of a spherical cap of the given great-circle radius, a
-    float or an array of them: 2*pi*R^2*(1 - cos(r/R)). A radius of half the
+    float or an array of them: 2*pi*R^2*(1 - cos(r/R)). Radii must lie in
+    [0, HALF_CIRCUMFERENCE_KM]: 0 is the empty cap, and half the
     circumference gives the whole sphere.
     """
     r = np.asarray(radius_km, dtype=float)
-    bad = ~((r >= 0.0) & (r <= HALF_CIRCUMFERENCE_KM * (1.0 + 1e-12)))  # NaN too
+    bad = ~((r >= 0.0) & (r <= HALF_CIRCUMFERENCE_KM))  # NaN too
     if bad.any():
         raise ValueError(
             f"cap radius must be in [0, {HALF_CIRCUMFERENCE_KM:.1f}] km (half the "
             f"circumference), got {float(r[bad].flat[0])!r}"
         )
-    r = np.minimum(r, HALF_CIRCUMFERENCE_KM)
     area = 2.0 * math.pi * EARTH_RADIUS_KM**2 * (1.0 - np.cos(r / EARTH_RADIUS_KM))
     return area if area.ndim else float(area)
 

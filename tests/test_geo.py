@@ -13,7 +13,13 @@ from eqalarm import (
     SphericalCap,
     cap_area_km2,
 )
-from eqalarm.geo import HALF_CIRCUMFERENCE_KM, great_circle_km_arrays, normalize_lon
+from eqalarm.geo import (
+    EARTH_AREA_KM2,
+    HALF_CIRCUMFERENCE_KM,
+    check_cap_radius,
+    great_circle_km_arrays,
+    normalize_lon,
+)
 
 from oracles import great_circle_km, region_contains
 
@@ -129,8 +135,13 @@ class TestCapArea:
             cap_area_km2(-1.0)
 
     def test_beyond_half_circumference_rejected(self):
-        with pytest.raises(ValueError):
-            cap_area_km2(HALF_CIRCUMFERENCE_KM * 1.01)
+        # one rule with check_cap_radius above 0: no slack past half the
+        # circumference, not even an ulp
+        assert cap_area_km2(HALF_CIRCUMFERENCE_KM) == EARTH_AREA_KM2
+        for bad in (math.nextafter(HALF_CIRCUMFERENCE_KM, math.inf), HALF_CIRCUMFERENCE_KM * 1.01):
+            for call in (cap_area_km2, check_cap_radius):
+                with pytest.raises(ValueError):
+                    call(bad)
 
     def test_arrays_match_scalars(self):
         radii = np.concatenate(

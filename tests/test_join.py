@@ -33,7 +33,12 @@ from eqalarm import (
 )
 from eqalarm.alarm import JOIN_BYTES_PER_CANDIDATE, pair_blocks
 from eqalarm.decluster import WindowRow, WindowTable
-from eqalarm.geo import EARTH_RADIUS_KM, HALF_CIRCUMFERENCE_KM, great_circle_km_arrays
+from eqalarm.geo import (
+    EARTH_RADIUS_KM,
+    HALF_CIRCUMFERENCE_KM,
+    great_circle_km_arrays,
+    normalize_lon,
+)
 
 import oracles
 from conftest import T0, day, make_catalog, traced_peak
@@ -257,6 +262,100 @@ class TestPairsWithinKm:
             with _slice(n_slice):
                 got = pairs_within_km(lat_t, lon_t, lat_a, lon_a, radius)
             assert_same_pairs(got, dense_pairs_within_km(lat_t, lon_t, lat_a, lon_a, radius))
+
+
+QUARTER_CIRCUMFERENCE_KM = HALF_CIRCUMFERENCE_KM / 2.0
+# radii about a quarter of the circumference (alpha near 90 degrees) and up to half
+window_radius_st = st.one_of(
+    radius_st,
+    st.floats(QUARTER_CIRCUMFERENCE_KM * (1 - 1e-9), QUARTER_CIRCUMFERENCE_KM * (1 + 1e-9)),
+    st.floats(QUARTER_CIRCUMFERENCE_KM, HALF_CIRCUMFERENCE_KM),
+)
+window_lon_st = st.one_of(
+    st.sampled_from([-180.0, math.nextafter(180.0, 0.0), 179.99, -179.99]), lon_st
+)
+
+
+@st.composite
+def window_inputs(draw):
+    """Caps at the edges of their longitude windows: centres with |lat| just
+    either side of 90 - alpha, where the latitude band starts to reach a
+    pole, with alpha also near and above 90 degrees; longitudes at -180,
+    just under 180 and across the dateline; and targets near the two points
+    where a cap reaches furthest in longitude, some on its boundary, and some
+    radii set to exactly another target's distance."""
+    lat_a, lon_a, radius, lat_t, lon_t = [], [], [], [], []
+    for _ in range(draw(st.integers(1, 6))):
+        r = draw(window_radius_st)
+        alpha = r / EARTH_RADIUS_KM
+        step = draw(st.one_of(st.floats(-1e-4, 1e-4), st.floats(-3.0, 3.0)))
+        sign = draw(st.sampled_from([-1.0, 1.0]))
+        lat = float(np.clip(sign * (90.0 - math.degrees(alpha) + step), -90.0, 90.0))
+        lat_a.append(lat)
+        lon_a.append(draw(window_lon_st))
+        radius.append(r)
+        ratio = math.sin(alpha) / math.cos(math.radians(lat))
+        if ratio < 1.0:
+            # the cap's boundary touches the meridians lon +- asin(ratio) at
+            # the latitude whose sine is sin(lat) / cos(alpha)
+            widest = math.degrees(math.asin(ratio))
+            sin_lat = min(max(math.sin(math.radians(lat)) / math.cos(alpha), -1.0), 1.0)
+            for side in (-1.0, 1.0):
+                nudge = draw(st.sampled_from([0.0, 1e-6, -1e-6, 1e-3, -1e-3]))
+                lat_t.append(float(np.clip(math.degrees(math.asin(sin_lat)) + nudge, -90.0, 90.0)))
+                lon_t.append(float(normalize_lon(lon_a[-1] + side * widest + nudge)))
+            if draw(st.booleans()):  # the last target on the cap's boundary
+                radius[-1] = float(great_circle_km_arrays(lat_t[-1], lon_t[-1], lat, lon_a[-1]))
+    for _ in range(draw(st.integers(0, 10))):
+        lat_t.append(draw(lat_st))
+        lon_t.append(draw(window_lon_st))
+    if lat_t:
+        for j in draw(st.lists(st.integers(0, len(lat_a) - 1), max_size=len(lat_a))):
+            k = draw(st.integers(0, len(lat_t) - 1))
+            exact = float(great_circle_km_arrays(lat_t[k], lon_t[k], lat_a[j], lon_a[j]))
+            radius[j] = max(exact, 1e-6)
+    return lat_t, lon_t, lat_a, lon_a, radius
+
+
+class TestLongitudeWindow:
+    @settings(max_examples=400, deadline=None)
+    @given(window_inputs(), budget_st, slice_st)
+    def test_matches_dense_oracle(self, inputs, budget_bytes, n_slice):
+        with _budget(budget_bytes), _slice(n_slice):
+            got = pairs_within_km(*inputs)
+        assert_same_pairs(got, dense_pairs_within_km(*inputs))
+
+    def test_distances_only_inside_the_window(self):
+        # the seeded global join of test_a_sparse_global_join_is_one_block:
+        # the haversine sees each candidate the window keeps, and no other
+        rng = np.random.default_rng(9)
+        lat, lon = GlobalSphere().sample(6000, rng)
+        args = (lat[:3000], lon[:3000], lat[3000:], lon[3000:], np.full(3000, 50.0))
+        with mock.patch.object(
+            eqalarm.alarm, "great_circle_km_arrays", wraps=great_circle_km_arrays
+        ) as haversine:
+            got = pairs_within_km(*args)
+        evaluated = sum(np.size(call.args[0]) for call in haversine.call_args_list)
+        assert evaluated == window_candidates(*args)
+        assert got[0].size <= evaluated < band_candidates(lat[:3000], lat[3000:], 50.0) / 10
+
+
+def window_candidates(lat_t, lon_t, lat_a, lon_a, radius_km_a):
+    """Band candidates (see band_candidates) whose longitude lies within
+    asin(sin alpha / cos lat) + 1e-5 degrees of their alarm's, by brute
+    force over every target and alarm; all longitudes when the band reaches
+    a pole."""
+    alpha = np.asarray(radius_km_a) / EARTH_RADIUS_KM
+    half_band = np.degrees(alpha) + 1e-5
+    ratio = np.minimum(np.sin(alpha) / np.cos(np.radians(lat_a)), 1.0)
+    window = np.degrees(np.arcsin(ratio)) + 1e-5
+    half_lon = np.where(np.abs(lat_a) + half_band >= 90.0, 180.0, window)
+    n = 0
+    for k in range(len(lat_t)):
+        in_band = (lat_t[k] >= lat_a - half_band) & (lat_t[k] <= lat_a + half_band)
+        d_lon = np.abs(lon_t[k] - lon_a) % 360.0
+        n += int((in_band & (np.minimum(d_lon, 360.0 - d_lon) <= half_lon)).sum())
+    return n
 
 
 def band_candidates(lat_t, lat_a, radius_km_a):
