@@ -293,6 +293,7 @@ class AlarmTargetIndex:
         self._seg_len = np.diff(self._keys, append=base.size * n)
         # first segment of each paired target's row, and the end of the last
         self._row_seg = np.append(np.searchsorted(self._keys, base, "left"), keys.size)
+        self._table = None  # every paired target's verdicts, kept between counts
 
     @property
     def n_pairs(self) -> int:
@@ -325,6 +326,13 @@ class AlarmTargetIndex:
         mask[self._uniq_k] = self._ok[np.searchsorted(self._keys, keys, "right") - 1]
         return mask
 
+    def _block(self, n_rows: int) -> int:
+        """Paired targets per verdict table when n_rows rows are counted: the
+        table and their gathers fit half the budget, the table TABLE_BYTES."""
+        width = max(self.n_targets, 1)  # no target is paired when n is 0
+        per_target = width + self.BYTES_PER_GATHER * n_rows
+        return max(1, min(self.TABLE_BYTES // width, MEMORY_BUDGET_BYTES // 2 // per_target))
+
     def counts_for_time_matrix(self, order: np.ndarray) -> np.ndarray:
         """Predicted-event counts for a batch of time assignments: row r gives
         target k the time ``times[order[r, k]]`` of the sorted target times, so
@@ -332,19 +340,21 @@ class AlarmTargetIndex:
 
         Each block of paired targets expands its switch keys into a bool
         verdict table of n_targets bytes per target, and all rows read it with
-        one gather per paired target. The table and the gathers fit half of
-        the memory budget, and the table TABLE_BYTES.
+        one gather per paired target; a one-block table is kept for later calls.
         """
         order = self._positions(order, 2)
         counts = np.zeros(len(order), dtype=np.int64)
         n, n_paired = self.n_targets, self._uniq_k.size
-        width = max(n, 1)  # no target is paired when n is 0
-        per_target = width + self.BYTES_PER_GATHER * len(order)
-        block = max(1, min(self.TABLE_BYTES // width, MEMORY_BUDGET_BYTES // 2 // per_target))
+        block = self._block(len(order))
+        if block < n_paired:
+            self._table = None  # it would not fit beside a block's table
         for u0 in range(0, n_paired, block):
             u1 = min(u0 + block, n_paired)
             s0, s1 = self._row_seg[u0], self._row_seg[u1]
-            table = np.repeat(self._ok[s0:s1], self._seg_len[s0:s1])
+            table = self._table
+            if table is None:
+                table = np.repeat(self._ok[s0:s1], self._seg_len[s0:s1])
+                self._table = table if block >= n_paired else None
             # positions were checked, so clipping changes none
             at = np.take(order, self._uniq_k[u0:u1], axis=1, mode="clip")
             at += np.arange(u1 - u0) * n

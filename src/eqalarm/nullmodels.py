@@ -16,7 +16,7 @@ from datetime import datetime
 import numpy as np
 
 from ._random import Rng, as_generator
-from .catalog import ROW_DTYPE, Catalog, StudyVolume, _as_utc, _from_us, _seconds_to_us, _to_us
+from .catalog import _EPOCH, ROW_DTYPE, Catalog, StudyVolume, _as_utc, _seconds_to_us, _to_us
 from .geo import GlobalSphere, Region, normalize_lon
 
 __all__ = [
@@ -209,7 +209,7 @@ def gen_gamma_renewal(
     1/sqrt(shape)). The sequence is truncated at the interval end.
     """
     time_us = _gamma_renewal_us(shape, mean_interval_s, t_interval, rng)
-    return [_from_us(t) for t in time_us.tolist()]
+    return list(map(_EPOCH.__add__, time_us.astype("timedelta64[us]").tolist()))
 
 
 def _gamma_renewal_us(shape, mean_interval_s, t_interval, rng) -> np.ndarray:

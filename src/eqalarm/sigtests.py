@@ -38,6 +38,9 @@ MAX_EXACT_EVENTS = 8
 # permutation replicates per keyed random stream; changing it changes every
 # seed's replicates
 REPLICATE_BLOCK = 1024
+# positions and gathers of the permutation rows counted at once against a
+# kept verdict table: 149 rows at 2013 targets, 1325 of them paired
+_CACHE_CHUNK_BYTES = 4 * 2**20
 # peak working bytes per (replicate, cell) of an R-score baseline block,
 # measured with tracemalloc on scheme 3 (the largest): uniforms, arrivals,
 # their sort order and the prediction flags
@@ -114,19 +117,25 @@ def _simulated_counts(index: AlarmTargetIndex, n_reps: int, key: Rng) -> np.ndar
     shuffled in place row by row; consecutive permuted calls on row chunks
     draw the same stream as one call on the whole block, and the draws do
     not depend on the values shuffled, so the positions move as the times
-    would. The chunks refill one array, the size of the first and largest,
-    and take half of the memory budget; the count kernel takes the other.
+    would. The chunks refill one array and take half of the memory budget,
+    the count kernel the other; when the index keeps one verdict table for
+    all calls, a chunk's positions and gathers take _CACHE_CHUNK_BYTES.
     """
-    n = index.n_targets
+    n, n_paired = index.n_targets, index._uniq_k.size
     counts = np.empty(n_reps, dtype=np.int64)
     rows = np.empty((0, n), dtype=np.intp)
+    per_row = rows.itemsize * n + index.BYTES_PER_GATHER * n_paired
+    step = max(1, _CACHE_CHUNK_BYTES // max(per_row, 1))
+    if index._block(step) < n_paired:
+        step = REPLICATE_BLOCK  # each call rebuilds its tables: one call per chunk
     for lo, hi, g in _replicate_chunks(key, n_reps, 2 * rows.itemsize * n):
-        if len(rows) < hi - lo:
-            rows = np.empty((hi - lo, n), dtype=np.intp)
-        chunk = rows[: hi - lo]
-        chunk[:] = np.arange(n)
-        g.permuted(chunk, axis=1, out=chunk)
-        counts[lo:hi] = index.counts_for_time_matrix(chunk)
+        if len(rows) < min(step, hi - lo):
+            rows = np.empty((min(step, hi - lo), n), dtype=np.intp)
+        for r0 in range(lo, hi, step):
+            chunk = rows[: min(step, hi - r0)]
+            chunk[:] = np.arange(n)
+            g.permuted(chunk, axis=1, out=chunk)
+            counts[r0 : r0 + len(chunk)] = index.counts_for_time_matrix(chunk)
     return counts
 
 

@@ -666,6 +666,26 @@ class TestMemoryBudget:
         assert counts.tolist() == expected.tolist()
         assert len(set(counts.tolist())) > 1
 
+    def test_kept_verdict_table_follows_the_budget(self):
+        # one index counts one row and 1000 rows under the default budget,
+        # where one table covers every paired target and is kept, then under a
+        # budget that splits them into blocks, then under the default again
+        rows = [(i * 0.01, 0.0, -180.0 + 0.3 * i, 5.5 + 0.1 * (i % 10)) for i in range(1200)]
+        cat = make_catalog(rows, span_days=20.0)
+        aset = generate_alarms(cat, 5.5, floor_rule=FloorRule.TRIGGER)
+        index = AlarmTargetIndex(cat, aset)
+        n_paired = np.unique(index._pk).size
+        rng = np.random.default_rng(13)
+        times = cat.rows["time_us"]
+        for n_rows, budget in ((1, None), (1000, None), (300, 256 * 2**10), (300, None)):
+            order = np.stack([rng.permutation(len(cat)) for _ in range(n_rows)])
+            with _budget(budget or eqalarm.alarm.MEMORY_BUDGET_BYTES):
+                assert (index._block(n_rows) < n_paired) == (budget is not None)
+                counts = index.counts_for_time_matrix(order)
+            expected = oracles.pair_kernel_counts(index, aset, cat, times[order])
+            assert counts.tolist() == expected.tolist(), (n_rows, budget)
+            assert n_rows == 1 or len(set(counts.tolist())) > 1
+
     def test_decluster_half_circumference_window(self, monkeypatch):
         # 1200 events on the equator with a 20,000 km window: every event
         # pairs with every other, ~130 MB of join candidates unblocked

@@ -48,6 +48,20 @@ def small_case():
     return targets, generate_alarms(targets, 5.5, radius_km=200.0, window_days=10.0)
 
 
+@pytest.fixture(scope="module")
+def two_thousand_targets():
+    """2000 clustered targets, their alarms and 1100 replicate counts."""
+    rng = np.random.default_rng(8)
+    centers = rng.uniform(-50.0, 50.0, size=(400, 2))
+    rows = [
+        (float(rng.uniform(0.0, 300.0)), float(lat), float(lon), float(rng.uniform(5.5, 7.0)))
+        for lat, lon in centers[rng.integers(400, size=2000)] + rng.normal(0.0, 0.2, (2000, 2))
+    ]
+    targets = make_catalog(rows, span_days=301.0)
+    alarms = generate_alarms(targets, 5.5)
+    return targets, alarms, _sims(targets, alarms, 1100)
+
+
 OUTCOMES = tuple(bool(x) for x in np.random.default_rng(12).random(3000) < 0.2)
 RATES = np.random.default_rng(13).gamma(0.5, 0.2, size=3000)
 PROBS = np.random.default_rng(14).uniform(0.0, 0.2, size=40)
@@ -132,16 +146,8 @@ class TestPermutationReplicates:
         assert np.array_equal(np.sort(rows, axis=1), np.tile(np.arange(times.size), (2500, 1)))
         assert np.unique(times[rows], axis=0).shape[0] == 2500
 
-    def test_memory_budget_at_two_thousand_targets(self, monkeypatch):
-        rng = np.random.default_rng(8)
-        centers = rng.uniform(-50.0, 50.0, size=(400, 2))
-        rows = [
-            (float(rng.uniform(0.0, 300.0)), float(lat), float(lon), float(rng.uniform(5.5, 7.0)))
-            for lat, lon in centers[rng.integers(400, size=2000)] + rng.normal(0.0, 0.2, (2000, 2))
-        ]
-        targets = make_catalog(rows, span_days=301.0)
-        alarms = generate_alarms(targets, 5.5)
-        expected = _sims(targets, alarms, 1100)
+    def test_memory_budget_at_two_thousand_targets(self, two_thousand_targets, monkeypatch):
+        targets, alarms, expected = two_thousand_targets
         # a whole block of tiled times alone would take 16 MB
         assert 8 * len(targets) * REPLICATE_BLOCK > 4 * BUDGET
         index = AlarmTargetIndex(targets, alarms)
@@ -151,6 +157,16 @@ class TestPermutationReplicates:
         assert peak <= BUDGET + BUDGET // 8 + sims.nbytes
         assert np.array_equal(sims, expected)
         assert np.unique(sims).size > 2
+
+    def test_kept_table_at_two_thousand_targets(self, two_thousand_targets):
+        targets, alarms, expected = two_thousand_targets
+        index = AlarmTargetIndex(targets, alarms)
+        assert index._block(REPLICATE_BLOCK) >= np.unique(index._pk).size
+        sims, peak = traced_peak(lambda: _simulated_counts(index, 1000, Rng(77, 3)))
+        # the kept verdict table of 1933 x 2000 B and the positions and gathers
+        # of one cache-sized chunk; a block of positions alone would take 16 MB
+        assert peak <= 12 * 10**6
+        assert np.array_equal(sims, expected[:1000])
 
 
 class TestRScoreBaselineBlocks:
