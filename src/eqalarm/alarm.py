@@ -39,32 +39,98 @@ def rows_within_budget(bytes_per_row: int) -> int:
 
 
 # Peak bytes per pair of a join block and of its callers' reductions of it,
-# under tracemalloc with every candidate a pair: the block 56, decluster 81,
-# union_volume_fraction_mc 74, alarm_measure_pi 97. Candidates bound pairs.
-JOIN_BYTES_PER_CANDIDATE = 104
+# under tracemalloc with every candidate a pair (4000 targets x 400 alarms,
+# 1500 events for decluster): the block 33, decluster 57,
+# union_volume_fraction_mc 51, alarm_measure_pi 74. Candidates bound pairs.
+JOIN_BYTES_PER_CANDIDATE = 80
 # Haversines evaluated at once: 196,608 candidates take 24-25 ms in one pass
 # and 14.7-15.3 ms in slices of 2**14, whose temporaries fit a 2 MiB L2 cache.
 CANDIDATE_SLICE = 2**14
+# A target's join key is strip * STRIP_KEY + x, x its longitude moved onto
+# [0, 360]: a longitude window narrower than 180 degrees, shifted by up to
+# 360, never reaches another strip's keys. Strips are no lower than
+# 180 / MAX_STRIPS degrees, so a key keeps x to within 1e-8 degrees. An alarm
+# whose band spans more than WIDE_STRIPS strips takes the whole band as one
+# key range.
+STRIP_KEY = 1000.0
+MAX_STRIPS = 2**16
+WIDE_STRIPS = 8
+
+
+def _key_ranges(lat_t, lon_t, lon_a, band_lo, band_hi, half_band, half_lon):
+    """The targets' join keys and the alarms' key ranges, as (key_t, range_lo,
+    range_hi, range_alarm): a target whose key lies in [range_lo[r],
+    range_hi[r]] is a candidate of alarm range_alarm[r]. Every target in an
+    alarm's band and longitude window is one of its candidates, and no
+    target is a candidate of an alarm twice.
+
+    Strips are twice the alarms' median half-band high, so a typical band
+    spans two of them. A wide alarm (its band reaches a pole or spans more
+    than WIDE_STRIPS strips) takes one range over all its strips; any other
+    takes one per strip, and one more per strip where its window wraps past
+    x = 0 or 360. half_band is partitioned in place.
+    """
+    n, m = lat_t.size, band_lo.size
+    # x is a longitude plus 180, and the remainder of that by 360 (which
+    # leaves the others as they are) when some longitude is out of range
+    lon = np.concatenate((lon_t, lon_a))
+    x, spread = lon + 180.0, float(np.abs(lon).max(initial=0.0))
+    if not spread <= 180.0:
+        x %= 360.0
+        spread = float(np.abs(lon).max(initial=0.0, where=np.isfinite(lon)))
+    # x loses up to 1e-8 degrees in a key, and an ulp-sized fraction of a
+    # longitude's magnitude in x and in the window test
+    w = half_lon + (1e-6 + 2.0**-49 * spread)
+    # strips h high, numbered from the south pole
+    h = 180.0
+    if m:
+        half_band.partition(m // 2)
+        h = max(2.0 * float(half_band[m // 2]), 180.0 / MAX_STRIPS)
+    strip = np.floor((np.concatenate((lat_t, band_lo, band_hi)) + 90.0) / h)
+    key_t = strip[:n] * STRIP_KEY + x[:n]
+    first_key = strip[n:n + m] * STRIP_KEY
+    spans = strip[n + m:] - strip[n:n + m]
+    # alarm row j's ranges are [lo_j, hi_j] + i * STRIP_KEY for i below
+    # count_j; a window wrapping past 0 or 360 adds an alarm row for its
+    # other piece, shifted by 360
+    x_lo, x_hi = x[n:] - w, x[n:] + w
+    count = spans.astype(np.intp) + 1
+    wraps = (x_lo < 0.0) | (x_hi > 360.0)
+    wide = ((w >= 180.0) | (spans >= WIDE_STRIPS)).nonzero()[0]
+    if wide.size:
+        x_lo[wide], x_hi[wide] = 0.0, spans[wide] * STRIP_KEY + 360.0
+        count[wide], wraps[wide] = 1, False
+    lo, hi, alarm, wraps = first_key + x_lo, first_key + x_hi, np.arange(m), wraps.nonzero()[0]
+    if wraps.size:
+        turn = np.where(x_lo[wraps] < 0.0, 360.0, -360.0)
+        lo, hi = np.concatenate((lo, lo[wraps] + turn)), np.concatenate((hi, hi[wraps] + turn))
+        count, alarm = np.concatenate((count, count[wraps])), np.concatenate((alarm, wraps))
+    row = np.arange(count.size).repeat(count)
+    step = (np.arange(row.size) - (count.cumsum() - count)[row]) * STRIP_KEY
+    return key_t, lo[row] + step, hi[row] + step, alarm[row]
 
 
 def pair_blocks(lat_t, lon_t, lat_a, lon_a, radius_km_a):
     """Every (target, alarm) index pair whose haversine distance is at most
     the alarm's radius, in blocks of targets, each sorted by target then
     alarm. A block starts as all targets (one empty block if none) and is
-    halved, lower half first, while it holds more than one target and its
-    candidates at JOIN_BYTES_PER_CANDIDATE each overflow MEMORY_BUDGET_BYTES.
+    halved, lower half first, while it holds more than one target and the
+    candidates it generates, at JOIN_BYTES_PER_CANDIDATE each, overflow
+    MEMORY_BUDGET_BYTES.
 
-    An alarm's candidates are the targets whose latitude lies within its
-    radius in degrees (great-circle distance is never below R * |dlat|) plus
-    1e-5: near the antipode the haversine's arcsin loses up to some 5e-7
-    degrees, and the slack keeps every pair it accepts. Each candidate is
-    re-checked against ``<= radius``, so the pairs are exactly the dense
-    haversine join's. Latitudes must lie in [-90, 90].
+    An alarm's band holds the targets whose latitude lies within its radius
+    in degrees (great-circle distance is never below R * |dlat|) plus 1e-5:
+    near the antipode the haversine's arcsin loses up to some 5e-7 degrees,
+    and the slack keeps every pair it accepts. Its longitude window is, for
+    an angular radius a at latitude p, asin(sin a / cos p) plus the same
+    slack, or the whole circle when the band reaches a pole (so when
+    sin a >= cos p). Latitudes must lie in [-90, 90].
 
-    Only candidates inside the cap's longitude window are evaluated: for an
-    angular radius a at latitude p, asin(sin a / cos p) plus the same slack,
-    or the whole circle when the band reaches a pole (so when sin a >= cos p).
-    Blocks are still sized by their band candidates.
+    A block sorts its targets by join key, latitude strip then longitude
+    (see _key_ranges), once, and takes each alarm's candidates from a few
+    key ranges that cover its band and window. Only candidates in the band
+    and the window reach the haversine, and each is re-checked against
+    ``<= radius``, so the pairs are exactly the dense haversine join's.
     """
     lat_t, lon_t, lat_a, lon_a = (np.asarray(x, float) for x in (lat_t, lon_t, lat_a, lon_a))
     radius = np.full(lat_a.shape, radius_km_a, dtype=float)
@@ -73,36 +139,45 @@ def pair_blocks(lat_t, lon_t, lat_a, lon_a, radius_km_a):
     band_lo, band_hi = lat_a - half_band, lat_a + half_band
     window = np.degrees(np.arcsin(np.minimum(np.sin(alpha) / np.cos(np.radians(lat_a)), 1.0)))
     half_lon = np.where(np.abs(lat_a) + half_band >= 90.0, 180.0, window + 1e-5)
+    key_t, range_lo, range_hi, range_alarm = _key_ranges(
+        lat_t, lon_t, lon_a, band_lo, band_hi, half_band, half_lon
+    )
+    m = lat_a.size
 
-    def block(lo, hi):
-        order = np.argsort(lat_t[lo:hi]) + lo
-        lat_sorted = lat_t[order]
-        first = np.searchsorted(lat_sorted, band_lo, "left")
-        n_cand = np.searchsorted(lat_sorted, band_hi, "right") - first
-        # alarm j's candidates c = offsets[j], ..., offsets[j + 1] - 1 sit at
-        # sorted positions first[j] + c - offsets[j]
-        offsets = np.concatenate(([0], np.cumsum(n_cand)))
+    def block(t0, t1):
+        order = key_t[t0:t1].argsort() + t0
+        keys = key_t[order]
+        first = keys.searchsorted(range_lo, "left")
+        n_cand = keys.searchsorted(range_hi, "right") - first
+        # range r's candidates c = offsets[r], ..., offsets[r + 1] - 1 sit at
+        # sorted positions first[r] + c - offsets[r]
+        offsets = np.zeros(n_cand.size + 1, np.intp)
+        n_cand.cumsum(out=offsets[1:])
         n_total = int(offsets[-1])
-        if n_total * JOIN_BYTES_PER_CANDIDATE > MEMORY_BUDGET_BYTES and hi - lo > 1:
-            yield from block(lo, (lo + hi) // 2)
-            yield from block((lo + hi) // 2, hi)
+        if n_total * JOIN_BYTES_PER_CANDIDATE > MEMORY_BUDGET_BYTES and t1 - t0 > 1:
+            yield from block(t0, (t0 + t1) // 2)
+            yield from block((t0 + t1) // 2, t1)
             return
-        # alarms in runs of about CANDIDATE_SLICE candidates, at least one run;
-        # the last cut lies past n_total, so the last run ends with the alarms
+        # ranges in runs of about CANDIDATE_SLICE candidates, at least one run;
+        # the last cut lies past n_total, so the last run ends with the ranges
         cuts = np.arange(0, n_total + CANDIDATE_SLICE + 1, CANDIDATE_SLICE)
-        bounds = np.searchsorted(offsets[1:], cuts, "left").tolist()
+        bounds = offsets[1:].searchsorted(cuts, "left").tolist()
         shift, kept = first - offsets[:-1], []
-        for a0, a1 in zip(bounds, bounds[1:]):
-            a = np.repeat(np.arange(a0, a1), n_cand[a0:a1])
-            t = order[np.arange(offsets[a0], offsets[a0] + a.size) + shift[a]]
+        for r0, r1 in zip(bounds, bounds[1:]):
+            r = np.arange(r0, r1).repeat(n_cand[r0:r1])
+            t = order[np.arange(offsets[r0], offsets[r0] + r.size) + shift[r]]
+            a = range_alarm[r]
+            lat = lat_t[t]
             d_lon = np.abs(lon_t[t] - lon_a[a]) % 360.0
-            near = np.minimum(d_lon, 360.0 - d_lon) <= half_lon[a]
+            near = (lat >= band_lo[a]) & (lat <= band_hi[a])
+            near &= np.minimum(d_lon, 360.0 - d_lon) <= half_lon[a]
             t, a = t[near], a[near]
             keep = great_circle_km_arrays(lat_t[t], lon_t[t], lat_a[a], lon_a[a]) <= radius[a]
-            kept.append((t[keep], a[keep]))
-        t, a = (np.concatenate(parts) for parts in zip(*kept))
-        by_target = np.lexsort((a, t))
-        yield t[by_target], a[by_target]
+            kept.append((t * m + a)[keep])
+        # each pair as one key t * m + a: sorted keys order the pairs by target, then alarm
+        pairs = np.concatenate(kept)
+        pairs.sort()
+        yield np.divmod(pairs, max(m, 1))
 
     yield from block(0, lat_t.size)
 

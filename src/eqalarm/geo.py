@@ -58,15 +58,13 @@ def check_cap_radius(radius_km: float) -> None:
 
 def great_circle_km_arrays(lat1, lon1, lat2, lon2) -> np.ndarray:
     """Vectorised haversine distance in km between degree coordinates."""
-    lat1, lon1, lat2, lon2 = (
-        np.radians(np.asarray(x, dtype=float)) for x in (lat1, lon1, lat2, lon2)
-    )
+    lat1, lon1, lat2, lon2 = (np.radians(x, dtype=float) for x in (lat1, lon1, lat2, lon2))
     sin_dlat = np.sin((lat2 - lat1) / 2.0)
     sin_dlon = np.sin((lon2 - lon1) / 2.0)
     # x * x, not x**2: on 0-d input the ufuncs return numpy scalars, whose
     # ** goes through C pow and can land an ulp away from the array result
     h = sin_dlat * sin_dlat + np.cos(lat1) * np.cos(lat2) * (sin_dlon * sin_dlon)
-    return 2.0 * EARTH_RADIUS_KM * np.arcsin(np.sqrt(np.clip(h, 0.0, 1.0)))
+    return 2.0 * EARTH_RADIUS_KM * np.arcsin(np.sqrt(h.clip(0.0, 1.0)))
 
 
 def cap_area_km2(radius_km):

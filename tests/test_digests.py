@@ -33,9 +33,10 @@ EPOCH = datetime(2000, 1, 1, tzinfo=timezone.utc)
 SPAN_S = 5 * 365 * 86400 + 86400  # 2000-01-01 through 2004-12-31
 N_MAIN, N_AFTER = 5200, 1230
 WINDOWS_CSV = "mag_min,time_days,distance_km\n-inf,10,30\n6.0,30,60\n7.0,90,120\n"
-# splits the decluster self-join into dozens of blocks and the count kernel's
+# splits the decluster self-join into over a hundred blocks, the eval join
+# into dozens and the union volume's into several, and the count kernel's
 # verdict tables and replicate chunks into several
-SMALL_BUDGET = 256 * 2**10
+SMALL_BUDGET = 32 * 2**10
 BUDGETS = (None, SMALL_BUDGET)
 
 DIGESTS = {
@@ -186,14 +187,16 @@ def test_small_budget_splits_the_joins(catalog_text, monkeypatch):
     row = np.searchsorted([r.mag_min for r in windows.rows], mags, side="right") - 1
     radii = np.where(np.isnan(mags), 0.0, np.array([r.distance_km for r in windows.rows])[row])
     targets = filter_catalog(catalog, 5.5, (catalog.span.t_start, catalog.span.t_end))
-    alarms = generate_alarms(targets, 5.5).rows
-    year_alarms = generate_alarms(_year(catalog, 5.5)[0], 5.5).rows
-    samples = GlobalSphere().sample(50_000, np.random.default_rng(4))
+
+    def alarm_join(triggers, points):
+        rows = generate_alarms(triggers, 5.5).rows
+        return (*points, rows["lat"], rows["lon"], rows["radius_km"])
+
     lat, lon = catalog.latitudes(), catalog.longitudes()
     joins = (
         (lat, lon, lat, lon, radii),
-        (targets.latitudes(), targets.longitudes(), alarms["lat"], alarms["lon"], alarms["radius_km"]),
-        (*samples, year_alarms["lat"], year_alarms["lon"], year_alarms["radius_km"]),
+        alarm_join(targets, (targets.latitudes(), targets.longitudes())),
+        alarm_join(_year(catalog, 5.5)[0], GlobalSphere().sample(50_000, np.random.default_rng(4))),
     )
     monkeypatch.setattr(eqalarm.alarm, "MEMORY_BUDGET_BYTES", SMALL_BUDGET)
     assert all(len(list(pair_blocks(*args))) >= 2 for args in joins)

@@ -31,7 +31,7 @@ from eqalarm import (
     poisson_binomial_pvalue,
     union_volume_fraction_mc,
 )
-from eqalarm.alarm import JOIN_BYTES_PER_CANDIDATE, pair_blocks
+from eqalarm.alarm import JOIN_BYTES_PER_CANDIDATE, MAX_STRIPS, STRIP_KEY, WIDE_STRIPS, pair_blocks
 from eqalarm.decluster import WindowRow, WindowTable
 from eqalarm.geo import (
     EARTH_RADIUS_KM,
@@ -366,6 +366,33 @@ def band_candidates(lat_t, lat_a, radius_km_a):
     return int(((lat_t >= lat_a - half_band) & (lat_t <= lat_a + half_band)).sum())
 
 
+def strip_candidates(lat_t, lon_t, lat_a, lon_a, radius_km_a):
+    """Candidates of a join block by the strip rule, brute force over every
+    target and alarm. Strips are twice the alarms' upper median half-band
+    (see band_candidates) high, numbered from the south pole. A target is a
+    candidate of an alarm when its strip lies among those of the alarm's
+    band and, unless the alarm is wide, its longitude lies within the
+    alarm's window (see window_candidates) plus 1e-6 degrees. An alarm is
+    wide when its band reaches a pole or spans more than WIDE_STRIPS strips.
+    Longitudes must lie in [-180, 180]."""
+    lat_t, lon_t, lat_a, lon_a = (np.asarray(x, float) for x in (lat_t, lon_t, lat_a, lon_a))
+    alpha = np.broadcast_to(np.asarray(radius_km_a, float), lat_a.shape) / EARTH_RADIUS_KM
+    half_band = np.degrees(alpha) + 1e-5
+    ratio = np.minimum(np.sin(alpha) / np.cos(np.radians(lat_a)), 1.0)
+    window = np.degrees(np.arcsin(ratio)) + 1e-5
+    half_lon = np.where(np.abs(lat_a) + half_band >= 90.0, 180.0, window) + 1e-6
+    h = max(2.0 * np.sort(half_band)[lat_a.size // 2], 180.0 / MAX_STRIPS)
+    s_lo, s_hi = (np.floor((lat + 90.0) / h) for lat in (lat_a - half_band, lat_a + half_band))
+    wide = (half_lon >= 180.0) | (s_hi - s_lo >= WIDE_STRIPS)
+    n = 0
+    for k in range(lat_t.size):
+        strip = np.floor((lat_t[k] + 90.0) / h)
+        d_lon = np.abs(lon_t[k] - lon_a)
+        in_window = np.minimum(d_lon, 360.0 - d_lon) <= half_lon
+        n += int(((strip >= s_lo) & (strip <= s_hi) & (wide | in_window)).sum())
+    return n
+
+
 class TestPairBlocksBudget:
     def test_a_sparse_global_join_is_one_block(self):
         # 3000 targets and 3000 alarms of 50 km over the globe: about 70,000
@@ -385,8 +412,8 @@ class TestPairBlocksBudget:
         # a self-join with clustered points and mixed radii: every point pairs
         # with itself, so each block's targets are the range its pairs span.
         # The blocks are the leaves of halving [0, n) while a block of more
-        # than one target holds over budget // JOIN_BYTES_PER_CANDIDATE
-        # candidates, in target order, lower half first
+        # than one target generates over budget // JOIN_BYTES_PER_CANDIDATE
+        # candidates by the strip rule, in target order, lower half first
         rng = np.random.default_rng(seed)
         n = 300
         lat = np.clip(rng.normal(rng.choice([-60.0, 0.0, 89.0], n), 2.0), -90.0, 90.0)
@@ -394,7 +421,7 @@ class TestPairBlocksBudget:
         radius = rng.choice([10.0, 100.0, 500.0], n)
 
         def fits(lo, hi):
-            n_cand = band_candidates(lat[lo:hi], lat, radius)
+            n_cand = strip_candidates(lat[lo:hi], lon[lo:hi], lat, lon, radius)
             return n_cand * JOIN_BYTES_PER_CANDIDATE <= budget_bytes
 
         def halved(lo, hi):
@@ -411,6 +438,144 @@ class TestPairBlocksBudget:
             tuple(np.concatenate(parts) for parts in zip(*blocks)),
             dense_pairs_within_km(lat, lon, lat, lon, radius),
         )
+
+
+def strip_edges(h):
+    """The lowest latitude of each strip but the first under floor((lat + 90) / h),
+    by bisection down to adjacent floats."""
+    k = np.arange(1, math.ceil(180.0 / h))
+    lo, hi = -90.0 + h * (k - 0.5), np.minimum(-90.0 + h * (k + 0.5), 90.0)
+    for _ in range(80):
+        mid = (lo + hi) / 2.0
+        upper = np.floor((mid + 90.0) / h) >= k
+        lo, hi = np.where(upper, lo, mid), np.where(upper, mid, hi)
+    return hi
+
+
+def evaluated_and_ranges(*args):
+    """The join's pairs, the number of distances it computes and what
+    _key_ranges returned (key_t, range_lo, range_hi, range_alarm)."""
+    key_ranges, seen = eqalarm.alarm._key_ranges, []
+
+    def spy(*a):
+        seen.append(key_ranges(*a))
+        return seen[-1]
+
+    with mock.patch.object(eqalarm.alarm, "_key_ranges", spy), mock.patch.object(
+        eqalarm.alarm, "great_circle_km_arrays", wraps=great_circle_km_arrays
+    ) as haversine:
+        got = pairs_within_km(*args)
+    return got, sum(np.size(call.args[0]) for call in haversine.call_args_list), seen[0]
+
+
+class TestStripRanges:
+    """Edge cases of the strip rule: the pairs are the dense join's under any
+    budget and slice, and the haversine sees exactly the candidates inside
+    the band and the longitude window."""
+
+    def check(self, *args):
+        expected = dense_pairs_within_km(*args)
+        for budget_bytes, n_slice in (
+            (eqalarm.alarm.MEMORY_BUDGET_BYTES, eqalarm.alarm.CANDIDATE_SLICE), (1, 7), (10_000, 1)
+        ):
+            with _budget(budget_bytes), _slice(n_slice):
+                assert_same_pairs(pairs_within_km(*args), expected)
+        got, evaluated, ranges = evaluated_and_ranges(*args)
+        assert evaluated == window_candidates(*args)
+        return got, ranges
+
+    def test_points_on_strip_edges(self):
+        # one radius, so strips are 2 * half_band high: targets on every strip
+        # edge and a float either side, alarms whose band starts or ends near
+        # one, and alarms whose band has an edge in its middle
+        rng = np.random.default_rng(21)
+        half_band = math.degrees(30.0 / EARTH_RADIUS_KM) + 1e-5
+        edges = strip_edges(2.0 * half_band)
+        below, above = np.nextafter(edges, -90.0), np.nextafter(edges, 90.0)
+        lat_t = np.concatenate([edges, below, above])
+        lon_t = rng.uniform(-0.05, 0.05, lat_t.size)
+        lat_a = np.concatenate(
+            [edges[::3] + half_band, edges[1::3] - half_band, edges[2::3] + half_band / 2]
+        )
+        lat_a = np.clip(lat_a, -90.0, 90.0)
+        lon_a = rng.uniform(-0.05, 0.05, lat_a.size)
+        got, (key_t, *_) = self.check(lat_t, lon_t, lat_a, lon_a, np.full(lat_a.size, 30.0))
+        strips = np.floor(key_t / STRIP_KEY).reshape(3, -1)
+        k = np.arange(1, edges.size + 1)
+        assert np.array_equal(strips, [k, k - 1, k])
+        assert got[0].size >= edges.size
+
+    def test_windows_wrapping_past_the_dateline_both_ways(self):
+        rng = np.random.default_rng(22)
+        lat_t = rng.uniform(-62.0, 62.0, 600)
+        lon_t = normalize_lon(rng.uniform(178.0, 182.0, 600))
+        lat_a = np.array([0.0, 60.0, -60.0, 0.0, 60.0, -60.0, 30.0, 30.0])
+        lon_a = np.array([179.9, 179.5, 179.99, -179.9, -179.5, -179.99, -180.0,
+                          math.nextafter(180.0, 0.0)])
+        radius = np.full(lat_a.size, 200.0)
+        got, (_, range_lo, range_hi, range_alarm) = self.check(lat_t, lon_t, lat_a, lon_a, radius)
+        # every alarm pairs with targets on both sides of the dateline
+        for j in range(lat_a.size):
+            assert {-1.0, 1.0} <= set(np.sign(lon_t[got[0][got[1] == j]]).tolist())
+        # each window wraps: in each strip it is two ranges, one from below
+        # x = 0 and one from just below x = 360
+        x_lo = range_lo - np.round(range_lo / STRIP_KEY) * STRIP_KEY
+        for j in range(lat_a.size):
+            assert (x_lo[range_alarm == j] < 0.0).any() and (x_lo[range_alarm == j] > 350.0).any()
+
+    def test_longitudes_out_of_range(self):
+        # 540 and -900 name the dateline, and k * 360 away any longitude names
+        # itself, among targets, among alarms and among both
+        rng = np.random.default_rng(23)
+        lat = rng.uniform(-5.0, 5.0, 400)
+        lon = normalize_lon(rng.uniform(175.0, 185.0, 400))
+        turns = rng.choice([-3.0, -2.0, 0.0, 1.0, 2.0], 400) * 360.0
+        odd = lon + turns
+        odd[:40:2], odd[1:40:2] = 540.0, -900.0
+        lon[:40:2], lon[1:40:2] = -180.0, -180.0
+        radius = np.full(200, 120.0)
+        sides = ((odd[:200], lon[200:]), (lon[:200], odd[200:]), (odd[:200], odd[200:]))
+        for lon_t, lon_a in sides:
+            got, _ = self.check(lat[:200], lon_t, lat[200:], lon_a, radius)
+            assert got[0].size > 100
+        # all of them at once: the same pairs as the longitudes in range
+        got, _ = self.check(lat[:200], odd[:200], lat[200:], odd[200:], radius)
+        assert_same_pairs(got, pairs_within_km(lat[:200], lon[:200], lat[200:], lon[200:], radius))
+
+    def test_polar_caps(self):
+        # caps on and near both poles reach every meridian and are wide: one
+        # range each, beside caps that are not
+        rng = np.random.default_rng(24)
+        lat_t = np.concatenate([rng.uniform(85.0, 90.0, 300), rng.uniform(-90.0, -85.0, 300)])
+        lon_t = rng.uniform(-180.0, 180.0, 600)
+        lat_a = np.array([90.0, 89.99, -90.0, -89.999, 87.0, -86.0, 88.5])
+        lon_a = np.array([0.0, -179.0, 45.0, 179.9, 10.0, -100.0, 180.0])
+        radius = np.array([5.0, 50.0, 500.0, 30.0, 150.0, 120.0, 200.0])
+        got, (_, _, _, range_alarm) = self.check(lat_t, lon_t, lat_a, lon_a, radius)
+        per_alarm = np.bincount(range_alarm, minlength=lat_a.size)
+        assert per_alarm[:4].tolist() == [1, 1, 1, 1]
+        assert np.bincount(got[1], minlength=lat_a.size).min() > 0
+
+    def test_all_points_in_one_strip(self):
+        rng = np.random.default_rng(25)
+        lat_t, lat_a = np.full(500, 10.0), np.full(100, 10.0)
+        lon_t, lon_a = rng.uniform(-180.0, 180.0, 500), rng.uniform(-180.0, 180.0, 100)
+        got, (key_t, *_) = self.check(lat_t, lon_t, lat_a, lon_a, np.full(100, 80.0))
+        assert np.unique(np.floor(key_t / STRIP_KEY)).size == 1
+        assert got[0].size > 0
+
+    def test_mixed_half_kilometre_and_half_circumference_radii(self):
+        # a median of either radius: bands 4,400,000 times apart, yet a few
+        # ranges per alarm, since a cap reaching a pole takes one range
+        rng = np.random.default_rng(26)
+        lat, lon = GlobalSphere().sample(300, rng)
+        lat_t, lon_t = lat[:150], lon[:150]
+        lat_t[:50], lon_t[:50] = lat[150:200], lon[150:200] + 0.001  # within 0.5 km of an alarm
+        for share_small in (0.2, 0.8):
+            radius = np.where(rng.uniform(size=150) < share_small, 0.5, 20_015.0)
+            got, (_, _, _, range_alarm) = self.check(lat_t, lon_t, lat[150:], lon[150:], radius)
+            assert range_alarm.size <= 3 * radius.size
+            assert np.bincount(got[1][radius[got[1]] < 1.0]).sum() > 0
 
 
 def test_one_pair_join_in_the_package():
