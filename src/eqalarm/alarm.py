@@ -72,22 +72,29 @@ def _key_ranges(lat_t, lon_t, lon_a, band_lo, band_hi, half_band, half_lon):
     """
     n, m = lat_t.size, band_lo.size
     # x is a longitude plus 180, and the remainder of that by 360 (which
-    # leaves the others as they are) when some longitude is out of range
-    lon = np.concatenate((lon_t, lon_a))
-    x, spread = lon + 180.0, float(np.abs(lon).max(initial=0.0))
-    if not spread <= 180.0:
+    # leaves the others as they are) when some longitude is out of range.
+    # Arrays of n are built in place, for the peak memory of a large join.
+    x = np.concatenate((lon_t, lon_a))
+    in_range = not x.size or (x.min() >= -180.0 and x.max() <= 180.0)
+    spread = 0.0 if in_range else float(np.abs(x).max(initial=0.0, where=np.isfinite(x)))
+    x += 180.0
+    if not in_range:
         x %= 360.0
-        spread = float(np.abs(lon).max(initial=0.0, where=np.isfinite(lon)))
-    # x loses up to 1e-8 degrees in a key, and an ulp-sized fraction of a
-    # longitude's magnitude in x and in the window test
+    # x loses up to 1e-8 degrees in a key, and a longitude out of range an
+    # ulp-sized fraction of its magnitude, in x and in the window test
     w = half_lon + (1e-6 + 2.0**-49 * spread)
     # strips h high, numbered from the south pole
     h = 180.0
     if m:
         half_band.partition(m // 2)
         h = max(2.0 * float(half_band[m // 2]), 180.0 / MAX_STRIPS)
-    strip = np.floor((np.concatenate((lat_t, band_lo, band_hi)) + 90.0) / h)
-    key_t = strip[:n] * STRIP_KEY + x[:n]
+    strip = np.concatenate((lat_t, band_lo, band_hi))
+    strip += 90.0
+    strip /= h
+    np.floor(strip, out=strip)
+    key_t = strip[:n]
+    key_t *= STRIP_KEY
+    key_t += x[:n]
     first_key = strip[n:n + m] * STRIP_KEY
     spans = strip[n + m:] - strip[n:n + m]
     # alarm row j's ranges are [lo_j, hi_j] + i * STRIP_KEY for i below
@@ -145,7 +152,8 @@ def pair_blocks(lat_t, lon_t, lat_a, lon_a, radius_km_a):
     m = lat_a.size
 
     def block(t0, t1):
-        order = key_t[t0:t1].argsort() + t0
+        order = key_t[t0:t1].argsort()
+        order += t0
         keys = key_t[order]
         first = keys.searchsorted(range_lo, "left")
         n_cand = keys.searchsorted(range_hi, "right") - first

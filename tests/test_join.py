@@ -513,7 +513,7 @@ class TestStripRanges:
         lon_a = np.array([179.9, 179.5, 179.99, -179.9, -179.5, -179.99, -180.0,
                           math.nextafter(180.0, 0.0)])
         radius = np.full(lat_a.size, 200.0)
-        got, (_, range_lo, range_hi, range_alarm) = self.check(lat_t, lon_t, lat_a, lon_a, radius)
+        got, (_, range_lo, _, range_alarm) = self.check(lat_t, lon_t, lat_a, lon_a, radius)
         # every alarm pairs with targets on both sides of the dateline
         for j in range(lat_a.size):
             assert {-1.0, 1.0} <= set(np.sign(lon_t[got[0][got[1] == j]]).tolist())
@@ -565,8 +565,8 @@ class TestStripRanges:
         assert got[0].size > 0
 
     def test_mixed_half_kilometre_and_half_circumference_radii(self):
-        # a median of either radius: bands 4,400,000 times apart, yet a few
-        # ranges per alarm, since a cap reaching a pole takes one range
+        # a median of either radius, 40,000 times apart, yet a few ranges per
+        # alarm: a cap reaching a pole takes one range
         rng = np.random.default_rng(26)
         lat, lon = GlobalSphere().sample(300, rng)
         lat_t, lon_t = lat[:150], lon[:150]
@@ -575,7 +575,7 @@ class TestStripRanges:
             radius = np.where(rng.uniform(size=150) < share_small, 0.5, 20_015.0)
             got, (_, _, _, range_alarm) = self.check(lat_t, lon_t, lat[150:], lon[150:], radius)
             assert range_alarm.size <= 3 * radius.size
-            assert np.bincount(got[1][radius[got[1]] < 1.0]).sum() > 0
+            assert (radius[got[1]] < 1.0).any()
 
 
 def test_one_pair_join_in_the_package():
