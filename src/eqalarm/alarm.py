@@ -55,6 +55,13 @@ CANDIDATE_SLICE = 2**14
 STRIP_KEY = 1000.0
 MAX_STRIPS = 2**16
 WIDE_STRIPS = 8
+# Target x alarm pairs from which a join builds strips. Below, building them
+# costs more than the candidates they save: on the perfbench seed-3 catalog,
+# strips against latitude bands took 89 against 60 us for the 6-40-point
+# regional joins and 181 against 128 us for 266 x 266 points, and paid from
+# about 10**6 pairs (694 against 742 us for 1009 x 1009, 1.75 against 2.32 ms
+# for 2013 x 2013).
+STRIP_MIN_PAIRS = 2**19
 
 
 def _key_ranges(lat_t, lon_t, lon_a, band_lo, band_hi, half_band, half_lon):
@@ -64,13 +71,19 @@ def _key_ranges(lat_t, lon_t, lon_a, band_lo, band_hi, half_band, half_lon):
     alarm's band and longitude window is one of its candidates, and no
     target is a candidate of an alarm twice.
 
-    Strips are twice the alarms' median half-band high, so a typical band
-    spans two of them. A wide alarm (its band reaches a pole or spans more
-    than WIDE_STRIPS strips) takes one range over all its strips; any other
-    takes one per strip, and one more per strip where its window wraps past
-    x = 0 or 360. half_band is partitioned in place.
+    A join of STRIP_MIN_PAIRS target x alarm pairs or more keys its targets
+    by latitude strip, then longitude. Strips are twice the alarms' median
+    half-band high, so a typical band spans two of them. A wide alarm (its
+    band reaches a pole or spans more than WIDE_STRIPS strips) takes one
+    range over all its strips; any other takes one per strip, and one more
+    per strip where its window wraps past x = 0 or 360. half_band is
+    partitioned in place.
     """
     n, m = lat_t.size, band_lo.size
+    if n * m < STRIP_MIN_PAIRS:
+        # the keys are the latitudes, and each alarm's band is its one range,
+        # as with strips when every alarm is wide
+        return lat_t, band_lo, band_hi, np.arange(m)
     # x is a longitude plus 180, and the remainder of that by 360 (which
     # leaves the others as they are) when some longitude is out of range.
     # Arrays of n are built in place, for the peak memory of a large join.
@@ -133,11 +146,11 @@ def pair_blocks(lat_t, lon_t, lat_a, lon_a, radius_km_a):
     slack, or the whole circle when the band reaches a pole (so when
     sin a >= cos p). Latitudes must lie in [-90, 90].
 
-    A block sorts its targets by join key, latitude strip then longitude
-    (see _key_ranges), once, and takes each alarm's candidates from a few
-    key ranges that cover its band and window. Only candidates in the band
-    and the window reach the haversine, and each is re-checked against
-    ``<= radius``, so the pairs are exactly the dense haversine join's.
+    A block sorts its targets by join key (see _key_ranges) once, and takes
+    each alarm's candidates from a few key ranges that cover its band and,
+    in a large join, its window. Only candidates in the band and the window
+    reach the haversine, and each is re-checked against ``<= radius``, so
+    the pairs are exactly the dense haversine join's.
     """
     lat_t, lon_t, lat_a, lon_a = (np.asarray(x, float) for x in (lat_t, lon_t, lat_a, lon_a))
     radius = np.full(lat_a.shape, radius_km_a, dtype=float)

@@ -4,6 +4,7 @@ against their old loops, the count kernel against the pair kernel, the
 memory budget of the batched kernels, and no second join in the package."""
 
 import ast
+import contextlib
 import math
 from pathlib import Path
 from unittest import mock
@@ -146,6 +147,11 @@ def _slice(n_candidates):
     return mock.patch.object(eqalarm.alarm, "CANDIDATE_SLICE", n_candidates)
 
 
+def _strips():
+    """Strips for a join of any size (see _key_ranges)."""
+    return mock.patch.object(eqalarm.alarm, "STRIP_MIN_PAIRS", 0)
+
+
 class TestPairsWithinKm:
     @settings(max_examples=400, deadline=None)
     @given(join_inputs())
@@ -156,8 +162,8 @@ class TestPairsWithinKm:
     @given(join_inputs(), budget_st, slice_st)
     def test_budget_blocks_do_not_change_pairs(self, inputs, budget_bytes, n_slice):
         # the blocks concatenate to the whole join's pairs under any budget,
-        # whatever the number of candidates evaluated at once
-        with _budget(budget_bytes), _slice(n_slice):
+        # whatever the number of candidates evaluated at once, with strips
+        with _budget(budget_bytes), _slice(n_slice), _strips():
             got = pairs_within_km(*(np.asarray(x, dtype=float) for x in inputs))
         assert_same_pairs(got, dense_pairs_within_km(*inputs))
 
@@ -321,7 +327,7 @@ class TestLongitudeWindow:
     @settings(max_examples=400, deadline=None)
     @given(window_inputs(), budget_st, slice_st)
     def test_matches_dense_oracle(self, inputs, budget_bytes, n_slice):
-        with _budget(budget_bytes), _slice(n_slice):
+        with _budget(budget_bytes), _slice(n_slice), _strips():
             got = pairs_within_km(*inputs)
         assert_same_pairs(got, dense_pairs_within_km(*inputs))
 
@@ -429,7 +435,7 @@ class TestPairBlocksBudget:
                 return halved(lo, (lo + hi) // 2) + halved((lo + hi) // 2, hi)
             return [(lo, hi)]
 
-        with _budget(budget_bytes):
+        with _budget(budget_bytes), _strips():
             blocks = list(pair_blocks(lat, lon, lat, lon, radius))
         spans = [(int(t[0]), int(t[-1]) + 1) for t, _ in blocks]
         assert spans == halved(0, n)
@@ -452,9 +458,10 @@ def strip_edges(h):
     return hi
 
 
-def evaluated_and_ranges(*args):
+def evaluated_and_ranges(*args, strips=True):
     """The join's pairs, the number of distances it computes and what
-    _key_ranges returned (key_t, range_lo, range_hi, range_alarm)."""
+    _key_ranges returned (key_t, range_lo, range_hi, range_alarm), with
+    strips whatever the join's size unless ``strips`` is false."""
     key_ranges, seen = eqalarm.alarm._key_ranges, []
 
     def spy(*a):
@@ -463,22 +470,23 @@ def evaluated_and_ranges(*args):
 
     with mock.patch.object(eqalarm.alarm, "_key_ranges", spy), mock.patch.object(
         eqalarm.alarm, "great_circle_km_arrays", wraps=great_circle_km_arrays
-    ) as haversine:
+    ) as haversine, _strips() if strips else contextlib.nullcontext():
         got = pairs_within_km(*args)
     return got, sum(np.size(call.args[0]) for call in haversine.call_args_list), seen[0]
 
 
 class TestStripRanges:
-    """Edge cases of the strip rule: the pairs are the dense join's under any
-    budget and slice, and the haversine sees exactly the candidates inside
-    the band and the longitude window."""
+    """Edge cases of the strip rule, whatever the join's size: the pairs are
+    the dense join's under any budget and slice, and the haversine sees
+    exactly the candidates inside the band and the longitude window."""
 
     def check(self, *args):
         expected = dense_pairs_within_km(*args)
+        assert_same_pairs(pairs_within_km(*args), expected)
         for budget_bytes, n_slice in (
             (eqalarm.alarm.MEMORY_BUDGET_BYTES, eqalarm.alarm.CANDIDATE_SLICE), (1, 7), (10_000, 1)
         ):
-            with _budget(budget_bytes), _slice(n_slice):
+            with _budget(budget_bytes), _slice(n_slice), _strips():
                 assert_same_pairs(pairs_within_km(*args), expected)
         got, evaluated, ranges = evaluated_and_ranges(*args)
         assert evaluated == window_candidates(*args)
@@ -563,6 +571,24 @@ class TestStripRanges:
         got, (key_t, *_) = self.check(lat_t, lon_t, lat_a, lon_a, np.full(100, 80.0))
         assert np.unique(np.floor(key_t / STRIP_KEY)).size == 1
         assert got[0].size > 0
+
+    def test_strips_only_from_strip_min_pairs(self):
+        # below STRIP_MIN_PAIRS target x alarm pairs the keys are the
+        # latitudes and each alarm's band its one range; from there, strips
+        rng = np.random.default_rng(27)
+        lat, lon = GlobalSphere().sample(1600, rng)
+        side = math.isqrt(eqalarm.alarm.STRIP_MIN_PAIRS)
+        for n, m in ((20, 20), (side, side - 1), (side, side + 1)):
+            args = (lat[:n], lon[:n], lat[-m:], lon[-m:], np.full(m, 300.0))
+            got, evaluated, (key_t, range_lo, range_hi, range_alarm) = evaluated_and_ranges(
+                *args, strips=False
+            )
+            assert_same_pairs(got, dense_pairs_within_km(*args))
+            assert evaluated == window_candidates(*args)
+            if n * m < eqalarm.alarm.STRIP_MIN_PAIRS:
+                assert np.array_equal(key_t, lat[:n]) and np.array_equal(range_alarm, np.arange(m))
+            else:
+                assert key_t.max() > STRIP_KEY and range_alarm.size > m
 
     def test_mixed_half_kilometre_and_half_circumference_radii(self):
         # a median of either radius, 40,000 times apart, yet a few ranges per
