@@ -56,11 +56,11 @@ STRIP_KEY = 1000.0
 MAX_STRIPS = 2**16
 WIDE_STRIPS = 8
 # Target x alarm pairs from which a join builds strips. Below, building them
-# costs more than the candidates they save: on the perfbench seed-3 catalog,
-# strips against latitude bands took 89 against 60 us for the 6-40-point
-# regional joins and 181 against 128 us for 266 x 266 points, and paid from
-# about 10**6 pairs (694 against 742 us for 1009 x 1009, 1.75 against 2.32 ms
-# for 2013 x 2013).
+# costs more than the candidates they save: on the perfbench seed-3 catalog
+# (2-vCPU host), strips against latitude bands took 89 against 60 us for the
+# 6-40-point regional joins and 181 against 128 us for 266 x 266 points, and
+# paid from about 10**6 pairs (694 against 742 us for 1009 x 1009, 1.75
+# against 2.32 ms for 2013 x 2013).
 STRIP_MIN_PAIRS = 2**19
 
 
@@ -76,8 +76,8 @@ def _key_ranges(lat_t, lon_t, lon_a, band_lo, band_hi, half_band, half_lon):
     half-band high, so a typical band spans two of them. A wide alarm (its
     band reaches a pole or spans more than WIDE_STRIPS strips) takes one
     range over all its strips; any other takes one per strip, and one more
-    per strip where its window wraps past x = 0 or 360. half_band is
-    partitioned in place.
+    per strip where its window wraps past x = 0 or 360. Strips partition
+    half_band in place.
     """
     n, m = lat_t.size, band_lo.size
     if n * m < STRIP_MIN_PAIRS:
@@ -172,8 +172,7 @@ def pair_blocks(lat_t, lon_t, lat_a, lon_a, radius_km_a):
         n_cand = keys.searchsorted(range_hi, "right") - first
         # range r's candidates c = offsets[r], ..., offsets[r + 1] - 1 sit at
         # sorted positions first[r] + c - offsets[r]
-        offsets = np.zeros(n_cand.size + 1, np.intp)
-        n_cand.cumsum(out=offsets[1:])
+        offsets = np.concatenate(([0], n_cand.cumsum()))
         n_total = int(offsets[-1])
         if n_total * JOIN_BYTES_PER_CANDIDATE > MEMORY_BUDGET_BYTES and t1 - t0 > 1:
             yield from block(t0, (t0 + t1) // 2)
