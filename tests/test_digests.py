@@ -1,4 +1,5 @@
-"""Byte-identity pins for the pair join's callers on a CMT-scale catalog.
+"""Byte-identity pins for the CLI commands and the pair join's callers on a
+CMT-scale catalog.
 
 The catalog is drawn with ``Generator.integers`` on PCG64 alone, whose
 stream numpy keeps stable, and written as exact decimal text. Each output
@@ -45,6 +46,8 @@ DIGESTS = {
     "eval-i": "5319352343043c3f4f1d021c925e26dff47715ad3c32fc781488c221cbad8779",
     "eval-ii": "df40d2bc4a50320cec7d335f7586d8ed235ec78221734fd83339d2bbe7a41836",
     "table1": "ed4a6e704d780f9318de2ef82d80fe116ff3ea12ceaa5d79b489607b4682f47f",
+    "ingest": "234f951f44b32191f5455affc144e30e6fa534b383e30b0540ff46d1603b5f97",
+    "test": "77d960aa91b745d4341ad390d729a5b6326291b806b4749bc1ca77f0a19635a8",
     "union-volume": "607f2ce3ca909de04de86b5023eeb871cde11ef7b114627868fec9ba17f34188",
     "measure-pi": "93acbe6cb4962a5a77d0ff1947f5779d1f207e456dbc89bfd12a462f6a4e6b27",
 }
@@ -138,6 +141,12 @@ CLI_CASES = {
         ["alarms.csv"],
     ),
     "table1": (["table1", "--input", "cmt.csv", "--deterministic", "--reps", "200"], []),
+    "ingest": (["ingest", "--input", "cmt.csv"], []),
+    "test": (
+        ["test", "--input", "cmt.csv", "--mag-threshold", "5.5", "--from", "2004-01-01",
+         "--to", "2005-01-01", "--reps", "200", "--deterministic"],
+        [],
+    ),
 }
 
 
