@@ -26,8 +26,8 @@ from .alarm import (
     AlarmSet,
     AlarmTargetIndex,
     FloorRule,
+    _covered_us,
     generate_alarms,
-    pair_blocks,
     rows_within_budget,
 )
 from .catalog import Catalog, _to_us, filter_catalog
@@ -329,23 +329,8 @@ def alarm_measure_pi(
     t0, t1 = (_to_us(t) for t in t_interval)
     if not t0 < t1:
         raise ValueError("t_interval is empty")
-    lat = np.array([p.lat for p in historical_epicenters], dtype=float)
-    lon = np.array([p.lon for p in historical_epicenters], dtype=float)
-    rows = alarm_set.rows
-    covered = 0
-    for k, j in pair_blocks(lat, lon, rows["lat"], rows["lon"], rows["radius_km"]):
-        lo = np.maximum(rows["start_us"][j], t0)
-        hi = np.minimum(rows["end_us"][j], t1)
-        keep = hi > lo
-        k, lo, hi = k[keep], lo[keep], hi[keep]
-        # sorting an epicenter's starts and its ends apart keeps its coverage
-        # depth, so its union is that of the sorted (start, end) pairs, each of
-        # which adds what lies past the previous pair's end
-        lo, hi = lo[np.lexsort((lo, k))], hi[np.lexsort((hi, k))]
-        prev_end = np.where(np.diff(k, prepend=-1) == 0, np.roll(hi, 1), lo)
-        # Python ints: a block's total can pass int64 on a long interval
-        covered += int(np.maximum(hi - np.maximum(lo, prev_end), 0).sum(dtype=object))
-    return covered / ((t1 - t0) * len(historical_epicenters))
+    lat, lon = np.array([(p.lat, p.lon) for p in historical_epicenters], dtype=float).T
+    return _covered_us(lat, lon, alarm_set, t0, t1)[1]
 
 
 @dataclass(frozen=True)

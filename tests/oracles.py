@@ -4,9 +4,10 @@ containment and window-table lookup, the rounding of durations to
 microseconds, the per-record NDK reader, the catalog invariants and the
 magnitude/window filter, alarm generation, the membership rule, alarm
 success, the batched pair kernel that counts predicted events over rows of
-event times, declustering, the alarm measure, the Monte-Carlo union volume, the
-gamma-renewal running sums, the scheme-3 weighted sampling of R-score
-baselines and the reference time-permutation shuffle."""
+event times, declustering, the covered time of points (behind the alarm
+measure and the union volume), the gamma-renewal running sums, the scheme-3
+weighted sampling of R-score baselines and the reference time-permutation
+shuffle."""
 
 from __future__ import annotations
 
@@ -234,45 +235,47 @@ def decluster_deleted(catalog, windows, retained_only: bool = False) -> tuple[in
     return tuple(int(i) for i in np.flatnonzero(deleted))
 
 
-def alarm_measure_pi(alarm_set, historical_epicenters, t_interval) -> float:
-    """``sigtests.alarm_measure_pi`` by a scalar epicenter x alarm loop in
-    microseconds: the covered microseconds summed over the epicenters, over
-    the interval's length times their number."""
+def covered_us(alarm_set, lat, lon, t_interval) -> list[int]:
+    """Per point, the microseconds of the interval during which some alarm
+    covers it: each alarm's clipped window joins the list of every point
+    within its radius, and each point's list is merged in sorted order."""
     t0, t1 = (_to_us(t) for t in t_interval)
-    covered = 0
-    for point in historical_epicenters:
-        segments = []
-        for a in alarm_set.alarms:
-            lo = max(_to_us(a.t_start), t0)
-            hi = min(_to_us(a.t_end), t1)
-            if hi <= lo:
-                continue
-            if great_circle_km(a.center, point) <= a.radius_km:
-                segments.append((lo, hi))
-        end = t0
-        for lo, hi in sorted(segments):
+    lat, lon = np.asarray(lat, dtype=float), np.asarray(lon, dtype=float)
+    segments = [[] for _ in range(lat.size)]
+    for a in alarm_set.alarms:
+        lo = max(_to_us(a.t_start), t0)
+        hi = min(_to_us(a.t_end), t1)
+        if hi <= lo:
+            continue
+        near = great_circle_km_arrays(lat, lon, a.center.lat, a.center.lon) <= a.radius_km
+        for i in np.flatnonzero(near).tolist():
+            segments[i].append((lo, hi))
+    covered = []
+    for point_segments in segments:
+        total, end = 0, t0
+        for lo, hi in sorted(point_segments):
             if hi > end:
-                covered += hi - max(lo, end)
+                total += hi - max(lo, end)
                 end = hi
+        covered.append(total)
+    return covered
+
+
+def alarm_measure_pi(alarm_set, historical_epicenters, t_interval) -> float:
+    """``sigtests.alarm_measure_pi`` by covered_us: the covered microseconds
+    summed over the epicenters, over the interval's length times their number."""
+    t0, t1 = (_to_us(t) for t in t_interval)
+    lat = [p.lat for p in historical_epicenters]
+    lon = [p.lon for p in historical_epicenters]
+    covered = sum(covered_us(alarm_set, lat, lon, t_interval))
     return covered / ((t1 - t0) * len(historical_epicenters))
 
 
-def union_volume_hit_fraction(alarm_set, sv, n_samples: int, rng) -> float:
-    """``union_volume_fraction_mc``'s estimate by a per-alarm loop over the
-    same samples, each rounded to microseconds as timedelta rounds it."""
-    g = as_generator(rng)
-    lat, lon = sv.region.sample(n_samples, g)
-    offsets = g.uniform(0.0, sv.duration_s, size=n_samples).tolist()
-    times = np.array([_to_us(sv.t_start) + seconds_to_us(s) for s in offsets], dtype=np.int64)
-    hit = np.zeros(n_samples, dtype=bool)
-    for a in alarm_set.alarms:
-        in_time = (times > _to_us(a.t_start)) & (times <= _to_us(a.t_end))
-        idx = np.nonzero(in_time & ~hit)[0]
-        if idx.size == 0:
-            continue
-        d = great_circle_km_arrays(lat[idx], lon[idx], a.center.lat, a.center.lon)
-        hit[idx[d <= a.radius_km]] = True
-    return float(hit.mean())
+def union_volume_covered_us(alarm_set, sv, n_samples: int, rng) -> list[int]:
+    """``union_volume_fraction_mc``'s points, the region's first n_samples
+    draws from ``rng``, each scored by covered_us over the study interval."""
+    lat, lon = sv.region.sample(n_samples, as_generator(rng))
+    return covered_us(alarm_set, lat, lon, (sv.t_start, sv.t_end))
 
 
 def gamma_renewal_instants(shape, mean_interval_s, t_interval, rng) -> list:

@@ -48,7 +48,7 @@ DIGESTS = {
     "table1": "ed4a6e704d780f9318de2ef82d80fe116ff3ea12ceaa5d79b489607b4682f47f",
     "ingest": "234f951f44b32191f5455affc144e30e6fa534b383e30b0540ff46d1603b5f97",
     "test": "77d960aa91b745d4341ad390d729a5b6326291b806b4749bc1ca77f0a19635a8",
-    "union-volume": "607f2ce3ca909de04de86b5023eeb871cde11ef7b114627868fec9ba17f34188",
+    "union-volume": "2db1f984a6f97ea48e0dc0fe278808b8a4fcb05b24e2a3d46e9084b887ed144b",
     "measure-pi": "93acbe6cb4962a5a77d0ff1947f5779d1f207e456dbc89bfd12a462f6a4e6b27",
 }
 

@@ -1,15 +1,18 @@
 """The pair join against the dense haversine oracle, its blocks against the
 budget, its callers (declustering, the alarm measure, the union volume)
 against their old loops, the count kernel against the pair kernel, the
-memory budget of the batched kernels, and no second join in the package."""
+memory budget of the batched kernels, and no second join or coverage loop in
+the package."""
 
 import ast
 import contextlib
 import math
+import statistics
 from pathlib import Path
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -33,6 +36,7 @@ from eqalarm import (
     union_volume_fraction_mc,
 )
 from eqalarm.alarm import JOIN_BYTES_PER_CANDIDATE, MAX_STRIPS, STRIP_KEY, WIDE_STRIPS, pair_blocks
+from eqalarm.catalog import _to_us
 from eqalarm.decluster import WindowRow, WindowTable
 from eqalarm.geo import (
     EARTH_RADIUS_KM,
@@ -604,26 +608,47 @@ class TestStripRanges:
             assert (radius[got[1]] < 1.0).any()
 
 
+def _package_nodes():
+    """Every AST node of the package's modules, as (where, node): where is
+    "module.py:scope", the scope being the top-level function or class
+    method holding the node, the class for a class attribute, "" at module
+    level."""
+    for path in sorted(Path(eqalarm.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for top in tree.body:
+            for item in top.body if isinstance(top, ast.ClassDef) else [top]:
+                scope = ".".join(getattr(x, "name", "") for x in dict.fromkeys((top, item)))
+                for node in ast.walk(item):
+                    yield f"{path.name}:{scope.strip('.')}", node
+
+
 def test_one_pair_join_in_the_package():
     # pair_blocks is the one place points are paired by distance; a region
     # tests its points against one centre
     allowed = {"alarm.py:pair_blocks", "geo.py:SphericalCap.contains_arrays"}
     uses, joins = set(), []
-    for path in sorted(Path(eqalarm.__file__).parent.glob("*.py")):
-        tree = ast.parse(path.read_text())
-        for top in tree.body:
-            for item in top.body if isinstance(top, ast.ClassDef) else [top]:
-                # the top-level function or class method holding the node,
-                # the class for a class attribute, "" at module level
-                scope = ".".join(getattr(x, "name", "") for x in dict.fromkeys((top, item)))
-                for node in ast.walk(item):
-                    name = getattr(node, "id", getattr(node, "attr", None))
-                    if name == "great_circle_km_arrays":
-                        uses.add(f"{path.name}:{scope.strip('.')}")
-                    if "pairs_within_km" in (name, getattr(node, "name", None)):
-                        joins.append(f"{path.name}:{node.lineno}")
+    for where, node in _package_nodes():
+        name = getattr(node, "id", getattr(node, "attr", None))
+        if name == "great_circle_km_arrays":
+            uses.add(where)
+        if "pairs_within_km" in (name, getattr(node, "name", None)):
+            joins.append(f"{where}:{node.lineno}")
     assert uses == allowed
     assert joins == []
+
+
+def test_one_coverage_loop_in_the_package():
+    # the index, declustering and the covered time of points (behind the
+    # alarm measure and the union volume) are the join's only callers
+    callers = {
+        where
+        for where, node in _package_nodes()
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", getattr(node.func, "attr", None)) == "pair_blocks"
+    }
+    assert callers == {
+        "alarm.py:AlarmTargetIndex.__init__", "alarm.py:_covered_us", "decluster.py:decluster"
+    }
 
 
 class TestIndexPairs:
@@ -741,6 +766,22 @@ class TestCountKernel:
             assert got.tolist() == oracles.pair_kernel_counts(index, aset, cat, times[order]).tolist()
 
 
+region_st = st.sampled_from(
+    [GlobalSphere(), LatLonBox(-10.0, 10.0, 170.0, -170.0),
+     SphericalCap(GeoPoint(89.5, 0.0), 300.0)]
+)
+
+
+def union_volume_oracle(alarm_set, sv, n_samples, seed):
+    """What union_volume_fraction_mc should give: its points' exact mean
+    covered share by the oracle's per-point interval union, and the shares'
+    population SD over sqrt(n_samples)."""
+    covered = oracles.union_volume_covered_us(alarm_set, sv, n_samples, seed)
+    length = _to_us(sv.t_end) - _to_us(sv.t_start)
+    sd = statistics.pstdev([c / length for c in covered])
+    return sum(covered) / (length * n_samples), sd / math.sqrt(n_samples)
+
+
 class TestJoinCallersMatchLoops:
     @settings(max_examples=300, deadline=None)
     @given(decluster_inputs(), st.booleans(), budget_st)
@@ -779,22 +820,33 @@ class TestJoinCallersMatchLoops:
             assert expected is None or got == expected
 
     @settings(max_examples=150, deadline=None)
-    @given(
-        alarm_inputs(),
-        st.sampled_from(
-            [GlobalSphere(), LatLonBox(-10.0, 10.0, 170.0, -170.0),
-             SphericalCap(GeoPoint(89.5, 0.0), 300.0)]
-        ),
-        st.integers(1, 300),
-        st.integers(0, 2**32 - 1),
-        budget_st,
-    )
+    @given(alarm_inputs(), region_st, st.integers(1, 300), st.integers(0, 2**32 - 1), budget_st)
     def test_union_volume(self, inputs, region, n_samples, seed, budget_bytes):
         alarm_set, _, interval = inputs
         sv = StudyVolume(region, *interval)
         with _budget(budget_bytes):
             got = union_volume_fraction_mc(alarm_set, sv, n_samples, seed).estimate
-        assert got == oracles.union_volume_hit_fraction(alarm_set, sv, n_samples, seed)
+        assert got == union_volume_oracle(alarm_set, sv, n_samples, seed)[0]
+
+    @settings(max_examples=100, deadline=None)
+    @given(alarm_inputs(), region_st, st.integers(1, 300), st.integers(0, 2**32 - 1))
+    def test_union_volume_stderr(self, inputs, region, n_samples, seed):
+        alarm_set, _, interval = inputs
+        sv = StudyVolume(region, *interval)
+        got = union_volume_fraction_mc(alarm_set, sv, n_samples, seed).stderr
+        assert got == pytest.approx(union_volume_oracle(alarm_set, sv, n_samples, seed)[1],
+                                    rel=1e-9, abs=1e-15)
+
+    def test_union_volume_one_sample(self):
+        # the one point is covered for 3 of the 10 days, and the region's
+        # draw of it is the only draw from the stream
+        alarm_set = AlarmSet((Alarm(GeoPoint(0.0, 0.0), 20_000.0, T0 + day(2), T0 + day(5), 5.5),))
+        sv = StudyVolume(GlobalSphere(), T0, T0 + day(10))
+        g, reference = np.random.default_rng(14), np.random.default_rng(14)
+        est = union_volume_fraction_mc(alarm_set, sv, 1, g)
+        GlobalSphere().sample(1, reference)
+        assert (est.estimate, est.stderr) == (0.3, 0.0)
+        assert g.integers(2**62) == reference.integers(2**62)
 
     def test_empty_and_one_event_catalogs(self):
         windows = WindowTable.uniform(10.0, HALF_CIRCUMFERENCE_KM)
@@ -906,7 +958,7 @@ class TestMemoryBudget:
         sv = StudyVolume(LatLonBox(-1.0, 1.0, -180.0, 180.0), T0, T0 + day(20.0))
         est, peak = traced_peak(lambda: union_volume_fraction_mc(alarm_set, sv, 3000, 9))
         assert peak <= 2 * self.BUDGET + 1_000_000
-        assert est.estimate == oracles.union_volume_hit_fraction(alarm_set, sv, 3000, 9)
+        assert est.estimate == union_volume_oracle(alarm_set, sv, 3000, 9)[0]
         assert 0.2 < est.estimate < 0.8
 
     def test_simulated_poisson_binomial_blocks(self, monkeypatch):
