@@ -38,9 +38,6 @@ MAX_EXACT_EVENTS = 8
 # permutation replicates per keyed random stream; changing it changes every
 # seed's replicates
 REPLICATE_BLOCK = 1024
-# positions and gathers of the permutation rows counted at once against a
-# kept verdict table: 149 rows at 2013 targets, 1325 of them paired
-_CACHE_CHUNK_BYTES = 4 * 2**20
 # peak working bytes per (replicate, cell) of an R-score baseline block,
 # measured with tracemalloc on scheme 3 (the largest): uniforms, arrivals,
 # their sort order and the prediction flags
@@ -91,18 +88,17 @@ def _resolve_key(rng) -> Rng:
     raise TypeError("Monte-Carlo engines need an Rng key or an integer seed")
 
 
-def _replicate_chunks(key: Rng, n_reps: int, bytes_per_row: int):
+def _replicate_chunks(key: Rng, n_reps: int, rows_per_chunk: int):
     """Yield (lo, hi, g) over the rows of n_reps replicates: the one replicate
     stream scheme of every Monte-Carlo engine.
 
-    Replicates come in blocks of REPLICATE_BLOCK rows; block b draws from
-    the stream keyed by (seed, stream_id, b), in chunks of rows whose
-    working arrays of bytes_per_row each fit the memory budget. A caller
-    that draws its chunk's rows one after another from g makes replicate r
-    depend only on the key and r: not on n_reps beyond r, the memory budget
-    or the evaluation order, so blocks are safe to split across workers.
+    Block b of REPLICATE_BLOCK rows draws from the stream keyed by (seed,
+    stream_id, b), in chunks of at most rows_per_chunk rows. A caller that
+    draws its chunk's rows one after another from g makes replicate r depend
+    only on the key and r: not on n_reps beyond r, the chunk size or the
+    evaluation order, so blocks are safe to split across workers.
     """
-    chunk = min(REPLICATE_BLOCK, rows_within_budget(bytes_per_row))
+    chunk = min(REPLICATE_BLOCK, rows_per_chunk)
     for block_lo in range(0, n_reps, REPLICATE_BLOCK):
         g = substream(key.seed, key.stream_id, block_lo // REPLICATE_BLOCK)
         block_hi = min(block_lo + REPLICATE_BLOCK, n_reps)
@@ -113,29 +109,19 @@ def _replicate_chunks(key: Rng, n_reps: int, bytes_per_row: int):
 def _simulated_counts(index: AlarmTargetIndex, n_reps: int, key: Rng) -> np.ndarray:
     """Predicted-event counts under n_reps random permutations of the targets' times.
 
-    Each chunk holds rows of the time positions ``range(n_targets)``,
-    shuffled in place row by row; consecutive permuted calls on row chunks
-    draw the same stream as one call on the whole block, and the draws do
-    not depend on the values shuffled, so the positions move as the times
-    would. The chunks refill one array and take half of the memory budget,
-    the count kernel the other; when the index keeps one verdict table for
-    all calls, a chunk's positions and gathers take _CACHE_CHUNK_BYTES.
+    Each chunk, of the rows the index counts per call, refills one array
+    with the positions ``range(n_targets)``, shuffled in place row by row;
+    the draws depend neither on the values nor on the chunking, so the
+    positions move as the times would.
     """
-    n, n_paired = index.n_targets, index._uniq_k.size
+    n, step = index.n_targets, index._rows_per_call()
     counts = np.empty(n_reps, dtype=np.int64)
-    rows = np.empty((0, n), dtype=np.intp)
-    per_row = rows.itemsize * n + index.BYTES_PER_GATHER * n_paired
-    step = max(1, _CACHE_CHUNK_BYTES // max(per_row, 1))
-    if index._block(step) < n_paired:
-        step = REPLICATE_BLOCK  # each call rebuilds its tables: one call per chunk
-    for lo, hi, g in _replicate_chunks(key, n_reps, 2 * rows.itemsize * n):
-        if len(rows) < min(step, hi - lo):
-            rows = np.empty((min(step, hi - lo), n), dtype=np.intp)
-        for r0 in range(lo, hi, step):
-            chunk = rows[: min(step, hi - r0)]
-            chunk[:] = np.arange(n)
-            g.permuted(chunk, axis=1, out=chunk)
-            counts[r0 : r0 + len(chunk)] = index.counts_for_time_matrix(chunk)
+    rows = np.empty((min(step, REPLICATE_BLOCK, n_reps), n), dtype=np.intp)
+    for lo, hi, g in _replicate_chunks(key, n_reps, step):
+        chunk = rows[: hi - lo]
+        chunk[:] = np.arange(n)
+        g.permuted(chunk, axis=1, out=chunk)
+        counts[lo:hi] = index.counts_for_time_matrix(chunk)
     return counts
 
 
@@ -305,7 +291,8 @@ def poisson_binomial_pvalue(
     if method == "simulate":
         hits = 0
         # a row holds A float64 uniforms and their bool mask
-        for lo, hi, g in _replicate_chunks(_resolve_key(rng), n_reps, 9 * probs.size):
+        chunk = rows_within_budget(9 * probs.size)
+        for lo, hi, g in _replicate_chunks(_resolve_key(rng), n_reps, chunk):
             sums = (g.random((hi - lo, probs.size)) < probs).sum(axis=1)
             hits += int((sums >= s_obs).sum())
         return hits / n_reps
@@ -479,8 +466,8 @@ def r_score_baseline(
     key = _resolve_key(rng)
     hits = np.empty(n_reps, dtype=np.int64)
     n_predicted_cells = np.empty(n_reps, dtype=np.int64)
-    bytes_per_row = BASELINE_BYTES_PER_CELL * n_cells
-    for lo, hi, g in _replicate_chunks(key, n_reps, bytes_per_row):
+    chunk = rows_within_budget(BASELINE_BYTES_PER_CELL * n_cells)
+    for lo, hi, g in _replicate_chunks(key, n_reps, chunk):
         predicted = _draw_predicted(g, scheme, hi - lo, n_cells, n_predicted, probs)
         n_predicted_cells[lo:hi] = predicted.sum(axis=1)
         hits[lo:hi] = (predicted & occurred).sum(axis=1)

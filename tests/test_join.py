@@ -651,6 +651,20 @@ def test_one_coverage_loop_in_the_package():
     }
 
 
+def test_sigtests_reads_the_index_through_its_methods():
+    # how many rows a count call takes is the index's decision, made beside
+    # the rule that keeps its verdict table
+    reads = {
+        node.attr
+        for where, node in _package_nodes()
+        if where.startswith("sigtests.py:")
+        and isinstance(node, ast.Attribute)
+        and getattr(node.value, "id", None) == "index"
+    }
+    assert "counts_for_time_matrix" in reads
+    assert reads <= {"n_targets", "predicted_mask", "counts_for_time_matrix", "_rows_per_call"}
+
+
 class TestIndexPairs:
     @settings(max_examples=150, deadline=None)
     @given(

@@ -168,6 +168,29 @@ class TestPermutationReplicates:
         assert peak <= 12 * 10**6
         assert np.array_equal(sims, expected[:1000])
 
+    def test_count_call_sizes_at_two_thousand_targets(self, two_thousand_targets, monkeypatch):
+        targets, alarms, expected = two_thousand_targets
+        index = AlarmTargetIndex(targets, alarms)
+        sizes = []
+        counts = AlarmTargetIndex.counts_for_time_matrix
+
+        def spy(index, matrix):
+            sizes.append(len(matrix))
+            return counts(index, matrix)
+
+        monkeypatch.setattr(AlarmTargetIndex, "counts_for_time_matrix", spy)
+        # cache-sized calls against the kept table, then calls of positions
+        # of half the budget once the table is split into blocks
+        for budget, kept, calls in (
+            (eqalarm.alarm.MEMORY_BUDGET_BYTES, True, [125] * 8 + [24, 76]),
+            (BUDGET, False, [65] * 15 + [49, 65, 11]),
+        ):
+            monkeypatch.setattr(eqalarm.alarm, "MEMORY_BUDGET_BYTES", budget)
+            sizes.clear()
+            assert np.array_equal(_simulated_counts(index, 1100, Rng(77, 3)), expected)
+            assert sizes == calls, budget
+            assert (index._table is not None) == kept
+
 
 class TestRScoreBaselineBlocks:
     @pytest.mark.parametrize("scheme", [1, 2, 3])
