@@ -1,6 +1,7 @@
 """Slow scalar and per-alarm reference implementations, kept as test oracles
 for the vectorised paths in ``eqalarm``: point distance, region
-containment and window-table lookup, the rounding of durations to
+containment and window-table lookup, the cap sampler by rotation from the
+pole, the rounding of durations to
 microseconds, the per-record NDK reader, the catalog invariants and the
 magnitude/window filter, alarm generation, the membership rule, alarm
 success, the batched pair kernel that counts predicted events over rows of
@@ -12,6 +13,7 @@ shuffle."""
 from __future__ import annotations
 
 import itertools
+import math
 from bisect import bisect_right
 from datetime import timedelta
 
@@ -25,7 +27,7 @@ from eqalarm.catalog import (
     NDK_LINES_PER_RECORD, ROW_DTYPE, SECONDS_PER_DAY,
     _as_utc, _decode, _parse_ndk_hypocenter, _to_us,
 )
-from eqalarm.geo import great_circle_km_arrays
+from eqalarm.geo import EARTH_RADIUS_KM, great_circle_km_arrays
 
 
 def great_circle_km(a, b) -> float:
@@ -45,6 +47,39 @@ def region_contains(region, point) -> bool:
     if isinstance(region, SphericalCap):
         return great_circle_km(region.center, point) <= region.radius_km
     raise TypeError(f"not a region: {region!r}")
+
+
+def cap_samples_by_rotation(cap, n: int, rng) -> tuple[np.ndarray, np.ndarray]:
+    """``SphericalCap.sample`` by rotation: the same two draws placed around
+    the +z pole, then turned onto the centre by the Rodrigues matrix about
+    z x centre. Centres within 1e-15 of a pole take the identity (north) or
+    diag(1, -1, -1) (south)."""
+    alpha = cap.radius_km / EARTH_RADIUS_KM
+    cos_theta = 1.0 - rng.uniform(0.0, 1.0, size=n) * (1.0 - math.cos(alpha))
+    sin_theta = np.sqrt(np.clip(1.0 - cos_theta**2, 0.0, 1.0))
+    phi = rng.uniform(0.0, 2.0 * math.pi, size=n)
+    pts = np.stack([sin_theta * np.cos(phi), sin_theta * np.sin(phi), cos_theta], axis=-1)
+    lat, lon = math.radians(cap.center.lat), math.radians(cap.center.lon)
+    target = np.array(
+        [math.cos(lat) * math.cos(lon), math.cos(lat) * math.sin(lon), math.sin(lat)]
+    )
+    z = np.array([0.0, 0.0, 1.0])
+    c = float(np.dot(z, target))
+    if c > 1.0 - 1e-15:
+        rot = np.eye(3)
+    elif c < -1.0 + 1e-15:
+        rot = np.diag([1.0, -1.0, -1.0])
+    else:
+        axis = np.cross(z, target)
+        axis /= np.linalg.norm(axis)
+        s = math.sqrt(max(0.0, 1.0 - c * c))
+        k = np.array(
+            [[0.0, -axis[2], axis[1]], [axis[2], 0.0, -axis[0]], [-axis[1], axis[0], 0.0]]
+        )
+        rot = np.eye(3) + s * k + (1.0 - c) * (k @ k)
+    xyz = pts @ rot.T
+    return (np.degrees(np.arcsin(np.clip(xyz[:, 2], -1.0, 1.0))),
+            np.degrees(np.arctan2(xyz[:, 1], xyz[:, 0])))
 
 
 def window_lookup(windows, magnitude: float):

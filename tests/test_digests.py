@@ -19,6 +19,8 @@ import eqalarm.alarm
 from eqalarm import (
     GeoPoint,
     GlobalSphere,
+    LatLonBox,
+    SphericalCap,
     StudyVolume,
     alarm_measure_pi,
     filter_catalog,
@@ -50,6 +52,8 @@ DIGESTS = {
     "test": "77d960aa91b745d4341ad390d729a5b6326291b806b4749bc1ca77f0a19635a8",
     "union-volume": "2db1f984a6f97ea48e0dc0fe278808b8a4fcb05b24e2a3d46e9084b887ed144b",
     "measure-pi": "93acbe6cb4962a5a77d0ff1947f5779d1f207e456dbc89bfd12a462f6a4e6b27",
+    "union-volume-cap": "69bf48dae1d7906cd6b5ace7e43ae8a6c44e756b4562c66de9225f86a34f98af",
+    "union-volume-box": "8d267c0fdc5b818667e4845238c69c893c3ad5c66f50d863ee2d83407352b91c",
 }
 
 
@@ -155,10 +159,18 @@ def _year(catalog, mag):
     return filter_catalog(catalog, mag, window), window
 
 
-def union_volume_repr(catalog) -> str:
+# regions other than the sphere, each over alarms of the busy cluster at
+# (10, -179.9): a cap away from the poles, and a box across the antimeridian
+REGIONS = {
+    "union-volume-cap": SphericalCap(GeoPoint(10.0, -179.9), 500.0),
+    "union-volume-box": LatLonBox(0.0, 20.0, 170.0, -170.0),
+}
+
+
+def union_volume_repr(catalog, region=GlobalSphere()) -> str:
     targets, window = _year(catalog, 5.5)
     alarms = generate_alarms(targets, 5.5, floor_rule=FloorRule.TRIGGER)
-    return repr(union_volume_fraction_mc(alarms, StudyVolume(GlobalSphere(), *window), 50_000, 4))
+    return repr(union_volume_fraction_mc(alarms, StudyVolume(region, *window), 50_000, 4))
 
 
 def measure_pi_repr(catalog) -> str:
@@ -185,6 +197,14 @@ def test_union_volume_and_measure(budget, catalog_text, monkeypatch):
     catalog = parse_csv(catalog_text)
     assert _digest(union_volume_repr(catalog)) == DIGESTS["union-volume"]
     assert _digest(measure_pi_repr(catalog)) == DIGESTS["measure-pi"]
+
+
+@pytest.mark.parametrize("budget", BUDGETS)
+@pytest.mark.parametrize("case", sorted(REGIONS))
+def test_union_volume_on_regions(case, budget, catalog_text, monkeypatch):
+    if budget is not None:
+        monkeypatch.setattr(eqalarm.alarm, "MEMORY_BUDGET_BYTES", budget)
+    assert _digest(union_volume_repr(parse_csv(catalog_text), REGIONS[case])) == DIGESTS[case]
 
 
 def test_small_budget_splits_the_joins(catalog_text, monkeypatch):

@@ -21,7 +21,7 @@ from eqalarm.geo import (
     normalize_lon,
 )
 
-from oracles import great_circle_km, region_contains
+from oracles import cap_samples_by_rotation, great_circle_km, region_contains
 
 lat_st = st.floats(min_value=-90.0, max_value=90.0)
 lon_st = st.floats(min_value=-180.0, max_value=360.0, exclude_max=True)
@@ -266,3 +266,51 @@ class TestRegions:
         lon = np.concatenate([rng.uniform(-180.0, 180.0, 3000), [-180.0, 170.0, -170.0, 0.0]])
         expected = [region_contains(region, GeoPoint(a, b)) for a, b in zip(lat, lon)]
         assert region.contains_arrays(lat, lon).tolist() == expected
+
+
+CAP_CENTRES = [(0.0, 0.0), (45.0, 45.0), (-30.0, 120.0), (89.5, 0.0), (90.0, 77.0),
+               (10.0, -179.9), (-89.5, 170.0)]
+CAP_RADII_KM = [1.0, 50.0, 800.0, 10_000.0, HALF_CIRCUMFERENCE_KM]
+
+
+def unit_vectors(lat, lon) -> np.ndarray:
+    lat, lon = np.radians(lat), np.radians(lon)
+    return np.stack([np.cos(lat) * np.cos(lon), np.cos(lat) * np.sin(lon), np.sin(lat)], axis=-1)
+
+
+def ks_uniform(u) -> float:
+    """Kolmogorov-Smirnov distance of a sample from the uniform law on [0, 1]."""
+    u = np.sort(u)
+    i = np.arange(1, u.size + 1)
+    return float(max((i / u.size - u).max(), (u - (i - 1) / u.size).max()))
+
+
+class TestCapSampler:
+    @pytest.mark.parametrize("radius_km", CAP_RADII_KM)
+    @pytest.mark.parametrize("centre", CAP_CENTRES)
+    def test_same_map_as_rotation_from_the_pole(self, centre, radius_km):
+        cap = SphericalCap(GeoPoint(*centre), radius_km)
+        got = unit_vectors(*cap.sample(5000, np.random.default_rng(17)))
+        want = unit_vectors(*cap_samples_by_rotation(cap, 5000, np.random.default_rng(17)))
+        assert np.abs(got - want).max() <= 1e-12
+
+    @pytest.mark.parametrize("radius_km", CAP_RADII_KM)
+    @pytest.mark.parametrize("seed,centre", enumerate(CAP_CENTRES + [(-90.0, 33.0)]))
+    def test_area_uniform(self, seed, centre, radius_km):
+        # about the centre c, (1 - cos d) / (1 - cos alpha) and the bearing
+        # are each uniform on their range for an area-uniform cap. The bound
+        # is fixed before any draw: P(sqrt(n) D > 2.5) ~ 2 exp(-12.5) = 7.5e-6
+        # per test, so the 80 tests here fail falsely with probability < 0.1%
+        n = 20_000
+        cap = SphericalCap(GeoPoint(*centre), radius_km)
+        p = unit_vectors(*cap.sample(n, np.random.default_rng([seed, int(radius_km)])))
+        lon = math.radians(centre[1])
+        c = unit_vectors(*centre)
+        east = np.array([-math.sin(lon), math.cos(lon), 0.0])
+        north = np.cross(c, east)
+        one_minus_cos_d = ((p - c) ** 2).sum(axis=1) / 2.0  # half the squared chord
+        one_minus_cos_alpha = 1.0 - math.cos(radius_km / EARTH_RADIUS_KM)
+        bearing = np.arctan2(p @ east, p @ north) / (2.0 * math.pi) % 1.0
+        bound = 2.5 / math.sqrt(n)
+        assert ks_uniform(one_minus_cos_d / one_minus_cos_alpha) <= bound
+        assert ks_uniform(bearing) <= bound
