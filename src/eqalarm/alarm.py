@@ -350,7 +350,6 @@ class AlarmTargetIndex:
 
     def __init__(self, targets: Catalog, alarm_set: AlarmSet):
         self.n_targets = n = len(targets)
-        self.n_alarms = len(alarm_set)
         t_mag = targets.magnitudes()
         id_of: dict[str, int] = {}
         for i, s in enumerate(targets.source_ids()):

@@ -189,9 +189,10 @@ def cmd_table1(args) -> int:
     need_end = parse_instant("2004-12-01T00:00:00Z")
     if catalog.span.t_start > need_start or catalog.span.t_end < need_end:
         raise _UsageError(
-            "catalog does not cover 2000-01-01 through 2004-12-31 "
-            f"(found {format_instant(catalog.span.t_start)} .. "
-            f"{format_instant(catalog.span.t_end)})"
+            f"catalog does not cover {format_instant(need_start)} through "
+            f"{format_instant(need_end)}: its first event must be at or before the start "
+            f"and its last at or after the end (found {format_instant(catalog.span.t_start)}"
+            f" .. {format_instant(catalog.span.t_end)})"
         )
     lines = ["year,mag_threshold,events,succ,succ_wo,max_sim,p_est,v"]
     for label, mag_threshold, from_text, to_text in TABLE1_ROWS:

@@ -84,20 +84,6 @@ def cap_area_km2(radius_km):
     return area if area.ndim else float(area)
 
 
-def _latlon_from_unit(xyz: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    lat = np.degrees(np.arcsin(np.clip(xyz[..., 2], -1.0, 1.0)))
-    lon = np.degrees(np.arctan2(xyz[..., 1], xyz[..., 0]))
-    return lat, lon
-
-
-def _unit_from_latlon(lat_deg: float, lon_deg: float) -> np.ndarray:
-    lat = math.radians(lat_deg)
-    lon = math.radians(lon_deg)
-    return np.array(
-        [math.cos(lat) * math.cos(lon), math.cos(lat) * math.sin(lon), math.sin(lat)]
-    )
-
-
 @dataclass(frozen=True)
 class GlobalSphere:
     """The whole sphere."""
@@ -182,33 +168,22 @@ class SphericalCap:
         return d <= self.radius_km
 
     def sample(self, n: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-        """Area-uniform points: sample around the pole, rotate onto the center."""
+        """Area-uniform points: cos(theta) of the distance theta from the
+        centre is uniform on [cos(alpha), 1], and the bearing uniform. Each
+        point is laid out in the centre's frame (c, east e, north n = c x e)
+        as cos(theta) c + sin(theta) (sin(psi - lon) e - cos(psi - lon) n):
+        one formula at every centre, poles included."""
         alpha = self.radius_km / EARTH_RADIUS_KM
         cos_theta = 1.0 - rng.uniform(0.0, 1.0, size=n) * (1.0 - math.cos(alpha))
         sin_theta = np.sqrt(np.clip(1.0 - cos_theta**2, 0.0, 1.0))
-        phi = rng.uniform(0.0, 2.0 * math.pi, size=n)
-        pts = np.stack(
-            [sin_theta * np.cos(phi), sin_theta * np.sin(phi), cos_theta], axis=-1
-        )
-        rot = _rotation_from_pole(_unit_from_latlon(self.center.lat, self.center.lon))
-        return _latlon_from_unit(pts @ rot.T)
-
-
-def _rotation_from_pole(target: np.ndarray) -> np.ndarray:
-    """Rotation matrix taking the +z pole onto the target unit vector."""
-    z = np.array([0.0, 0.0, 1.0])
-    c = float(np.dot(z, target))
-    if c > 1.0 - 1e-15:
-        return np.eye(3)
-    if c < -1.0 + 1e-15:
-        return np.diag([1.0, -1.0, -1.0])
-    axis = np.cross(z, target)
-    axis /= np.linalg.norm(axis)
-    s = math.sqrt(max(0.0, 1.0 - c * c))
-    k = np.array(
-        [[0.0, -axis[2], axis[1]], [axis[2], 0.0, -axis[0]], [-axis[1], axis[0], 0.0]]
-    )
-    return np.eye(3) + s * k + (1.0 - c) * (k @ k)
+        lat, lon = math.radians(self.center.lat), math.radians(self.center.lon)
+        psi = rng.uniform(0.0, 2.0 * math.pi, size=n) - lon
+        c = [math.cos(lat) * math.cos(lon), math.cos(lat) * math.sin(lon), math.sin(lat)]
+        e = [-math.sin(lon), math.cos(lon), 0.0]
+        xyz = np.stack([cos_theta, sin_theta * np.sin(psi), -sin_theta * np.cos(psi)], axis=-1)
+        xyz = xyz @ np.array([c, e, np.cross(c, e)])
+        return (np.degrees(np.arcsin(np.clip(xyz[:, 2], -1.0, 1.0))),
+                np.degrees(np.arctan2(xyz[:, 1], xyz[:, 0])))
 
 
 Region = GlobalSphere | LatLonBox | SphericalCap

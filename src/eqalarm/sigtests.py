@@ -13,7 +13,7 @@ alarm successes, and the grid R-score with its three randomized baselines.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from datetime import datetime
 from fractions import Fraction
 from typing import Sequence
@@ -68,16 +68,9 @@ class TestReport:
         return f"{self.p_estimate:.6g}"
 
     def to_json_dict(self) -> dict:
-        return {
-            "observed": self.observed,
-            "n_reps": self.sim_count,
-            "sims_geq": self.sims_geq,
-            "p_estimate": self.p_estimate,
-            "p_is_upper_bound": self.p_is_upper_bound,
-            "max_sim": self.max_sim,
-            "seed": self.seed,
-            "config": self.config,
-        }
+        payload = asdict(self)
+        payload["n_reps"] = payload.pop("sim_count")
+        return payload
 
 
 def _resolve_key(rng) -> Rng:

@@ -546,6 +546,29 @@ class TestTable1:
         assert code == 1
         assert "does not cover" in err
 
+    @pytest.mark.parametrize(
+        "first,last,covers",
+        [
+            ("2000-02-01T00:00:00Z", "2004-12-01T00:00:00Z", True),
+            ("2000-02-01T00:00:00.000001Z", "2004-12-01T00:00:00Z", False),
+            ("2000-02-01T00:00:00Z", "2004-11-30T23:59:59.999999Z", False),
+        ],
+    )
+    def test_coverage_rule_at_its_bounds(self, tmp_path, capsys, first, last, covers):
+        # the first event at or before 2000-02-01 and the last at or after 2004-12-01
+        path = tmp_path / "bounds.csv"
+        path.write_text(
+            "time,lat,lon,depth_km,mb,ms,id\n"
+            f"{first},0.0,0.0,10.0,6.0,,a\n{last},10.0,10.0,10.0,6.0,,b\n",
+            encoding="utf-8",
+        )
+        code, out, err = run(capsys, "table1", "--input", str(path), "--reps", "1")
+        if covers:
+            assert code == 0 and out.startswith("year,mag_threshold,")
+        else:
+            assert (code, out) == (1, "")
+            assert "does not cover 2000-02-01T00:00:00Z through 2004-12-01T00:00:00Z" in err
+
 
 class TestUsage:
     def test_unknown_subcommand(self, capsys):
