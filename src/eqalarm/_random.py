@@ -36,12 +36,15 @@ def substream(seed: int, *path: int) -> np.random.Generator:
     return np.random.default_rng(tuple(x & _MASK64 for x in (seed, *path)))
 
 
-def as_generator(rng) -> np.random.Generator:
-    """Accept an Rng key, a plain int seed or a numpy Generator (used as is)."""
-    if isinstance(rng, np.random.Generator):
-        return rng
+def as_key(rng) -> Rng:
+    """The key an ``rng`` argument names: an Rng key as is, an int seed as Rng(seed)."""
     if isinstance(rng, Rng):
-        return rng.generator()
+        return rng
     if isinstance(rng, (int, np.integer)):
-        return Rng(int(rng)).generator()
-    raise TypeError(f"cannot interpret {type(rng).__name__} as a random stream")
+        return Rng(int(rng))
+    raise TypeError(f"need an Rng key or an integer seed, got {type(rng).__name__}")
+
+
+def as_generator(rng) -> np.random.Generator:
+    """A numpy Generator as is, else the stream of :func:`as_key`'s key."""
+    return rng if isinstance(rng, np.random.Generator) else as_key(rng).generator()

@@ -117,14 +117,12 @@ def _key_ranges(lat_t, lon_t, lon_a, band_lo, band_hi, half_band, half_lon):
     count = spans.astype(np.intp) + 1
     wraps = (x_lo < 0.0) | (x_hi > 360.0)
     wide = ((w >= 180.0) | (spans >= WIDE_STRIPS)).nonzero()[0]
-    if wide.size:
-        x_lo[wide], x_hi[wide] = 0.0, spans[wide] * STRIP_KEY + 360.0
-        count[wide], wraps[wide] = 1, False
+    x_lo[wide], x_hi[wide] = 0.0, spans[wide] * STRIP_KEY + 360.0
+    count[wide], wraps[wide] = 1, False
     lo, hi, alarm, wraps = first_key + x_lo, first_key + x_hi, np.arange(m), wraps.nonzero()[0]
-    if wraps.size:
-        turn = np.where(x_lo[wraps] < 0.0, 360.0, -360.0)
-        lo, hi = np.concatenate((lo, lo[wraps] + turn)), np.concatenate((hi, hi[wraps] + turn))
-        count, alarm = np.concatenate((count, count[wraps])), np.concatenate((alarm, wraps))
+    turn = np.where(x_lo[wraps] < 0.0, 360.0, -360.0)
+    lo, hi = np.concatenate((lo, lo[wraps] + turn)), np.concatenate((hi, hi[wraps] + turn))
+    count, alarm = np.concatenate((count, count[wraps])), np.concatenate((alarm, wraps))
     row = np.arange(count.size).repeat(count)
     step = (np.arange(row.size) - (count.cumsum() - count)[row]) * STRIP_KEY
     return key_t, lo[row] + step, hi[row] + step, alarm[row]

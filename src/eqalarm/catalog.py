@@ -98,7 +98,7 @@ def _seconds_to_us(seconds) -> np.ndarray:
 
 def _checked_row(time_us, epicenter, depth_km, mb, ms, source_id) -> tuple:
     """One row of ROW_DTYPE, after the checks every event passes: the
-    epicenter's own, then depth, mb, ms. Absent magnitudes come in as None."""
+    epicenter's own, then depth, mb, ms, id. Absent magnitudes come in as None."""
     # NaN fails every comparison
     if not 0.0 <= depth_km < math.inf:
         raise ValueError(f"depth must be nonnegative, got {depth_km!r}")
@@ -106,6 +106,8 @@ def _checked_row(time_us, epicenter, depth_km, mb, ms, source_id) -> tuple:
         raise ValueError(f"mb={mb!r} outside (0, 10]")
     if ms is not None and not 0.0 < ms <= 10.0:
         raise ValueError(f"ms={ms!r} outside (0, 10]")
+    if not (isinstance(source_id, str) and source_id and source_id == source_id.strip()):
+        raise ValueError(f"id {source_id!r} is not a nonempty str without surrounding whitespace")
     return time_us, epicenter.lat, epicenter.lon, depth_km, mb or 0.0, ms or 0.0, source_id
 
 
@@ -120,8 +122,9 @@ class Event:
 
     Depth is carried for provenance only; every computation in this package
     uses epicentral distance. Magnitudes may be absent; values, when present,
-    must lie in (0, 10]. Catalogs hold rows: :attr:`Catalog.events` builds
-    a new Event per row on each call.
+    must lie in (0, 10]. The id is a nonempty str equal to its own strip().
+    Catalogs hold rows: :attr:`Catalog.events` builds a new Event per row on
+    each call.
     """
 
     time: datetime

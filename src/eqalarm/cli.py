@@ -162,9 +162,8 @@ def cmd_eval(args) -> int:
 def cmd_test(args) -> int:
     catalog = _load_catalog(args.input, args.format)
     window = _window_from_args(args, catalog)
-    windowed = filter_catalog(catalog, -10.0, window)
     report = permutation_test(
-        windowed,
+        filter_catalog(catalog, args.mag_threshold, window),
         args.mag_threshold,
         window_days=args.window_days,
         radius_km=args.radius_km,
@@ -198,7 +197,6 @@ def cmd_table1(args) -> int:
     for label, mag_threshold, from_text, to_text in TABLE1_ROWS:
         window = (parse_instant(from_text), parse_instant(to_text))
         targets = filter_catalog(catalog, mag_threshold, window)
-        sv = StudyVolume(GlobalSphere(), *window)
         threshold_alarms = generate_alarms(
             targets, mag_threshold, args.window_days, args.radius_km, FloorRule.THRESHOLD
         )
@@ -210,7 +208,7 @@ def cmd_table1(args) -> int:
         report = permutation_test_fixed_alarms(
             targets, trigger_alarms, args.reps, Rng(args.seed)
         )
-        v = alarm_volume_fraction(trigger_alarms, sv)
+        v = alarm_volume_fraction(trigger_alarms, targets.span)
         lines.append(
             f"{label},{mag_threshold},{len(targets)},{succ},{report.observed:.0f},"
             f"{report.max_sim:.0f},{report.p_display()},{v:.1e}"

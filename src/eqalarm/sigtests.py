@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 from scipy.special import bdtrc, pdtrc
 
-from ._random import Rng, substream
+from ._random import Rng, as_key, substream
 from .alarm import (
     AlarmSet,
     AlarmTargetIndex,
@@ -71,14 +71,6 @@ class TestReport:
         payload = asdict(self)
         payload["n_reps"] = payload.pop("sim_count")
         return payload
-
-
-def _resolve_key(rng) -> Rng:
-    if isinstance(rng, Rng):
-        return rng
-    if isinstance(rng, (int, np.integer)):
-        return Rng(int(rng))
-    raise TypeError("Monte-Carlo engines need an Rng key or an integer seed")
 
 
 def _replicate_chunks(key: Rng, n_reps: int, rows_per_chunk: int):
@@ -135,7 +127,7 @@ def permutation_test_fixed_alarms(
     """
     if n_reps < 1:
         raise ValueError(f"n_reps must be >= 1, got {n_reps}")
-    key = _resolve_key(rng)
+    key = as_key(rng)
     index = AlarmTargetIndex(targets, alarm_set)
     observed = int(index.predicted_mask(np.arange(len(targets))).sum())
     sims = _simulated_counts(index, n_reps, key)
@@ -172,7 +164,7 @@ def permutation_test(
     floor_rule = FloorRule(floor_rule)
     targets = filter_catalog(catalog, mag_threshold)
     alarm_set = generate_alarms(targets, mag_threshold, window_days, radius_km, floor_rule)
-    key = _resolve_key(rng)
+    key = as_key(rng)
     config = {
         "mag_threshold": mag_threshold,
         "window_days": window_days,
@@ -208,14 +200,11 @@ def exact_permutation_pvalue(
             f"exact enumeration guard: {n} events exceed the limit of "
             f"{MAX_EXACT_EVENTS} (use the Monte-Carlo test instead)"
         )
-    alarm_set = generate_alarms(
-        targets, mag_threshold, window_days, radius_km, FloorRule(floor_rule)
-    )
-    index = AlarmTargetIndex(targets, alarm_set)
-    observed = int(index.predicted_mask(np.arange(n)).sum())
+    alarm_set = generate_alarms(targets, mag_threshold, window_days, radius_km, floor_rule)
     perms = _all_orderings(n)
-    counts = index.counts_for_time_matrix(perms)
-    return Fraction(int((counts >= observed).sum()), len(perms))
+    counts = AlarmTargetIndex(targets, alarm_set).counts_for_time_matrix(perms)
+    # row 0 is the identity ordering: the observed times
+    return Fraction(int((counts >= counts[0]).sum()), len(perms))
 
 
 def _all_orderings(n: int) -> np.ndarray:
@@ -275,17 +264,14 @@ def poisson_binomial_pvalue(
     if method == "exact_dp":
         pmf = np.array([1.0])
         for p in probs:
-            nxt = np.zeros(pmf.size + 1)
-            nxt[:-1] = pmf * (1.0 - p)
-            nxt[1:] += pmf * p
-            pmf = nxt
+            pmf = np.convolve(pmf, (1.0 - p, p))
         # rounding can carry the tail just past 1 when some p_j are 1
         return min(1.0, float(pmf[s_obs:].sum()))
     if method == "simulate":
         hits = 0
         # a row holds A float64 uniforms and their bool mask
         chunk = rows_within_budget(9 * probs.size)
-        for lo, hi, g in _replicate_chunks(_resolve_key(rng), n_reps, chunk):
+        for lo, hi, g in _replicate_chunks(as_key(rng), n_reps, chunk):
             sums = (g.random((hi - lo, probs.size)) < probs).sum(axis=1)
             hits += int((sums >= s_obs).sum())
         return hits / n_reps
@@ -454,9 +440,11 @@ def r_score_baseline(
             raise ValueError(f"rate of cell {bad[0]} is {rates_arr[bad[0]]}, not finite and >= 0")
         probs, n_clipped = _scheme_probs(rates_arr, n_predicted, avg_occupied_cells)
 
+    if observed_r is not None and not np.isfinite(observed_r):
+        raise ValueError(f"observed_r must be finite, got {observed_r!r}")
     n_occurred, n_aseismic = _r_score_denominators(occurred)
 
-    key = _resolve_key(rng)
+    key = as_key(rng)
     hits = np.empty(n_reps, dtype=np.int64)
     n_predicted_cells = np.empty(n_reps, dtype=np.int64)
     chunk = rows_within_budget(BASELINE_BYTES_PER_CELL * n_cells)

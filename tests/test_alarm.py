@@ -137,6 +137,8 @@ class TestGenerateAlarms:
         cat = make_catalog([(1, 0, 0, 6.0)])
         with pytest.raises(ValueError, match="alarm interval is empty"):
             generate_alarms(cat, 5.5, window_days=1e-12)
+        with pytest.raises(ValueError, match="alarm interval is empty"):
+            Alarm(GeoPoint(0, 0), 50.0, T0, T0, 5.5)
 
     @pytest.mark.parametrize("radius_km", [0.0, -1.0, math.nan, math.inf, 30_000.0])
     def test_radius_outside_half_circumference_refused(self, radius_km):
@@ -303,6 +305,13 @@ class TestScore:
         summary = ScoreSummary(Q=10, A=4, S=3, P=7)
         assert summary.F == 1 and summary.M == 3
 
+    def test_counts_and_volume_bounded(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            ScoreSummary(Q=1, A=-1, S=0, P=0)
+        for v_upper in (-0.1, 1.5, math.nan):
+            with pytest.raises(ValueError, match="outside"):
+                ScoreSummary(Q=1, A=1, S=0, P=0, v_upper=v_upper)
+
     @pytest.mark.parametrize("derived", ["F", "M", "s", "p", "f", "m"])
     def test_derived_counts_and_rates_are_not_parameters(self, derived):
         with pytest.raises(TypeError):
@@ -368,6 +377,14 @@ class TestUnionVolumeMc:
         est = union_volume_fraction_mc(AlarmSet((hemisphere,)), sv, 50000, rng=3)
         se = math.sqrt(0.25 * 0.75 / 50000)
         assert abs(est.estimate - 0.25) <= 3 * se
+
+    def test_bad_arguments(self):
+        sv = StudyVolume(GlobalSphere(), T0, T0 + day(10))
+        alarms = AlarmSet((Alarm(GeoPoint(0, 0), 1000.0, T0, T0 + day(5), 5.5),))
+        with pytest.raises(ValueError, match="n_samples"):
+            union_volume_fraction_mc(alarms, sv, 0, rng=7)
+        with pytest.raises(TypeError, match="Rng key or an integer seed, got float"):
+            union_volume_fraction_mc(alarms, sv, 10, rng=7.0)
 
     def test_deterministic_given_seed(self):
         sv = StudyVolume(GlobalSphere(), T0, T0 + day(10))

@@ -64,6 +64,25 @@ class TestEventInvariants:
         e = Event(T0.replace(tzinfo=None), GeoPoint(0, 0), 0.0, 5.0, None, "x")
         assert e.time == T0
 
+    def test_ms_range(self):
+        with pytest.raises(ValueError, match="ms=10.5"):
+            Event(T0, GeoPoint(0, 0), 10.0, None, 10.5, "x")
+
+    @pytest.mark.parametrize("bad", [None, 7, "", " a", "b\n", "\tc"])
+    def test_id_rule(self, bad):
+        # a None id once matched an alarm without a trigger (trigger_id None)
+        # and dropped its pairs; an int or None id broke dumps_csv; and " a",
+        # "" and "b\n" came back from a CSV round trip as "a", "row000001" and "b"
+        with pytest.raises(ValueError, match="is not a nonempty str"):
+            Event(T0, GeoPoint(0, 0), 10.0, 5.0, None, bad)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.text(min_size=1).filter(lambda s: s == s.strip()))
+    def test_accepted_ids_survive_csv(self, ident):
+        span = StudyVolume(GlobalSphere(), T0, T0 + day(1))
+        catalog = Catalog((Event(T0, GeoPoint(0, 0), 10.0, 5.0, None, ident),), span)
+        assert parse_csv(dumps_csv(catalog)).source_ids() == (ident,)
+
     def test_magnitude_selector(self):
         e = Event(T0, GeoPoint(0, 0), 0.0, None, 6.1, "x")
         assert e.magnitude("mb") is None
@@ -87,6 +106,12 @@ class TestCatalogInvariants:
         events = (Event(T0 + day(2), GeoPoint(0, 0), 0, 5.0, None, "a"),)
         with pytest.raises(ValueError, match="outside the span"):
             Catalog(events, span)
+
+    def test_equality_and_hash(self):
+        rows = [(1.0, 0.0, 0.0, 5.0), (2.0, 1.0, 1.0, 6.0)]
+        a, b = make_catalog(rows), make_catalog(rows)
+        assert a == b and hash(a) == hash(b)
+        assert (a == 5) is False
 
     def test_span_needs_positive_duration(self):
         with pytest.raises(ValueError):

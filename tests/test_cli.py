@@ -117,7 +117,7 @@ class TestIngest:
         out_path = tmp_path / "out.csv"
         code, _, _ = run(capsys, "ingest", "--input", src, "--out", str(out_path))
         assert code == 0
-        assert parse_csv(out_path.read_text()) == parse_csv(open(src).read())
+        assert parse_csv(out_path.read_text()) == parse_csv(Path(src).read_text())
 
 
 class TestEval:
@@ -187,7 +187,7 @@ class TestTest:
         )
         assert code == 0
         payload = json.loads(out)
-        exact = float(exact_permutation_pvalue(parse_csv(open(src).read()), 5.5))
+        exact = float(exact_permutation_pvalue(parse_csv(Path(src).read_text()), 5.5))
         se = math.sqrt(exact * (1 - exact) / 4000)
         assert abs(payload["p_estimate"] - exact) <= 3 * se + 1e-12
         assert payload["config"]["subcommand"] == "test"
@@ -289,7 +289,7 @@ class TestSimulate:
             "--deterministic",
         )
         assert code == 0
-        original = parse_csv(open(src).read())
+        original = parse_csv(Path(src).read_text())
         shuffled = parse_csv(out)
         assert sorted(e.time for e in shuffled) == sorted(e.time for e in original)
 

@@ -56,6 +56,12 @@ class TestWindowTable:
         assert window_lookup(table, 6.99).time_days == 10.0
         assert window_lookup(table, 7.5).time_days == 30.0
 
+    def test_needs_a_row_and_a_magnitude(self):
+        with pytest.raises(ValueError, match="at least one row"):
+            WindowTable(())
+        with pytest.raises(ValueError, match="NaN"):
+            WindowRow(math.nan, 10.0, 20.0)
+
     def test_positive_extents_required(self):
         with pytest.raises(ValueError):
             WindowRow(-math.inf, 0.0, 10.0)

@@ -202,6 +202,10 @@ class TestHeterogeneousPoisson:
 
 
 class TestGammaRenewal:
+    def test_empty_interval_rejected(self):
+        with pytest.raises(ValueError, match="empty"):
+            gen_gamma_renewal(1.0, 60.0, (T0, T0), Rng(0))
+
     def gaps(self, shape, mean_s, horizon_s, seed):
         instants = gen_gamma_renewal(
             shape, mean_s, (T0, T0 + timedelta(seconds=horizon_s)), Rng(seed)
@@ -297,6 +301,11 @@ class TestHistoricalRates:
 
 
 class TestStreamContract:
+    def test_rng_must_name_a_stream(self):
+        catalog = make_catalog([(1.0, 0.0, 0.0, 5.0)])
+        with pytest.raises(TypeError, match="Rng key or an integer seed, got str"):
+            permute_times(catalog, "1")
+
     def test_distinct_streams_differ(self):
         sv = StudyVolume(GlobalSphere(), T0, T0 + day(30))
         a = gen_homogeneous_poisson(5e-5, sv, None, Rng(1, 0))

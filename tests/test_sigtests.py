@@ -257,6 +257,10 @@ class TestPoissonBinomial:
         with pytest.raises(ValueError, match="n_reps"):
             poisson_binomial_pvalue(0, [0.2, 0.9], method="simulate", n_reps=0)
 
+    def test_probs_must_be_flat(self):
+        with pytest.raises(ValueError, match="flat"):
+            poisson_binomial_pvalue(1, [[0.5, 0.5]])
+
     def test_two_half_coins(self):
         assert poisson_binomial_pvalue(2, [0.5, 0.5]) == pytest.approx(0.25, abs=1e-15)
 
@@ -391,6 +395,10 @@ class TestAlarmMeasurePi:
         with pytest.raises(ValueError):
             alarm_measure_pi(AlarmSet(()), [], self.interval())
 
+    def test_empty_interval_rejected(self):
+        with pytest.raises(ValueError, match="empty"):
+            alarm_measure_pi(AlarmSet(()), [GeoPoint(0, 0)], (T0, T0))
+
     def test_covered_total_past_int64(self):
         # 30 epicenters covered through the whole datetime range hold about
         # 9.5e18 covered microseconds, more than an int64 sum holds
@@ -427,6 +435,16 @@ class TestRScore:
 
 
 class TestRScoreBaselines:
+    def test_rates_match_outcomes(self):
+        with pytest.raises(ValueError, match="differ in length"):
+            r_score_baseline(2, [0.1, 0.2], 1, (True, False, False), 10, Rng(0))
+
+    @pytest.mark.parametrize("observed_r", [math.nan, math.inf, -math.inf])
+    def test_observed_r_must_be_finite(self, observed_r):
+        # every scores >= NaN is False, so NaN once read as significant
+        with pytest.raises(ValueError, match="observed_r"):
+            r_score_baseline(1, None, 1, (True, False), 10, Rng(0), observed_r=observed_r)
+
     def test_scheme1_full_prediction_degenerate(self):
         report = r_score_baseline(
             1, None, 4, (True, False, False, True), n_reps=50, rng=Rng(0)
