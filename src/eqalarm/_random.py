@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,11 +18,22 @@ class Rng:
     package; distinct stream ids give independent streams. The Monte-Carlo
     engines split a key's replicates into blocks, block b drawing from
     substream(seed, stream_id, b), so replicate r depends only on the key
-    and r, not on execution order.
+    and r, not on execution order. Both fields are Python ints: any other
+    integer is converted, and a non-integer raises TypeError.
     """
 
     seed: int
     stream_id: int = 0
+
+    def __post_init__(self):
+        for name in ("seed", "stream_id"):
+            value = getattr(self, name)
+            try:
+                object.__setattr__(self, name, operator.index(value))
+            except TypeError:
+                raise TypeError(
+                    f"Rng {name} must be an integer, got {type(value).__name__}"
+                ) from None
 
     def generator(self) -> np.random.Generator:
         return substream(self.seed, self.stream_id)

@@ -302,10 +302,9 @@ def generate_alarms(
     check_cap_radius(radius_km)
     floor_rule = FloorRule(floor_rule)
     window_us = int(_seconds_to_us(window_days * SECONDS_PER_DAY))
-    selector = catalog.magnitude_selector
-    magnitudes = catalog.rows[selector]
-    # absent magnitudes are 0.0 and never trigger, whatever the threshold
-    index = np.flatnonzero((magnitudes > 0.0) & (magnitudes >= mag_threshold))
+    magnitudes = catalog.magnitudes()
+    # absent magnitudes are NaN and never trigger, whatever the threshold
+    index = np.flatnonzero(magnitudes >= mag_threshold)
     triggers = catalog.rows[index]
     if index.size and window_us == 0:
         raise ValueError("alarm interval is empty")
@@ -314,7 +313,7 @@ def generate_alarms(
     rows = np.zeros(index.size, dtype=ALARM_DTYPE)
     rows["lat"], rows["lon"], rows["radius_km"] = triggers["lat"], triggers["lon"], radius_km
     rows["start_us"], rows["end_us"] = triggers["time_us"], triggers["time_us"] + window_us
-    rows["mag_floor"] = mag_threshold if floor_rule is FloorRule.THRESHOLD else triggers[selector]
+    rows["mag_floor"] = mag_threshold if floor_rule is FloorRule.THRESHOLD else magnitudes[index]
     rows["trigger_index"], rows["trigger_id"] = index, triggers["source_id"]
     return AlarmSet._from_rows(rows)
 

@@ -14,7 +14,7 @@ import math
 import re
 from dataclasses import dataclass, replace
 from datetime import datetime, timedelta, timezone
-from typing import IO, Iterable, Iterator, Sequence
+from typing import IO, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -293,14 +293,14 @@ def _decode(source: bytes | str | IO) -> str:
     return source.removeprefix("\ufeff")
 
 
-def csv_rows(source: bytes | str | IO, columns: Sequence[str]) -> Iterator[tuple[int, list[str]]]:
-    """(line number, stripped fields) of each data row of a CSV whose header
-    is exactly ``columns``.
+def csv_rows(source: bytes | str | IO, columns: Sequence[str], make: Callable) -> Iterator:
+    """``make(line number, stripped fields)`` of each data row of a CSV whose
+    header is exactly ``columns``.
 
     A leading byte-order mark is ignored and blank rows are skipped; a bad
-    header, a row with the wrong number of fields or one the CSV reader
-    rejects (a line break in an unquoted field) raises
-    :class:`CatalogParseError` naming its line.
+    header, a wrong number of fields, a row the CSV reader rejects (a line
+    break in an unquoted field) and a ValueError from ``make`` raise
+    :class:`CatalogParseError` naming the line.
     """
     reader = csv.reader(io.StringIO(_decode(source)))
     end = 0
@@ -322,7 +322,10 @@ def csv_rows(source: bytes | str | IO, columns: Sequence[str]) -> Iterator[tuple
                 raise CatalogParseError(
                     f"line {line_no}: expected {len(columns)} fields, got {len(row)}"
                 )
-            yield line_no, [c.strip() for c in row]
+            try:
+                yield make(line_no, [c.strip() for c in row])
+            except ValueError as exc:
+                raise CatalogParseError(f"line {line_no}: {exc}") from exc
     except csv.Error as exc:
         raise CatalogParseError(f"line {end + 1}: {exc}") from exc
 
@@ -336,28 +339,27 @@ def parse_csv(source: bytes | str | IO, magnitude_selector: str = "mb") -> Catal
     keeping file order; empty ids get stable row-number ids, and an id may
     appear only once.
     """
-    rows = []
     line_of_id: dict[str, int] = {}
-    for line_no, fields in csv_rows(source, CSV_COLUMNS):
+    def row(line_no: int, fields: list[str]) -> tuple:
         time_text, lat_text, lon_text, depth_text, mb_text, ms_text, id_text = fields
         source_id = id_text or f"row{line_no - 1:06d}"
-        try:
-            time_us = _to_us(parse_instant(time_text))
-            lat = float(lat_text)
-            lon = float(lon_text)
-            depth = float(depth_text)
-            if not -180.0 <= lon < 360.0:
-                raise ValueError(f"longitude {lon} outside [-180, 360)")
-            mb = float(mb_text) if mb_text else None
-            ms = float(ms_text) if ms_text else None
-            if mb is None and ms is None:
-                raise ValueError("both magnitudes absent")
-            rows.append(_checked_row(time_us, GeoPoint(lat, lon), depth, mb, ms, source_id))
-        except ValueError as exc:
-            raise CatalogParseError(f"line {line_no}: {exc}") from exc
+        time_us = _to_us(parse_instant(time_text))
+        lat = float(lat_text)
+        lon = float(lon_text)
+        depth = float(depth_text)
+        if not -180.0 <= lon < 360.0:
+            raise ValueError(f"longitude {lon} outside [-180, 360)")
+        mb = float(mb_text) if mb_text else None
+        ms = float(ms_text) if ms_text else None
+        if mb is None and ms is None:
+            raise ValueError("both magnitudes absent")
+        checked = _checked_row(time_us, GeoPoint(lat, lon), depth, mb, ms, source_id)
         first = line_of_id.setdefault(source_id, line_no)
         if first != line_no:
-            raise CatalogParseError(f"line {line_no}: id {source_id!r} repeats line {first}")
+            raise ValueError(f"id {source_id!r} repeats line {first}")
+        return checked
+
+    rows = list(csv_rows(source, CSV_COLUMNS, row))
     return Catalog._from_rows(np.array(rows, dtype=ROW_DTYPE), None, magnitude_selector)
 
 

@@ -26,6 +26,7 @@ from .alarm import (
     score,
 )
 from .catalog import (
+    SECONDS_PER_DAY,
     Catalog,
     CatalogParseError,
     StudyVolume,
@@ -251,18 +252,15 @@ CELL_CSV_COLUMNS = ("lat_min", "lat_max", "lon_min", "lon_max", "rate_per_day")
 
 def _load_cell_grid(path: str) -> CellGrid:
     """Cells file: lat_min,lat_max,lon_min,lon_max,rate_per_day per line."""
-    cells, rates = [], []
+    def cell(_, fields: list[str]) -> tuple[LatLonBox, float]:
+        lat_min, lat_max, lon_min, lon_max, rate = map(float, fields)
+        return LatLonBox(lat_min, lat_max, lon_min, lon_max), rate / SECONDS_PER_DAY
+
     try:
-        for line_no, fields in csv_rows(Path(path).read_bytes(), CELL_CSV_COLUMNS):
-            try:
-                lat_min, lat_max, lon_min, lon_max, rate = (float(c) for c in fields)
-                cells.append(LatLonBox(lat_min, lat_max, lon_min, lon_max))
-                rates.append(rate / 86400.0)
-            except ValueError as exc:
-                raise CatalogParseError(f"line {line_no}: {exc}") from exc
+        rows = list(csv_rows(Path(path).read_bytes(), CELL_CSV_COLUMNS, cell))
     except CatalogParseError as exc:
         raise _UsageError(f"cells file {path}: {exc}") from exc
-    return CellGrid(tuple(cells), tuple(rates))
+    return CellGrid(tuple(c for c, _ in rows), tuple(r for _, r in rows))
 
 
 def cmd_simulate(args) -> int:
@@ -285,11 +283,11 @@ def cmd_simulate(args) -> int:
         sv = StudyVolume(GlobalSphere(), *interval)
         marks = _load_catalog(args.input, args.format) if args.input else None
         if args.model == "poisson":
-            out_catalog = gen_homogeneous_poisson(value / 86400.0, sv, marks, rng)
+            out_catalog = gen_homogeneous_poisson(value / SECONDS_PER_DAY, sv, marks, rng)
         elif args.model == "heterogeneous-poisson":
             out_catalog = gen_heterogeneous_poisson(_load_cell_grid(value), interval, marks, rng)
         else:
-            time_us = _gamma_renewal_us(args.shape, value * 86400.0, interval, rng)
+            time_us = _gamma_renewal_us(args.shape, value * SECONDS_PER_DAY, interval, rng)
             out_catalog = _marked_catalog(time_us, sv, marks, rng.replicate(1).generator())
     _write_text(dumps_csv(out_catalog), args.out)
     print(f"simulated {len(out_catalog)} events (model={args.model})", file=sys.stderr)
@@ -385,7 +383,7 @@ def main(argv: list[str] | None = None) -> int:
     except CatalogParseError as exc:  # a ValueError, so it comes first
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
-    except (_UsageError, OSError, ValueError) as exc:
+    except (_UsageError, OSError, ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -66,14 +66,9 @@ class WindowTable:
     @classmethod
     def from_csv(cls, source: bytes | str | IO) -> "WindowTable":
         """Load from CSV with header ``mag_min,time_days,distance_km``."""
-        rows = []
-        for line_no, fields in csv_rows(source, WINDOW_CSV_COLUMNS):
-            try:
-                rows.append(WindowRow(*(float(c) for c in fields)))
-            except ValueError as exc:
-                raise CatalogParseError(f"line {line_no}: {exc}") from exc
+        rows = tuple(csv_rows(source, WINDOW_CSV_COLUMNS, lambda _, f: WindowRow(*map(float, f))))
         try:
-            return cls(tuple(rows))
+            return cls(rows)
         except ValueError as exc:
             raise CatalogParseError(str(exc)) from exc
 

@@ -20,15 +20,13 @@ HALF_CIRCUMFERENCE_KM = math.pi * EARTH_RADIUS_KM
 def normalize_lon(lon):
     """Map longitudes in degrees (a float or an array) onto [-180, 180):
     one in range comes back as it was, -0.0 included, and any other wraps.
-    Python's float ``%`` and numpy's ``%`` both take the C ``fmod`` and add
-    360 to a negative remainder, so scalars and arrays wrap alike. Just below
-    -180 that sum rounds to 360, which the second ``% 360`` takes to 0.
+    ``%`` takes the C ``fmod`` and adds 360 to a negative remainder; just
+    below -180 that sum rounds to 360, which the second ``% 360`` takes to 0.
+    A scalar comes back as a float.
     """
-    if np.ndim(lon):
-        wrapped = (lon + 180.0) % 360.0 % 360.0 - 180.0
-        return np.where((lon >= -180.0) & (lon < 180.0), lon, wrapped)
-    lon = float(lon)
-    return lon if -180.0 <= lon < 180.0 else (lon + 180.0) % 360.0 % 360.0 - 180.0
+    in_range = (lon >= -180.0) & (lon < 180.0)
+    wrapped = np.where(in_range, lon, (lon + 180.0) % 360.0 % 360.0 - 180.0)
+    return wrapped if np.ndim(lon) else float(wrapped)
 
 
 @dataclass(frozen=True, slots=True)

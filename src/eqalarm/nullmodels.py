@@ -16,6 +16,7 @@ from datetime import datetime
 import numpy as np
 
 from ._random import Rng, as_generator
+from .alarm import rows_within_budget
 from .catalog import _EPOCH, ROW_DTYPE, Catalog, StudyVolume, _as_utc, _seconds_to_us, _to_us
 from .geo import GlobalSphere, Region, normalize_lon
 
@@ -206,7 +207,9 @@ def gen_gamma_renewal(
 
     Interevent gaps are iid Gamma(shape, scale=mean/shape); shape 1 is the
     Poisson process, shape < 1 clusters in time (coefficient of variation
-    1/sqrt(shape)). The sequence is truncated at the interval end.
+    1/sqrt(shape)). The sequence is truncated at the interval end. When the
+    gaps drawn to pass the interval end would exceed the memory budget
+    (a tiny shape makes most gaps 0.0), ValueError is raised instead.
     """
     time_us = _gamma_renewal_us(shape, mean_interval_s, t_interval, rng)
     return list(map(_EPOCH.__add__, time_us.astype("timedelta64[us]").tolist()))
@@ -228,6 +231,11 @@ def _gamma_renewal_us(shape, mean_interval_s, t_interval, rng) -> np.ndarray:
     # each batch's running sums start from the last one: the gaps add in draw order
     sums = [np.zeros(1)]
     while sums[-1][-1] <= horizon:
+        if len(sums) * batch > rows_within_budget(8):  # the gaps after this batch
+            raise ValueError(
+                f"gamma renewal with shape={shape!r} and mean_interval_s={mean_interval_s!r}"
+                " does not reach the interval end within the memory budget"
+            )
         sums.append(np.cumsum(np.append(sums[-1][-1], g.gamma(shape, scale, size=batch)))[1:])
     elapsed = np.concatenate(sums[1:])
     elapsed = elapsed[: np.searchsorted(elapsed, horizon, side="right")]

@@ -13,6 +13,7 @@ alarm successes, and the grid R-score with its three randomized baselines.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import asdict, dataclass, field
 from datetime import datetime
 from fractions import Fraction
@@ -222,9 +223,21 @@ def _all_orderings(n: int) -> np.ndarray:
     return rows
 
 
+def _whole(name: str, count) -> int:
+    """``count`` as an int: an integer, or a float holding a whole number."""
+    if isinstance(count, (float, np.floating)) and count.is_integer():
+        return int(count)
+    try:
+        return operator.index(count)
+    except TypeError:
+        raise ValueError(f"{name} must be a whole number, got {count!r}") from None
+
+
 def binomial_tail_pvalue(s: int, q: int, pi: float) -> float:
     """P(X >= s) for X ~ Binomial(q, pi): the chance that s or more of q
-    events fall inside alarms of normalized measure pi."""
+    events fall inside alarms of normalized measure pi. The counts must be
+    whole numbers."""
+    s, q = _whole("s", s), _whole("q", q)
     if s < 0 or q < 0 or s > q:
         raise ValueError(f"need 0 <= s <= q, got s={s}, q={q}")
     if not (0.0 <= pi <= 1.0):
@@ -246,7 +259,7 @@ def poisson_binomial_pvalue(
     Methods: ``exact_dp`` runs the O(A^2) convolution of the probability
     mass function; ``simulate`` draws the Bernoulli sums as keyed replicate
     blocks of ``rng``; ``poisson_approx`` uses a Poisson tail with mean
-    sum(p_j).
+    sum(p_j). ``s_obs`` must be a whole number.
     """
     if method not in ("exact_dp", "simulate", "poisson_approx"):
         raise ValueError(f"unknown method {method!r}")
@@ -257,6 +270,7 @@ def poisson_binomial_pvalue(
         raise ValueError("probs must be a flat sequence")
     if np.any((probs < 0.0) | (probs > 1.0) | ~np.isfinite(probs)):
         raise ValueError("every probability must lie in [0, 1]")
+    s_obs = _whole("s_obs", s_obs)
     if s_obs < 0 or s_obs > probs.size:
         raise ValueError(f"need 0 <= s_obs <= {probs.size}, got {s_obs}")
     if s_obs == 0:

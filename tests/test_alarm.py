@@ -104,6 +104,22 @@ class TestGenerateAlarms:
         assert threshold.alarms[0].mag_floor == 5.5
         assert trigger.alarms[0].mag_floor == 6.3
 
+    @pytest.mark.parametrize("floor_rule", list(FloorRule))
+    @pytest.mark.parametrize("selector", ["mb", "ms"])
+    def test_absent_magnitude_never_triggers(self, selector, floor_rule):
+        # "mb-only" has no ms and "ms-only" no mb; a threshold <= 0 passes the other
+        events = [
+            Event(T0 + day(1), GeoPoint(0, 0), 10.0, 5.0, None, "mb-only"),
+            Event(T0 + day(2), GeoPoint(0, 0), 10.0, None, 6.0, "ms-only"),
+        ]
+        cat = Catalog(events, StudyVolume(GlobalSphere(), T0, T0 + day(10)), selector)
+        trigger, magnitude = ("mb-only", 5.0) if selector == "mb" else ("ms-only", 6.0)
+        for threshold in (0.0, -1.0, -1e300):
+            (alarm,) = generate_alarms(cat, threshold, floor_rule=floor_rule).alarms
+            assert alarm.trigger_id == trigger
+            want = threshold if floor_rule is FloorRule.THRESHOLD else magnitude
+            assert alarm.mag_floor == want
+
     def test_bad_arguments(self):
         cat = make_catalog([(1, 0, 0, 6.0)])
         with pytest.raises(ValueError):

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import eqalarm.alarm
 from eqalarm import dumps_csv, exact_permutation_pvalue, parse_csv
 from eqalarm.cli import main
 
@@ -356,6 +357,34 @@ class TestSimulate:
         code, _, err = run(capsys, *self.HET_ARGS, "--cells", str(cells))
         assert code == 1
         assert f"cells file {cells}: line 2: longitude edges must be finite" in err
+
+    def test_cells_file_with_only_its_header(self, tmp_path, capsys):
+        cells = tmp_path / "cells.csv"
+        cells.write_text(self.CELLS.splitlines(keepends=True)[0], encoding="utf-8")
+        code, out, err = run(capsys, *self.HET_ARGS, "--cells", str(cells))
+        assert code == 0 and len(parse_csv(out)) == 0
+        assert err == "simulated 0 events (model=heterogeneous-poisson)\n"
+
+    def test_allocation_numpy_refuses_is_an_error(self, capsys):
+        # 1e12 events a day for a year: numpy refuses the 2.6 PiB at once
+        code, out, err = run(
+            capsys, "simulate", "--model", "poisson", "--rate-per-day", "1e12",
+            "--from", "2004-01-01", "--to", "2005-01-01",
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith("error: Unable to allocate") and err.count("\n") == 1
+
+    def test_gamma_renewal_past_the_memory_budget(self, capsys, monkeypatch):
+        monkeypatch.setattr(eqalarm.alarm, "MEMORY_BUDGET_BYTES", 64 * 2**10)
+        code, out, err = run(
+            capsys, "simulate", "--model", "gamma-renewal", "--shape", "1e-20",
+            "--mean-interval-days", "1", *SIM_SPAN,
+        )
+        assert (code, out) == (1, "")
+        assert err == (
+            "error: gamma renewal with shape=1e-20 and mean_interval_s=86400.0"
+            " does not reach the interval end within the memory budget\n"
+        )
 
     def test_missing_model_inputs_usage_error(self, capsys):
         code, _, err = run(capsys, "simulate", "--model", "poisson")

@@ -57,7 +57,11 @@ class TestGeoPoint:
             [rng.uniform(-1000.0, 1000.0, 5000), [-540.0, -180.0, 0.0, -0.0, 180.0, 540.0]]
         )
         wrapped = normalize_lon(lons)
-        assert wrapped.tolist() == [normalize_lon(float(x)) for x in lons]
+        scalars = [normalize_lon(float(x)) for x in lons]
+        assert wrapped.tolist() == scalars
+        assert all(type(x) is float for x in scalars)
+        # == does not tell -0.0 from 0.0
+        assert np.signbit(wrapped).tolist() == np.signbit(scalars).tolist()
         assert np.all((wrapped >= -180.0) & (wrapped < 180.0))
 
     def test_normalize_lon_just_below_minus_180_wraps_to_minus_180(self):

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+import eqalarm.alarm
 from eqalarm import (
     CellGrid,
     GlobalSphere,
@@ -250,6 +251,13 @@ class TestGammaRenewal:
                 )
                 assert got == want
 
+    def test_refused_past_the_memory_budget(self, monkeypatch):
+        # every Gamma(1e-300) gap underflows to 0.0, so the sums never pass the end
+        monkeypatch.setattr(eqalarm.alarm, "MEMORY_BUDGET_BYTES", 64 * 2**10)
+        with pytest.raises(ValueError, match=r"shape=1e-300 and mean_interval_s=3600\.0"):
+            gen_gamma_renewal(1e-300, 3600.0, (T0, T0 + day(366)), Rng(1))
+        assert len(gen_gamma_renewal(1.0, 3600.0, (T0, T0 + day(2)), Rng(1))) > 20
+
     def test_instants_inside_interval(self):
         instants = gen_gamma_renewal(0.5, 3600.0, (T0, T0 + day(2)), Rng(34))
         assert all(T0 < t <= T0 + day(2) for t in instants)
@@ -305,6 +313,15 @@ class TestStreamContract:
         catalog = make_catalog([(1.0, 0.0, 0.0, 5.0)])
         with pytest.raises(TypeError, match="Rng key or an integer seed, got str"):
             permute_times(catalog, "1")
+
+    def test_key_fields_are_python_ints(self):
+        key = Rng(np.int64(3), np.uint64(2))
+        assert key == Rng(3, 2) and (type(key.seed), type(key.stream_id)) == (int, int)
+        catalog = make_catalog([(float(k), 0.0, 0.0, 5.0) for k in range(6)])
+        assert permute_times(catalog, Rng(np.int64(3))) == permute_times(catalog, Rng(3))
+        for args, field in (((1.5,), "seed"), (("7",), "seed"), ((1, 2.0), "stream_id")):
+            with pytest.raises(TypeError, match=f"Rng {field} must be an integer"):
+                Rng(*args)
 
     def test_distinct_streams_differ(self):
         sv = StudyVolume(GlobalSphere(), T0, T0 + day(30))

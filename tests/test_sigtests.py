@@ -244,6 +244,12 @@ class TestBinomialTail:
         with pytest.raises(ValueError):
             binomial_tail_pvalue(1, 2, 1.5)
 
+    def test_counts_must_be_whole(self):
+        assert binomial_tail_pvalue(3.0, 10.0, 0.1) == binomial_tail_pvalue(3, 10, 0.1)
+        for s, q in ((2.5, 10), (3, 10.5), (math.nan, 10), (3, math.inf), ("3", 10)):
+            with pytest.raises(ValueError, match="must be a whole number"):
+                binomial_tail_pvalue(s, q, 0.1)
+
 
 class TestPoissonBinomial:
     def test_zero_observed(self):
@@ -256,6 +262,15 @@ class TestPoissonBinomial:
             poisson_binomial_pvalue(0, [0.2, 0.9], method="bogus")
         with pytest.raises(ValueError, match="n_reps"):
             poisson_binomial_pvalue(0, [0.2, 0.9], method="simulate", n_reps=0)
+
+    @pytest.mark.parametrize("method", ["exact_dp", "simulate", "poisson_approx"])
+    def test_s_obs_must_be_whole(self, method):
+        probs = [0.1] * 5
+        whole = poisson_binomial_pvalue(2.0, probs, method, 1000, Rng(4))
+        assert whole == poisson_binomial_pvalue(np.int64(2), probs, method, 1000, Rng(4))
+        assert whole == poisson_binomial_pvalue(2, probs, method, 1000, Rng(4))
+        with pytest.raises(ValueError, match="s_obs must be a whole number, got 2.5"):
+            poisson_binomial_pvalue(2.5, probs, method, 1000, Rng(4))
 
     def test_probs_must_be_flat(self):
         with pytest.raises(ValueError, match="flat"):
