@@ -423,6 +423,21 @@ class AlarmTargetIndex:
         mask[self._uniq_k] = self._ok[np.searchsorted(self._keys, keys, "right") - 1]
         return mask
 
+    def predicted_segments(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The board of verdicts as runs (target, start, stop): target k is
+        predicted at the time positions [start, stop) of its runs and at no
+        other. Runs are maximal and sorted by target, then start."""
+        n = self.n_targets
+        seg = np.flatnonzero(self._ok & (self._seg_len > 0))
+        row = np.searchsorted(self._row_seg, seg, "right") - 1
+        start = self._keys[seg] - row * n
+        stop = start + self._seg_len[seg]
+        # a segment starting where its row's previous one stops extends that run
+        first = np.ones(seg.size, dtype=bool)
+        first[1:] = (row[1:] != row[:-1]) | (start[1:] != stop[:-1])
+        last = np.roll(first, -1)  # first[0] is True: the last segment ends a run
+        return self._uniq_k[row[first]], start[first], stop[last]
+
     def _block(self, n_rows: int) -> int:
         """Paired targets per verdict table when n_rows rows are counted: the
         table and their gathers fit half the budget, the table TABLE_BYTES."""

@@ -5,18 +5,23 @@ of the catalog's event times (times exchangeable given locations,
 magnitudes, and the predictions). The observed statistic is the number of
 predicted events; the p-estimate is the plain fraction of replicates whose
 simulated count reaches the observed one, with zero exceedances flagged as
-"< 1/N". Also here: exact enumeration over all Q! time assignments (the
-oracle for the Monte-Carlo engine), the binomial tail used with a
-normalized alarm measure, Poisson-binomial tails for sums of independent
-alarm successes, and the grid R-score with its three randomized baselines.
+"< 1/N". Also here: the exact p-value over all Q! time assignments (the
+oracle for the Monte-Carlo engine), counted without enumerating them from
+the rook numbers of the index's target x time-position board (Kaplansky and
+Riordan, 1946) within a budget of MAX_EXACT_STATES DP states; the binomial
+tail used with a normalized alarm measure, Poisson-binomial tails for sums
+of independent alarm successes, and the grid R-score with its three
+randomized baselines.
 """
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import asdict, dataclass, field
 from datetime import datetime
 from fractions import Fraction
+from itertools import zip_longest
 from typing import Sequence
 
 import numpy as np
@@ -34,7 +39,11 @@ from .alarm import (
 from .catalog import Catalog, _to_us, filter_catalog
 from .geo import GeoPoint
 
-MAX_EXACT_EVENTS = 8
+# States the exact count's DP may hold while it builds a row. The perfbench
+# regional catalogs of seeds 1-3 (Q = 6-40) need at most 340 with trigger
+# floors and 4096 with threshold floors; 40 co-located events half a day
+# apart pass the budget within a few rows, in about 0.1 s.
+MAX_EXACT_STATES = 2**14
 
 # permutation replicates per keyed random stream; changing it changes every
 # seed's replicates
@@ -187,40 +196,76 @@ def exact_permutation_pvalue(
     radius_km: float = 50.0,
     floor_rule: FloorRule = FloorRule.TRIGGER,
 ) -> Fraction:
-    """Exact p-value by enumerating every assignment of times to events.
+    """Exact p-value over every assignment of times to events.
 
-    All Q! permutations are equally likely under the exchangeable-times
-    null; the result is the exact fraction whose predicted-event count
-    reaches the observed count. Guarded to Q <= 8 events, beyond which the
-    enumeration is not attempted.
+    All Q! assignments are equally likely under the exchangeable-times
+    null; the result is the exact fraction of them whose predicted-event
+    count reaches the observed count. They are counted, not enumerated,
+    from the rook numbers of the index's board (see _null_counts). A board
+    whose count needs more than MAX_EXACT_STATES states is refused.
     """
     targets = filter_catalog(catalog, mag_threshold)
     n = len(targets)
-    if n > MAX_EXACT_EVENTS:
-        raise ValueError(
-            f"exact enumeration guard: {n} events exceed the limit of "
-            f"{MAX_EXACT_EVENTS} (use the Monte-Carlo test instead)"
-        )
     alarm_set = generate_alarms(targets, mag_threshold, window_days, radius_km, floor_rule)
-    perms = _all_orderings(n)
-    counts = AlarmTargetIndex(targets, alarm_set).counts_for_time_matrix(perms)
-    # row 0 is the identity ordering: the observed times
-    return Fraction(int((counts >= counts[0]).sum()), len(perms))
+    index = AlarmTargetIndex(targets, alarm_set)
+    observed = int(index.counts_for_time_matrix(np.arange(n)[None])[0])
+    return Fraction(sum(_null_counts(index)[observed:]), math.factorial(n))
 
 
-def _all_orderings(n: int) -> np.ndarray:
-    """The n! orderings of range(n) as rows, in itertools.permutations order:
-    block v of the orderings of range(m) is v followed by the orderings of
-    range(m - 1), each entry from v up shifted by one."""
-    rows = np.zeros((1, 0), dtype=np.intp)
-    for m in range(1, n + 1):
-        out = np.empty((m, len(rows), m), dtype=np.intp)
-        out[:, :, 0] = np.arange(m)[:, None]
-        tail = out[:, :, 1:]
-        tail[...] = rows
-        tail += tail >= out[:, :, :1]
-        rows = out.reshape(-1, m)
-    return rows
+def _null_counts(index: AlarmTargetIndex) -> list[int]:
+    """N_h, for h = 0..Q: how many of the Q! assignments of times predict h targets.
+
+    With the alarms fixed, an assignment pi predicts sum_k P[k, pi(k)] targets,
+    where P is the 0/1 board of index.predicted_segments(). Let r_k count the
+    ways to place k non-attacking rooks on P's ones; then
+    N_h = sum_{k>=h} (-1)^(k-h) C(k, h) r_k (Q-k)! (I. Kaplansky and
+    J. Riordan, "The problem of the rooks and its applications", Duke Math.
+    J. 13, 1946). The rook numbers come from a DP over the board's rows in the
+    order of their first one: a state is the set of used positions some later
+    row can still take, and holds its placements' counts by number of rooks.
+    All arithmetic is in Python ints.
+    """
+    n = index.n_targets
+    rows: dict[int, int] = {}  # target -> its ones as a bit mask of positions
+    for k, start, stop in zip(*(a.tolist() for a in index.predicted_segments())):
+        rows[k] = rows.get(k, 0) | ((1 << stop) - (1 << start))
+    masks = sorted(rows.values(), key=lambda m: m & -m)
+    reach = [0] * (len(masks) + 1)  # reach[i]: the positions rows i.. can take
+    for i in range(len(masks) - 1, -1, -1):
+        reach[i] = reach[i + 1] | masks[i]
+    states = {0: [1]}
+    for row, later in zip(masks, reach[1:]):
+        new: dict[int, list[int]] = {}
+        for used, poly in states.items():
+            _add_poly(new, used & later, poly)
+            free = row & ~used
+            while free:
+                bit = free & -free
+                free ^= bit
+                _add_poly(new, (used | bit) & later, [0, *poly])
+            if len(new) > MAX_EXACT_STATES:
+                raise ValueError(
+                    f"exact count guard: the board of {n} events needs more than "
+                    f"{MAX_EXACT_STATES} states (use the Monte-Carlo test instead)"
+                )
+        states = new
+    # the last row leaves one state, as no position is reachable any more;
+    # r_k is 0 for k >= len(rooks), and so is N_h
+    rooks = states[0]
+    placed = [r * math.factorial(n - k) for k, r in enumerate(rooks)]
+    null = [
+        sum((-1) ** (k - h) * math.comb(k, h) * placed[k] for k in range(h, len(rooks)))
+        for h in range(len(rooks))
+    ]
+    return null + [0] * (n + 1 - len(rooks))
+
+
+def _add_poly(states: dict[int, list[int]], used: int, poly: list[int]) -> None:
+    """Add the counts ``poly`` into the state ``used``."""
+    have = states.get(used)
+    if have is not None:
+        poly = [a + b for a, b in zip_longest(have, poly, fillvalue=0)]
+    states[used] = poly
 
 
 def _whole(name: str, count) -> int:

@@ -7,8 +7,8 @@ magnitude/window filter, alarm generation, the membership rule, alarm
 success, the batched pair kernel that counts predicted events over rows of
 event times, declustering, the covered time of points (behind the alarm
 measure and the union volume), the gamma-renewal running sums, the scheme-3
-weighted sampling of R-score baselines and the reference time-permutation
-shuffle."""
+weighted sampling of R-score baselines, the reference time-permutation
+shuffle, and the exact null distribution by enumerating all Q! orderings."""
 
 from __future__ import annotations
 
@@ -340,6 +340,28 @@ def permutation_indices(n: int, g) -> np.ndarray:
         j = int(g.integers(0, i + 1))
         idx[i], idx[j] = idx[j], idx[i]
     return idx
+
+
+def all_orderings(n: int) -> np.ndarray:
+    """The n! orderings of range(n) as rows, in itertools.permutations order:
+    block v of the orderings of range(m) is v followed by the orderings of
+    range(m - 1), each entry from v up shifted by one."""
+    rows = np.zeros((1, 0), dtype=np.intp)
+    for m in range(1, n + 1):
+        out = np.empty((m, len(rows), m), dtype=np.intp)
+        out[:, :, 0] = np.arange(m)[:, None]
+        tail = out[:, :, 1:]
+        tail[...] = rows
+        tail += tail >= out[:, :, :1]
+        rows = out.reshape(-1, m)
+    return rows
+
+
+def enumerated_null_counts(index) -> list[int]:
+    """N_h, h = 0..Q, of an AlarmTargetIndex by counting all Q! orderings
+    (Q <= 8): how many assignments of the targets' times predict h targets."""
+    counts = index.counts_for_time_matrix(all_orderings(index.n_targets))
+    return np.bincount(counts, minlength=index.n_targets + 1).tolist()
 
 
 def weighted_sample_without_replacement(weights, k: int, g) -> np.ndarray:

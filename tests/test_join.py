@@ -662,7 +662,10 @@ def test_sigtests_reads_the_index_through_its_methods():
         and getattr(node.value, "id", None) == "index"
     }
     assert "counts_for_time_matrix" in reads
-    assert reads <= {"n_targets", "predicted_mask", "counts_for_time_matrix", "_rows_per_call"}
+    assert reads <= {
+        "n_targets", "predicted_mask", "predicted_segments", "counts_for_time_matrix",
+        "_rows_per_call",
+    }
 
 
 class TestIndexPairs:

@@ -1,15 +1,20 @@
 import itertools
 import math
+import time
 from datetime import datetime, timedelta, timezone
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from eqalarm import (
     Alarm,
     AlarmSet,
+    AlarmTargetIndex,
+    Catalog,
     FloorRule,
     GeoPoint,
     GridOutcome,
@@ -26,10 +31,10 @@ from eqalarm import (
     r_score_baseline,
     randomize_times_uniform,
 )
-from eqalarm.sigtests import _all_orderings
+from eqalarm.sigtests import _null_counts
 
 from conftest import T0, day, make_catalog, random_catalog
-from oracles import great_circle_km
+from oracles import all_orderings, enumerated_null_counts, great_circle_km
 
 
 def oracle_exact_pvalue(catalog, mag_threshold, window_days, radius_km, floor_rule):
@@ -200,14 +205,142 @@ class TestExactPermutation:
     @pytest.mark.parametrize("q", range(9))
     def test_orderings_follow_itertools(self, q):
         want = list(itertools.permutations(range(q)))
-        got = _all_orderings(q)
+        got = all_orderings(q)
         assert got.shape == (len(want), q)
         assert list(map(tuple, got.tolist())) == want
 
     def test_guard_against_large_catalogs(self):
+        # nine events too far apart for any alarm to cover another: exact at
+        # any Q, as no ordering predicts an event
         cat = make_catalog([(float(i), 0.0, float(i), 6.0) for i in range(9)])
+        assert exact_permutation_pvalue(cat, 5.5) == Fraction(1)
+        # forty co-located events half a day apart: with threshold floors each
+        # is predicted at nearly every position, and the count's states pass
+        # MAX_EXACT_STATES within a few rows
+        cat = make_catalog([(0.5 * i, 10.0, 20.0, 6.0) for i in range(40)])
+        start = time.perf_counter()
         with pytest.raises(ValueError, match="guard"):
-            exact_permutation_pvalue(cat, 5.5)
+            exact_permutation_pvalue(cat, 5.5, floor_rule=FloorRule.THRESHOLD)
+        assert time.perf_counter() - start < 1.0
+
+
+# five epicenters, two pairs of them 22 km apart (one pair across the
+# dateline); whole days tie times
+site_st = st.sampled_from([(0.0, 0.0), (0.2, 0.0), (0.0, 179.9), (0.0, -179.9), (40.0, 40.0)])
+board_mag_st = st.one_of(
+    st.none(), st.sampled_from([5.0, 5.5, 6.0, 6.5]), st.floats(min_value=5.0, max_value=7.5)
+)
+
+
+@st.composite
+def board_catalogs(draw, max_events: int, bursts: int = 1):
+    """A catalog of up to max_events events in bursts of 30 days 100 days
+    apart, sharing times and epicenters, some below the M5.5 threshold or
+    without a magnitude; and an alarm window in days."""
+    day_st = st.one_of(st.integers(0, 30).map(float), st.floats(0.0, 30.0))
+    time_st = st.builds(lambda b, t: 100.0 * b + t, st.integers(0, bursts - 1), day_st)
+    size = draw(st.integers(0, max_events))
+    rows = draw(st.lists(st.tuples(time_st, site_st, board_mag_st), min_size=size, max_size=size))
+    cat = make_catalog([(t, lat, lon, m) for t, (lat, lon), m in rows], span_days=100.0 * bursts)
+    return cat, draw(st.sampled_from([1.0, 5.0, 21.0]))
+
+
+def board_index(cat, window_days, rule):
+    """The index of every event of ``cat`` against the M5.5 alarms."""
+    return AlarmTargetIndex(cat, generate_alarms(cat, 5.5, window_days, 50.0, rule))
+
+
+def sequence_catalog(q: int) -> Catalog:
+    """q events at M5.5-7 in q // 4 places 5 degrees of latitude apart; each
+    place's events fall within 200 days from a start within the first 700."""
+    g = np.random.default_rng(q)
+    n_places = q // 4
+    start = g.uniform(0.0, 700.0, n_places)
+    lon = g.uniform(-170.0, 170.0, n_places)
+    place = np.arange(q) % n_places
+    rows = zip(
+        (start[place] + g.uniform(0.0, 200.0, q)).tolist(),
+        (-40.0 + 5.0 * place + g.normal(0.0, 0.1, q)).tolist(),
+        (lon[place] + g.normal(0.0, 0.1, q)).tolist(),
+        g.uniform(5.5, 7.0, q).tolist(),
+    )
+    return make_catalog(list(rows), span_days=1000.0)
+
+
+class TestRookCount:
+    """The board P, target k predicted at time position j, as the index's
+    runs, and the exact null distribution counted from its rook numbers."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(board_catalogs(12))
+    def test_segments_are_the_board(self, inputs):
+        cat, days = inputs
+        n = len(cat)
+        for rule in FloorRule:
+            index = board_index(cat, days, rule)
+            # column j: each target's verdict when every target takes time j
+            dense = np.zeros((n, n), dtype=bool)
+            for j in range(n):
+                dense[:, j] = index.predicted_mask(np.full(n, j))
+            board = np.zeros((n, n), dtype=bool)
+            runs = list(zip(*(a.tolist() for a in index.predicted_segments())))
+            for k, start, stop in runs:
+                assert 0 <= start < stop <= n and not board[k, start:stop].any()
+                board[k, start:stop] = True
+            assert board.tolist() == dense.tolist()
+            # sorted, and maximal: a target's next run starts past a gap
+            assert runs == sorted(runs)
+            assert all(k0 != k1 or b0 < a1 for (k0, _, b0), (k1, a1, _) in zip(runs, runs[1:]))
+
+    @settings(max_examples=150, deadline=None)
+    @given(board_catalogs(8))
+    def test_matches_enumeration(self, inputs):
+        cat, days = inputs
+        targets = filter_catalog(cat, 5.5)
+        q = len(targets)
+        for rule in FloorRule:
+            index = board_index(cat, days, rule)
+            assert _null_counts(index) == enumerated_null_counts(index)
+            index = board_index(targets, days, rule)
+            counts = enumerated_null_counts(index)
+            observed = int(index.predicted_mask(np.arange(q)).sum())
+            want = Fraction(sum(counts[observed:]), math.factorial(q))
+            assert exact_permutation_pvalue(cat, 5.5, days, 50.0, rule) == want
+
+    @settings(max_examples=100, deadline=None)
+    @given(board_catalogs(40, bursts=8))
+    def test_counts_every_ordering_with_the_board_mean(self, inputs):
+        # a uniform ordering puts target k at each position with chance 1/Q,
+        # so the mean count is sum(P) / Q
+        cat, days = inputs
+        n = len(cat)
+        for rule in FloorRule:
+            index = board_index(cat, days, rule)
+            try:
+                null = _null_counts(index)
+            except ValueError as err:
+                if "guard" not in str(err):
+                    raise
+                assume(False)  # a board past MAX_EXACT_STATES
+            ones = sum(int(index.predicted_mask(np.full(n, j)).sum()) for j in range(n))
+            assert len(null) == n + 1
+            assert sum(null) == math.factorial(n)
+            if n:
+                mean = Fraction(sum(h * count for h, count in enumerate(null)), math.factorial(n))
+                assert mean == Fraction(ones, n)
+
+    def test_monte_carlo_within_the_bound(self):
+        # The bound, fixed before any draw: 4 SE + 1/N of the exact p, at
+        # N = 20,000. Under the normal approximation a check fails by chance
+        # with probability below 6.4e-5, so the four checks together with
+        # probability below 2.6e-4.
+        n_reps = 20_000
+        for q in (14, 24, 32, 40):
+            cat = sequence_catalog(q)
+            exact = float(exact_permutation_pvalue(cat, 5.5))
+            report = permutation_test(cat, 5.5, n_reps=n_reps, rng=Rng(7, q))
+            bound = 4.0 * math.sqrt(exact * (1.0 - exact) / n_reps) + 1.0 / n_reps
+            assert abs(report.p_estimate - exact) <= bound, (q, report.p_estimate, exact)
 
 
 class TestBinomialTail:
