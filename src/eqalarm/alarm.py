@@ -160,6 +160,10 @@ def pair_blocks(lat_t, lon_t, lat_a, lon_a, radius_km_a):
     key_t, range_lo, range_hi, range_alarm = _key_ranges(
         lat_t, lon_t, lon_a, band_lo, band_hi, half_band, half_lon
     )
+    # ranges in ascending order of their lower key, for ordered searches; a
+    # block sorts its pairs, so the order changes none it yields
+    by_lo = range_lo.argsort()
+    range_lo, range_hi, range_alarm = range_lo[by_lo], range_hi[by_lo], range_alarm[by_lo]
     m = lat_a.size
 
     def block(t0, t1):
@@ -318,6 +322,12 @@ def generate_alarms(
     return AlarmSet._from_rows(rows)
 
 
+# The last index's pair join, reused by the next index whose targets and
+# alarms agree with it on every array the join reads: (those arrays, (pk, pj,
+# lo, hi)). cmd_table1 scores each row's targets under threshold floors,
+# then tests them under trigger floors, with the same alarm geometry.
+_last_join = None
+
 # positions and gathers of the permutation rows counted at once against a
 # kept verdict table: 149 rows at 2013 targets, 1325 of them paired
 _CACHE_CHUNK_BYTES = 4 * 2**20
@@ -346,32 +356,39 @@ class AlarmTargetIndex:
     TABLE_BYTES = 8 * 2**20
 
     def __init__(self, targets: Catalog, alarm_set: AlarmSet):
+        global _last_join
         self.n_targets = n = len(targets)
-        t_mag = targets.magnitudes()
-        id_of: dict[str, int] = {}
-        for i, s in enumerate(targets.source_ids()):
-            if id_of.setdefault(s, i) != i:
-                raise ValueError(
-                    f"target id {s!r} repeats (positions {id_of[s]} and {i}); "
-                    "ids must be unique"
-                )
-
         rows = alarm_set.rows
-        # trigger id resolved to a target position, or -1 when not a target
-        a_trig = np.array([id_of.get(s, -1) for s in rows["trigger_id"]], dtype=np.int64)
-
-        pk, pj = (np.concatenate(parts) for parts in zip(*pair_blocks(
-            targets.latitudes(), targets.longitudes(), rows["lat"], rows["lon"], rows["radius_km"]
-        )))
-        keep = a_trig[pj] != pk
-        self._pk, self._pj = pk[keep], pj[keep]
+        key = (*(targets.rows[f] for f in ("lat", "lon", "time_us", "source_id")),
+               *(rows[f] for f in ("lat", "lon", "radius_km", "start_us", "end_us", "trigger_id")))
+        last = _last_join
+        if last is None or not all(map(np.array_equal, key, last[0])):
+            id_of: dict[str, int] = {}
+            for i, s in enumerate(targets.source_ids()):
+                if id_of.setdefault(s, i) != i:
+                    raise ValueError(
+                        f"target id {s!r} repeats (positions {id_of[s]} and {i}); "
+                        "ids must be unique"
+                    )
+            # trigger id resolved to a target position, or -1 when not a target
+            a_trig = np.array([id_of.get(s, -1) for s in rows["trigger_id"]], dtype=np.int64)
+            pk, pj = (np.concatenate(parts) for parts in zip(*pair_blocks(
+                targets.latitudes(), targets.longitudes(),
+                rows["lat"], rows["lon"], rows["radius_km"],
+            )))
+            keep = a_trig[pj] != pk
+            pk, pj = pk[keep], pj[keep]
+            # a pair's window (start, end] holds the sorted times at positions [lo, hi)
+            times = targets.rows["time_us"]
+            lo, hi = (np.searchsorted(times, rows[f][pj], "right") for f in ("start_us", "end_us"))
+            join = (pk, pj, lo, hi)
+            for a in join:
+                a.flags.writeable = False  # shared with the next index that reuses them
+            last = _last_join = (tuple(np.array(k) for k in key), join)
+        self._pk, self._pj, self._lo, self._hi = last[1]
         # per pair: does the target reach the alarm's floor (a NaN never does)
         with np.errstate(invalid="ignore"):
-            self._floor_ok = t_mag[self._pk] >= rows["mag_floor"][self._pj]
-        # a pair's window (start, end] holds the sorted times at positions [lo, hi)
-        times = targets.rows["time_us"]
-        self._lo = np.searchsorted(times, rows["start_us"][self._pj], "right")
-        self._hi = np.searchsorted(times, rows["end_us"][self._pj], "right")
+            self._floor_ok = targets.magnitudes()[self._pk] >= rows["mag_floor"][self._pj]
 
         # Switch keys u * n + position over the paired targets u = 0..U-1: a
         # pair adds its weight from lo and takes it back at hi, 1 if its target
@@ -390,6 +407,9 @@ class AlarmTargetIndex:
         self._seg_len = np.diff(self._keys, append=base.size * n)
         # first segment of each paired target's row, and the end of the last
         self._row_seg = np.append(np.searchsorted(self._keys, base, "left"), keys.size)
+        # the paired targets predicted at some position: no other adds to a count
+        live = self._ok & (self._seg_len > 0)
+        self._scoring = np.flatnonzero(np.logical_or.reduceat(live, self._row_seg[:-1]))
         self._table = None  # every paired target's verdicts, kept between counts
 
     @property
@@ -460,7 +480,8 @@ class AlarmTargetIndex:
 
         Each block of paired targets expands its switch keys into a bool
         verdict table of n_targets bytes per target, and all rows read it with
-        one gather per paired target; a one-block table is kept for later calls.
+        one gather per paired target predicted at some position; a one-block
+        table is kept for later calls.
         """
         order = self._positions(order, 2)
         counts = np.zeros(len(order), dtype=np.int64)
@@ -475,14 +496,16 @@ class AlarmTargetIndex:
             if table is None:
                 table = np.repeat(self._ok[s0:s1], self._seg_len[s0:s1])
                 self._table = table if block >= n_paired else None
+            # the block's scoring targets, as rows of its table
+            u = self._scoring[np.searchsorted(self._scoring, u0):np.searchsorted(self._scoring, u1)]
             # positions were checked, so clipping changes none
-            at = np.take(order, self._uniq_k[u0:u1], axis=1, mode="clip")
-            at += np.arange(u1 - u0) * n
+            at = np.take(order, self._uniq_k[u], axis=1, mode="clip")
+            at += (u - u0) * n
             hit = np.take(table, at, mode="clip")
             del table, at  # freed before the verdicts widen to float32
             # faster than count_nonzero on short rows, and exact: a block holds
             # at most sqrt(TABLE_BYTES) < 2**24 targets
-            counts += (hit.astype(np.float32) @ np.ones(u1 - u0, np.float32)).astype(np.int64)
+            counts += (hit.astype(np.float32) @ np.ones(u.size, np.float32)).astype(np.int64)
             del hit  # freed before the next block's table is built
         return counts
 

@@ -561,6 +561,25 @@ class TestTable1:
         assert [(*r[:5], r[7]) for r in rows] == undrawn
         assert out == (DATA_DIR / "table1_golden.csv").read_text(encoding="utf-8")
 
+    def test_table1_joins_each_row_once(self, tmp_path, capsys, monkeypatch):
+        # a row's threshold-floor count and trigger-floor test share one join
+        calls = []
+        pair_blocks = eqalarm.alarm.pair_blocks
+        monkeypatch.setattr(eqalarm.alarm, "_last_join", None)
+        monkeypatch.setattr(
+            eqalarm.alarm, "pair_blocks", lambda *a: calls.append(1) or pair_blocks(*a)
+        )
+        path = tmp_path / "clustered.ndk"
+        path.write_text(clustered_ndk_2000_2004())
+        code, out, _ = run(
+            capsys,
+            "table1", "--input", str(path), "--format", "ndk",
+            "--reps", "200", "--deterministic",
+        )
+        assert code == 0
+        assert out == (DATA_DIR / "table1_golden.csv").read_text(encoding="utf-8")
+        assert len(calls) == 4
+
     def test_zero_reps_is_usage_error_before_the_catalog_is_read(self, capsys, monkeypatch):
         # the --reps rule of ``test`` too
         monkeypatch.setattr("eqalarm.cli._load_catalog", _never_called)

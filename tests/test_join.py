@@ -751,6 +751,7 @@ def alarm_inputs(draw):
     return AlarmSet(tuple(alarms)), epicenters, interval
 
 
+DAY_US = 86_400_000_000
 # one paired target per block and one row per chunk, a few of each, and one of each
 kernel_budget_st = st.sampled_from([1, 64 * 2**10, eqalarm.alarm.MEMORY_BUDGET_BYTES])
 
@@ -777,10 +778,68 @@ class TestCountKernel:
         times = cat.rows["time_us"]
         for rule in FloorRule:
             aset = generate_alarms(cat, 5.5, window_days, radius_km, rule)
+            # the trigger-floor index reuses the threshold-floor index's join
             index = AlarmTargetIndex(cat, aset)
             with _budget(budget):
                 got = index.counts_for_time_matrix(order)
             assert got.tolist() == oracles.pair_kernel_counts(index, aset, cat, times[order]).tolist()
+            assert_same_readers(index, fresh_index(cat, aset), order)
+
+    # under trigger floors ev001 is paired but outranked at every position,
+    # and each keyed change below moves some reader's answer
+    BOARD = [(1.0, 0.0, 0.0, 6.5), (2.0, 0.0, 0.1, 5.6), (10.0, 0.0, 0.2, 6.0),
+             (12.0, 0.0, 0.05, 6.8), (30.0, 10.0, 10.0, 5.7), (40.0, 10.0, 10.1, 5.9)]
+    CHANGES = {
+        "target time": ("targets", "time_us", -1, lambda t: t + 12 * DAY_US),
+        "target id": ("targets", "source_id", 0, lambda s: "other"),
+        "alarm lat": ("alarms", "lat", 2, lambda lat: lat + 0.5),
+        "alarm radius": ("alarms", "radius_km", 0, lambda r: r / 10.0),
+        "alarm start": ("alarms", "start_us", 0, lambda t: t + 2 * DAY_US),
+        "alarm end": ("alarms", "end_us", 4, lambda t: t - 15 * DAY_US),
+        "alarm trigger id": ("alarms", "trigger_id", 1, lambda s: "ev003"),
+        "alarm floor (not keyed)": ("alarms", "mag_floor", 0, lambda m: 5.0),
+    }
+
+    @pytest.mark.parametrize("change", sorted(CHANGES))
+    def test_a_changed_join_input_is_joined_again(self, change, monkeypatch):
+        monkeypatch.setattr(eqalarm.alarm, "_last_join", None)
+        cat = make_catalog(self.BOARD, span_days=60.0)
+        aset = generate_alarms(cat, 5.5, floor_rule=FloorRule.TRIGGER)
+        first = AlarmTargetIndex(cat, aset)
+        assert first._scoring.size < np.unique(first._pk).size
+        which, name, i, new = self.CHANGES[change]
+        rows = (cat if which == "targets" else aset).rows.copy()
+        rows[name][i] = new(rows[name][i])
+        if which == "targets":
+            cat = eqalarm.Catalog._from_rows(rows, cat.span)
+        else:
+            aset = AlarmSet._from_rows(rows)
+        second = AlarmTargetIndex(cat, aset)
+        assert (second._pk is first._pk) == (change == "alarm floor (not keyed)")
+        rng = np.random.default_rng(8)
+        order = np.stack([rng.permutation(len(cat)) for _ in range(20)])
+        assert_same_readers(second, fresh_index(cat, aset), order)
+        expected = oracles.pair_kernel_counts(second, aset, cat, cat.rows["time_us"][order])
+        assert second.counts_for_time_matrix(order).tolist() == expected.tolist()
+
+
+def fresh_index(targets, alarm_set):
+    """An index of ``targets`` over ``alarm_set`` that joins them itself."""
+    with mock.patch.object(eqalarm.alarm, "_last_join", None):
+        return AlarmTargetIndex(targets, alarm_set)
+
+
+def assert_same_readers(index, fresh, order):
+    """Every reader of ``index`` agrees with ``fresh``'s: the verdicts and
+    successful alarms at the identity and at order[0], the runs of the
+    board and the counts of every row of ``order``."""
+    for positions in (np.arange(index.n_targets), order[0]):
+        assert index.predicted_mask(positions).tolist() == fresh.predicted_mask(positions).tolist()
+        assert index.successful_alarms(positions) == fresh.successful_alarms(positions)
+    for got, expected in zip(index.predicted_segments(), fresh.predicted_segments()):
+        assert got.tolist() == expected.tolist()
+    got, expected = index.counts_for_time_matrix(order), fresh.counts_for_time_matrix(order)
+    assert got.tolist() == expected.tolist()
 
 
 region_st = st.sampled_from(
