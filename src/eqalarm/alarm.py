@@ -329,7 +329,7 @@ def generate_alarms(
 _last_join = None
 
 # positions and gathers of the permutation rows counted at once against a
-# kept verdict table: 149 rows at 2013 targets, 1325 of them paired
+# kept verdict table: 169 rows at 2013 targets, 954 of them scoring
 _CACHE_CHUNK_BYTES = 4 * 2**20
 
 
@@ -342,12 +342,12 @@ class AlarmTargetIndex:
     among the targets by id. The targets are sorted by time, and every
     evaluation takes time *positions* into those sorted times: target k takes
     ``times[positions[k]]``, so ``np.arange(n_targets)`` is the observed
-    assignment and a permutation of it reassigns the times. Each paired
-    target's verdict at every position is stored once, as sorted switch keys,
-    and every membership question reads them.
+    assignment and a permutation of it reassigns the times. The verdicts
+    form the board P, target k predicted at position j, which is stored once
+    as maximal runs, and every membership question reads them.
     """
 
-    # peak working bytes per (row, paired target) of a block's gathers: the
+    # peak working bytes per (row, scoring target) of a block's gathers: the
     # gathered intp table offsets and the bool verdicts read at them
     BYTES_PER_GATHER = 9
     # largest verdict table a block expands, whatever the budget: gathers from
@@ -390,27 +390,31 @@ class AlarmTargetIndex:
         with np.errstate(invalid="ignore"):
             self._floor_ok = targets.magnitudes()[self._pk] >= rows["mag_floor"][self._pj]
 
-        # Switch keys u * n + position over the paired targets u = 0..U-1: a
-        # pair adds its weight from lo and takes it back at hi, 1 if its target
-        # reaches the floor and n_pairs + 1 (more than all such pairs) if not, so
-        # the segment from a key to the next is predicted exactly when its
-        # summed weight lies in (0, n_pairs + 1). A zero-weight marker at
-        # u * n starts a segment where each target's row starts.
-        self._uniq_k, pair_u = np.unique(self._pk, return_inverse=True)
-        base = np.arange(self._uniq_k.size, dtype=np.int64) * n
+        # The board P as maximal runs (target, start, stop): a pair adds its
+        # weight to its target's row from lo and takes it back at hi, 1 if the
+        # target reaches the floor and n_pairs + 1 (more than all such pairs) if
+        # not, so a stretch is predicted exactly when its summed weight lies in
+        # (0, n_pairs + 1). Keys k * (n + 1) + position keep the rows apart, each
+        # back at weight 0 by its position n, which no time takes.
         weight = np.where(self._floor_ok, 1, self.n_pairs + 1)
-        keys = np.concatenate((base, pair_u * n + self._lo, pair_u * n + self._hi))
-        by_key = np.argsort(keys, kind="stable")
-        depth = np.concatenate((np.zeros(base.size, np.int64), weight, -weight))[by_key].cumsum()
-        self._keys = keys[by_key]
-        self._ok = (depth > 0) & (depth <= self.n_pairs)
-        self._seg_len = np.diff(self._keys, append=base.size * n)
-        # first segment of each paired target's row, and the end of the last
-        self._row_seg = np.append(np.searchsorted(self._keys, base, "left"), keys.size)
-        # the paired targets predicted at some position: no other adds to a count
-        live = self._ok & (self._seg_len > 0)
-        self._scoring = np.flatnonzero(np.logical_or.reduceat(live, self._row_seg[:-1]))
-        self._table = None  # every paired target's verdicts, kept between counts
+        row_key = self._pk * (n + 1)
+        keys = np.concatenate((row_key + self._lo, row_key + self._hi))
+        by_key = np.argsort(keys)
+        keys = keys[by_key]
+        depth = np.concatenate((weight, -weight))[by_key].cumsum()
+        # the verdict from a key to the next, read after all pairs at that key
+        last = np.ones(keys.size, dtype=bool)
+        last[:-1] = keys[1:] != keys[:-1]
+        ok = (depth[last] > 0) & (depth[last] <= self.n_pairs)
+        # keys where the verdict switches, alternately on and off
+        edges = keys[last][np.diff(ok, prepend=False)]
+        run_k, start = np.divmod(edges[0::2], n + 1)
+        self._runs = (run_k, start, edges[1::2] - run_k * (n + 1))
+        for a in self._runs:
+            a.flags.writeable = False
+        # the targets predicted at some position, and each run's row among them
+        self._scoring, self._run_row = np.unique(run_k, return_inverse=True)
+        self._table = None  # the scoring targets' verdicts, kept between counts
 
     @property
     def n_pairs(self) -> int:
@@ -435,77 +439,71 @@ class AlarmTargetIndex:
 
     def predicted_mask(self, positions: np.ndarray) -> np.ndarray:
         """Per-target prediction flags when target k takes the time at
-        ``positions[k]``: each paired target's verdict is that of the last
-        switch key at or before its own key."""
+        ``positions[k]``: a target is predicted when one of its runs holds its
+        position."""
         positions = self._positions(positions, 1)
-        keys = np.arange(self._uniq_k.size) * self.n_targets + positions[self._uniq_k]
+        k, start, stop = self._runs
+        at = positions[k]
         mask = np.zeros(self.n_targets, dtype=bool)
-        mask[self._uniq_k] = self._ok[np.searchsorted(self._keys, keys, "right") - 1]
+        mask[k[(at >= start) & (at < stop)]] = True
         return mask
 
     def predicted_segments(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The board of verdicts as runs (target, start, stop): target k is
-        predicted at the time positions [start, stop) of its runs and at no
+        """The board of verdicts as read-only runs (target, start, stop): target
+        k is predicted at the time positions [start, stop) of its runs and at no
         other. Runs are maximal and sorted by target, then start."""
-        n = self.n_targets
-        seg = np.flatnonzero(self._ok & (self._seg_len > 0))
-        row = np.searchsorted(self._row_seg, seg, "right") - 1
-        start = self._keys[seg] - row * n
-        stop = start + self._seg_len[seg]
-        # a segment starting where its row's previous one stops extends that run
-        first = np.ones(seg.size, dtype=bool)
-        first[1:] = (row[1:] != row[:-1]) | (start[1:] != stop[:-1])
-        last = np.roll(first, -1)  # first[0] is True: the last segment ends a run
-        return self._uniq_k[row[first]], start[first], stop[last]
+        return self._runs
 
     def _block(self, n_rows: int) -> int:
-        """Paired targets per verdict table when n_rows rows are counted: the
+        """Scoring targets per verdict table when n_rows rows are counted: the
         table and their gathers fit half the budget, the table TABLE_BYTES."""
-        width = max(self.n_targets, 1)  # no target is paired when n is 0
+        width = max(self.n_targets, 1)  # no target scores when n is 0
         per_target = width + self.BYTES_PER_GATHER * n_rows
         return max(1, min(self.TABLE_BYTES // width, MEMORY_BUDGET_BYTES // 2 // per_target))
 
     def _rows_per_call(self) -> int:
         """Rows per count call: positions of half the budget, or positions and
-        gathers of _CACHE_CHUNK_BYTES when one kept table covers all paired targets."""
-        n, n_paired = self.n_targets, self._uniq_k.size
+        gathers of _CACHE_CHUNK_BYTES when one kept table covers all scoring targets."""
+        n, n_scoring = self.n_targets, self._scoring.size
         rows = rows_within_budget(16 * n)
-        cached = max(1, _CACHE_CHUNK_BYTES // max(8 * n + self.BYTES_PER_GATHER * n_paired, 1))
-        return min(rows, cached) if self._block(cached) >= n_paired else rows
+        cached = max(1, _CACHE_CHUNK_BYTES // max(8 * n + self.BYTES_PER_GATHER * n_scoring, 1))
+        return min(rows, cached) if self._block(cached) >= n_scoring else rows
 
     def counts_for_time_matrix(self, order: np.ndarray) -> np.ndarray:
         """Predicted-event counts for a batch of time assignments: row r gives
         target k the time ``times[order[r, k]]`` of the sorted target times, so
         a permutation of ``range(n_targets)`` per row reassigns the times.
 
-        Each block of paired targets expands its switch keys into a bool
-        verdict table of n_targets bytes per target, and all rows read it with
-        one gather per paired target predicted at some position; a one-block
-        table is kept for later calls.
+        Each block of scoring targets (those with a run) expands its runs into
+        a bool verdict table of n_targets bytes per target, and all rows read it
+        with one gather per target; a one-block table is kept for later calls.
         """
         order = self._positions(order, 2)
         counts = np.zeros(len(order), dtype=np.int64)
-        n, n_paired = self.n_targets, self._uniq_k.size
+        n, n_scoring = self.n_targets, self._scoring.size
+        _, start, stop = self._runs
         block = self._block(len(order))
-        if block < n_paired:
+        if block < n_scoring:
             self._table = None  # it would not fit beside a block's table
-        for u0 in range(0, n_paired, block):
-            u1 = min(u0 + block, n_paired)
-            s0, s1 = self._row_seg[u0], self._row_seg[u1]
+        for u0 in range(0, n_scoring, block):
+            u1 = min(u0 + block, n_scoring)
             table = self._table
             if table is None:
-                table = np.repeat(self._ok[s0:s1], self._seg_len[s0:s1])
-                self._table = table if block >= n_paired else None
-            # the block's scoring targets, as rows of its table
-            u = self._scoring[np.searchsorted(self._scoring, u0):np.searchsorted(self._scoring, u1)]
+                r0, r1 = np.searchsorted(self._run_row, (u0, u1))
+                offset = (self._run_row[r0:r1] - u0) * n
+                # the table's stretches between run edges, alternately off and on
+                edges = np.column_stack((offset + start[r0:r1], offset + stop[r0:r1])).ravel()
+                stretch = np.diff(edges, prepend=0, append=(u1 - u0) * n)
+                table = np.repeat(np.arange(stretch.size) % 2 == 1, stretch)
+                self._table = table if block >= n_scoring else None
             # positions were checked, so clipping changes none
-            at = np.take(order, self._uniq_k[u], axis=1, mode="clip")
-            at += (u - u0) * n
+            at = np.take(order, self._scoring[u0:u1], axis=1, mode="clip")
+            at += np.arange(u1 - u0) * n
             hit = np.take(table, at, mode="clip")
             del table, at  # freed before the verdicts widen to float32
             # faster than count_nonzero on short rows, and exact: a block holds
             # at most sqrt(TABLE_BYTES) < 2**24 targets
-            counts += (hit.astype(np.float32) @ np.ones(u.size, np.float32)).astype(np.int64)
+            counts += (hit.astype(np.float32) @ np.ones(u1 - u0, np.float32)).astype(np.int64)
             del hit  # freed before the next block's table is built
         return counts
 

@@ -221,7 +221,7 @@ def test_reassigned_times_match_the_oracles(inputs, random):
 
 @settings(max_examples=100, deadline=None)
 @given(edge_catalogs(), st.randoms(use_true_random=False))
-def test_predicted_mask_reads_the_switch_keys(inputs, random):
+def test_predicted_mask_reads_the_runs(inputs, random):
     # the per-target lookup under the identity row, permutations and
     # arbitrary rows of positions, against the per-event membership rule and
     # against the count kernel's rows

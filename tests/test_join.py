@@ -968,15 +968,15 @@ class TestMemoryBudget:
         assert counts[:40].tolist() == expected
 
     def test_count_kernel_blocks_its_verdict_table(self, monkeypatch):
-        # 1200 targets on the equator, nearly all paired: the verdict table
-        # of every paired target at every position is over 4x the budget
+        # 1200 targets on the equator, 1080 of them scoring: the verdict
+        # table of every scoring target at every position is over 4x the budget
         budget = 256 * 2**10
         monkeypatch.setattr(eqalarm.alarm, "MEMORY_BUDGET_BYTES", budget)
         rows = [(i * 0.01, 0.0, -180.0 + 0.3 * i, 5.5 + 0.1 * (i % 10)) for i in range(1200)]
         cat = make_catalog(rows, span_days=20.0)
         aset = generate_alarms(cat, 5.5, floor_rule=FloorRule.TRIGGER)
         index = AlarmTargetIndex(cat, aset)
-        assert np.unique(index._pk).size * len(cat) > 4 * budget
+        assert index._scoring.size * len(cat) > 4 * budget
         rng = np.random.default_rng(12)
         order = np.stack([rng.permutation(len(cat)) for _ in range(300)])
         counts, peak = traced_peak(lambda: index.counts_for_time_matrix(order))
@@ -987,19 +987,19 @@ class TestMemoryBudget:
 
     def test_kept_verdict_table_follows_the_budget(self):
         # one index counts one row and 1000 rows under the default budget,
-        # where one table covers every paired target and is kept, then under a
+        # where one table covers every scoring target and is kept, then under a
         # budget that splits them into blocks, then under the default again
         rows = [(i * 0.01, 0.0, -180.0 + 0.3 * i, 5.5 + 0.1 * (i % 10)) for i in range(1200)]
         cat = make_catalog(rows, span_days=20.0)
         aset = generate_alarms(cat, 5.5, floor_rule=FloorRule.TRIGGER)
         index = AlarmTargetIndex(cat, aset)
-        n_paired = np.unique(index._pk).size
+        n_scoring = index._scoring.size
         rng = np.random.default_rng(13)
         times = cat.rows["time_us"]
         for n_rows, budget in ((1, None), (1000, None), (300, 256 * 2**10), (300, None)):
             order = np.stack([rng.permutation(len(cat)) for _ in range(n_rows)])
             with _budget(budget or eqalarm.alarm.MEMORY_BUDGET_BYTES):
-                assert (index._block(n_rows) < n_paired) == (budget is not None)
+                assert (index._block(n_rows) < n_scoring) == (budget is not None)
                 counts = index.counts_for_time_matrix(order)
             expected = oracles.pair_kernel_counts(index, aset, cat, times[order])
             assert counts.tolist() == expected.tolist(), (n_rows, budget)

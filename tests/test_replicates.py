@@ -161,10 +161,13 @@ class TestPermutationReplicates:
     def test_kept_table_at_two_thousand_targets(self, two_thousand_targets):
         targets, alarms, expected = two_thousand_targets
         index = AlarmTargetIndex(targets, alarms)
-        assert index._block(REPLICATE_BLOCK) >= np.unique(index._pk).size
+        # every paired target reaches the threshold floor at some position
+        assert index._scoring.size == np.unique(index._pk).size == 1933
+        assert index._block(REPLICATE_BLOCK) >= index._scoring.size
         sims, peak = traced_peak(lambda: _simulated_counts(index, 1000, Rng(77, 3)))
-        # the kept verdict table of 1933 x 2000 B and the positions and gathers
-        # of one cache-sized chunk; a block of positions alone would take 16 MB
+        # the kept verdict table of 1933 scoring targets x 2000 B and the
+        # positions and gathers of one cache-sized chunk; a block of positions
+        # alone would take 16 MB
         assert peak <= 12 * 10**6
         assert np.array_equal(sims, expected[:1000])
 

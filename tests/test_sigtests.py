@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import time
@@ -34,7 +35,7 @@ from eqalarm import (
 from eqalarm.sigtests import _null_counts
 
 from conftest import T0, day, make_catalog, random_catalog
-from oracles import all_orderings, enumerated_null_counts, great_circle_km
+from oracles import all_orderings, enumerated_null_counts, great_circle_km, is_predicted
 
 
 def oracle_exact_pvalue(catalog, mag_threshold, window_days, radius_km, floor_rule):
@@ -250,6 +251,24 @@ def board_index(cat, window_days, rule):
     return AlarmTargetIndex(cat, generate_alarms(cat, 5.5, window_days, 50.0, rule))
 
 
+def assert_runs_are_the_board(cat, alarm_set):
+    """The index of every event of ``cat`` against ``alarm_set``, once its runs
+    and scoring targets are checked against the board P of the per-event rule:
+    target k is predicted at position j when, moved to the j-th sorted time,
+    it is predicted."""
+    index = AlarmTargetIndex(cat, alarm_set)
+    times = [e.time for e in cat.events]
+    runs = []
+    for k, e in enumerate(cat.events):
+        row = [is_predicted(dataclasses.replace(e, time=t), alarm_set) for t in times]
+        # the row's maximal runs, from where it switches on to where it switches off
+        edges = [j for j, (a, b) in enumerate(zip([False, *row], [*row, False])) if a != b]
+        runs += zip(itertools.repeat(k), edges[0::2], edges[1::2])
+    assert list(zip(*(a.tolist() for a in index.predicted_segments()))) == runs
+    assert index._scoring.tolist() == sorted({k for k, _, _ in runs})
+    return index
+
+
 def sequence_catalog(q: int) -> Catalog:
     """q events at M5.5-7 in q // 4 places 5 degrees of latitude apart; each
     place's events fall within 200 days from a start within the first 700."""
@@ -275,22 +294,53 @@ class TestRookCount:
     @given(board_catalogs(12))
     def test_segments_are_the_board(self, inputs):
         cat, days = inputs
-        n = len(cat)
         for rule in FloorRule:
-            index = board_index(cat, days, rule)
-            # column j: each target's verdict when every target takes time j
-            dense = np.zeros((n, n), dtype=bool)
-            for j in range(n):
-                dense[:, j] = index.predicted_mask(np.full(n, j))
-            board = np.zeros((n, n), dtype=bool)
-            runs = list(zip(*(a.tolist() for a in index.predicted_segments())))
-            for k, start, stop in runs:
-                assert 0 <= start < stop <= n and not board[k, start:stop].any()
-                board[k, start:stop] = True
-            assert board.tolist() == dense.tolist()
-            # sorted, and maximal: a target's next run starts past a gap
-            assert runs == sorted(runs)
-            assert all(k0 != k1 or b0 < a1 for (k0, _, b0), (k1, a1, _) in zip(runs, runs[1:]))
+            assert_runs_are_the_board(cat, generate_alarms(cat, 5.5, days, 50.0, rule))
+
+    # M6 targets at the sorted times 10, 20 and 30 days, 10 degrees apart
+    EDGE_TARGETS = [(10.0, 0.0, 0.0, 6.0), (20.0, 10.0, 10.0, 6.0), (30.0, 20.0, 20.0, 6.0)]
+    # boards where a key sweep can go wrong: alarms as (lat, lon, start day,
+    # end day, floor), the paired targets and the runs
+    EDGE_BOARDS = {
+        # target 0 predicted up to the last position n, target 1 from 0
+        "row end beside row start": (
+            [(0.0, 0.0, 0.0, 40.0, 5.5), (10.0, 10.0, 0.0, 25.0, 5.5)],
+            [0, 1],
+            [(0, 0, 3), (1, 0, 2)],
+        ),
+        "touching windows": (
+            [(0.0, 0.0, 5.0, 15.0, 5.5), (0.0, 0.0, 15.0, 25.0, 5.5)], [0], [(0, 0, 2)],
+        ),
+        "reached, then outranked": (
+            [(0.0, 0.0, 5.0, 15.0, 5.5), (0.0, 0.0, 15.0, 35.0, 6.5)], [0], [(0, 0, 1)],
+        ),
+        "outranked, then reached": (
+            [(0.0, 0.0, 5.0, 15.0, 6.5), (0.0, 0.0, 15.0, 35.0, 5.5)], [0], [(0, 1, 3)],
+        ),
+        # an outranking window that holds no time leaves the run whole
+        "empty outranking window": (
+            [(0.0, 0.0, 5.0, 35.0, 5.5), (0.0, 0.0, 12.0, 14.0, 6.5)], [0], [(0, 0, 3)],
+        ),
+        # target 1 is paired twice, and outranked at every position
+        "outranked everywhere": (
+            [(10.0, 10.0, 0.0, 40.0, 5.5), (10.0, 10.0, 5.0, 35.0, 6.5),
+             (20.0, 20.0, 15.0, 25.0, 5.5)],
+            [1, 2],
+            [(2, 1, 2)],
+        ),
+    }
+
+    @pytest.mark.parametrize("board", sorted(EDGE_BOARDS))
+    def test_edge_boards(self, board):
+        alarms, paired, runs = self.EDGE_BOARDS[board]
+        cat = make_catalog(self.EDGE_TARGETS, span_days=40.0)
+        alarm_set = AlarmSet(
+            Alarm(GeoPoint(lat, lon), 50.0, T0 + day(start), T0 + day(end), floor)
+            for lat, lon, start, end, floor in alarms
+        )
+        index = assert_runs_are_the_board(cat, alarm_set)
+        assert list(zip(*(a.tolist() for a in index.predicted_segments()))) == runs
+        assert np.unique(index._pk).tolist() == paired
 
     @settings(max_examples=150, deadline=None)
     @given(board_catalogs(8))
