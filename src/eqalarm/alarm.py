@@ -166,7 +166,7 @@ def pair_blocks(lat_t, lon_t, lat_a, lon_a, radius_km_a):
     range_lo, range_hi, range_alarm = range_lo[by_lo], range_hi[by_lo], range_alarm[by_lo]
     m = lat_a.size
 
-    def block(t0, t1):
+    def block(t0, t1, range_lo, range_hi, range_alarm):
         order = key_t[t0:t1].argsort()
         order += t0
         keys = key_t[order]
@@ -177,8 +177,11 @@ def pair_blocks(lat_t, lon_t, lat_a, lon_a, radius_km_a):
         offsets = np.concatenate(([0], n_cand.cumsum()))
         n_total = int(offsets[-1])
         if n_total * JOIN_BYTES_PER_CANDIDATE > MEMORY_BUDGET_BYTES and t1 - t0 > 1:
-            yield from block(t0, (t0 + t1) // 2)
-            yield from block((t0 + t1) // 2, t1)
+            # a range with no candidate in this block has none in either half
+            has = n_cand.nonzero()[0]
+            ranges = range_lo[has], range_hi[has], range_alarm[has]
+            yield from block(t0, (t0 + t1) // 2, *ranges)
+            yield from block((t0 + t1) // 2, t1, *ranges)
             return
         # ranges in runs of about CANDIDATE_SLICE candidates, at least one run;
         # the last cut lies past n_total, so the last run ends with the ranges
@@ -202,7 +205,7 @@ def pair_blocks(lat_t, lon_t, lat_a, lon_a, radius_km_a):
         pairs.sort()
         yield np.divmod(pairs, max(m, 1), out=(pairs, np.empty_like(pairs)))
 
-    yield from block(0, lat_t.size)
+    yield from block(0, lat_t.size, range_lo, range_hi, range_alarm)
 
 
 class FloorRule(str, Enum):
@@ -221,7 +224,6 @@ class Alarm:
     t_start: datetime
     t_end: datetime
     mag_floor: float
-    trigger_index: int | None = None
     trigger_id: str | None = None
 
     def __post_init__(self):
@@ -235,10 +237,10 @@ class Alarm:
 
 
 # One row per alarm: the window (start_us, end_us] in exact microseconds since
-# the epoch; trigger_index and trigger_id are None for an alarm without a trigger.
+# the epoch; trigger_id is None for an alarm without a trigger.
 ALARM_DTYPE = np.dtype([
     ("lat", float), ("lon", float), ("radius_km", float), ("start_us", np.int64),
-    ("end_us", np.int64), ("mag_floor", float), ("trigger_index", object), ("trigger_id", object),
+    ("end_us", np.int64), ("mag_floor", float), ("trigger_id", object),
 ])
 
 
@@ -253,7 +255,7 @@ class AlarmSet:
     def __init__(self, alarms: Iterable[Alarm]):
         rows = [
             (a.center.lat, a.center.lon, a.radius_km, _to_us(a.t_start), _to_us(a.t_end),
-             a.mag_floor, a.trigger_index, a.trigger_id)
+             a.mag_floor, a.trigger_id)
             for a in alarms
         ]
         self._store(np.array(rows, dtype=ALARM_DTYPE))
@@ -278,8 +280,8 @@ class AlarmSet:
     def alarms(self) -> tuple[Alarm, ...]:
         """A new Alarm per row, built on each call."""
         return tuple(
-            Alarm(GeoPoint(lat, lon), radius, _from_us(start), _from_us(end), *floor_and_trigger)
-            for lat, lon, radius, start, end, *floor_and_trigger in self.rows.tolist()
+            Alarm(GeoPoint(lat, lon), radius, _from_us(start), _from_us(end), floor, trigger_id)
+            for lat, lon, radius, start, end, floor, trigger_id in self.rows.tolist()
         )
 
 
@@ -318,7 +320,7 @@ def generate_alarms(
     rows["lat"], rows["lon"], rows["radius_km"] = triggers["lat"], triggers["lon"], radius_km
     rows["start_us"], rows["end_us"] = triggers["time_us"], triggers["time_us"] + window_us
     rows["mag_floor"] = mag_threshold if floor_rule is FloorRule.THRESHOLD else magnitudes[index]
-    rows["trigger_index"], rows["trigger_id"] = index, triggers["source_id"]
+    rows["trigger_id"] = triggers["source_id"]
     return AlarmSet._from_rows(rows)
 
 
@@ -653,7 +655,7 @@ def union_volume_fraction_mc(
 def dumps_alarms_csv(alarm_set: AlarmSet) -> str:
     """Serialize alarms to CSV: trigger_time,lat,lon,radius_km,t_start,t_end,mag_floor."""
     lines = ["trigger_time,lat,lon,radius_km,t_start,t_end,mag_floor"]
-    for lat, lon, radius_km, start_us, end_us, mag_floor, _, _ in alarm_set.rows.tolist():
+    for lat, lon, radius_km, start_us, end_us, mag_floor, _ in alarm_set.rows.tolist():
         t_start = format_instant(_from_us(start_us))
         lines.append(
             ",".join(

@@ -15,21 +15,10 @@ from datetime import datetime
 
 import numpy as np
 
-from ._random import Rng, as_generator
+from ._random import as_generator
 from .alarm import rows_within_budget
 from .catalog import _EPOCH, ROW_DTYPE, Catalog, StudyVolume, _as_utc, _seconds_to_us, _to_us
 from .geo import GlobalSphere, Region, normalize_lon
-
-__all__ = [
-    "Rng",
-    "CellGrid",
-    "permute_times",
-    "randomize_times_uniform",
-    "gen_homogeneous_poisson",
-    "gen_heterogeneous_poisson",
-    "gen_gamma_renewal",
-    "historical_cell_rates",
-]
 
 # the marks of a simulated event when no mark catalog is given
 _PLACEHOLDER = np.array([(0, 0.0, 0.0, 10.0, 5.0, 0.0, "")], dtype=ROW_DTYPE)

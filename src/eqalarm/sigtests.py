@@ -126,8 +126,7 @@ def permutation_test_fixed_alarms(
     n_reps: int,
     rng,
     config: dict | None = None,
-    return_sims: bool = False,
-):
+) -> TestReport:
     """Permutation test of a fixed alarm set against the target catalog.
 
     The alarms stay exactly as given; each replicate permutes the targets'
@@ -142,7 +141,7 @@ def permutation_test_fixed_alarms(
     observed = int(index.predicted_mask(np.arange(len(targets))).sum())
     sims = _simulated_counts(index, n_reps, key)
     sims_geq = int((sims >= observed).sum())
-    report = TestReport(
+    return TestReport(
         observed=float(observed),
         sim_count=n_reps,
         sims_geq=sims_geq,
@@ -152,9 +151,6 @@ def permutation_test_fixed_alarms(
         seed=key.seed,
         config=dict(config or {}),
     )
-    if return_sims:
-        return report, sims
-    return report
 
 
 def permutation_test(

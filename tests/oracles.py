@@ -152,13 +152,13 @@ def alarms_per_trigger(
     trigger's own magnitude."""
     window = timedelta(seconds=window_days * SECONDS_PER_DAY)
     alarms = []
-    for i, e in enumerate(catalog.events):
+    for e in catalog.events:
         m = e.magnitude(catalog.magnitude_selector)
         if m is None or m < mag_threshold:
             continue
         floor = mag_threshold if FloorRule(floor_rule) is FloorRule.THRESHOLD else m
         alarms.append(
-            Alarm(e.epicenter, radius_km, e.time, e.time + window, floor, i, e.source_id)
+            Alarm(e.epicenter, radius_km, e.time, e.time + window, floor, e.source_id)
         )
     return tuple(alarms)
 

@@ -273,6 +273,21 @@ class TestCounts:
         with pytest.raises(ValueError, match="'x' repeats"):
             count_predicted(dup, generate_alarms(dup, 5.5))
 
+    def test_hand_built_alarm_names_its_trigger_by_id_only(self):
+        # the swap [1, 0] gives the trigger the second time, inside its own
+        # window; an alarm naming no trigger then predicts it, one naming the
+        # trigger's id does not
+        cat = make_catalog([(1, 0.0, 0.0, 6.0), (5, 0.0, 0.0, 6.0)])
+        trigger = cat.events[0]
+        window = (trigger.epicenter, 50.0, trigger.time, trigger.time + day(10), 5.5)
+        swap = np.array([1, 0])
+        anonymous = AlarmTargetIndex(cat, AlarmSet((Alarm(*window),)))
+        assert anonymous.predicted_mask(swap).tolist() == [True, False]
+        named = AlarmTargetIndex(cat, AlarmSet((Alarm(*window, trigger.source_id),)))
+        assert named.predicted_mask(swap).tolist() == [False, False]
+        with pytest.raises(TypeError, match="trigger_index"):
+            Alarm(*window, trigger_index=0)
+
 
 class TestScore:
     def test_degenerate_all_zero(self):

@@ -71,7 +71,7 @@ def dense_pairs_within_km(lat_t, lon_t, lat_a, lon_a, radius_km_a, block=512):
 
 def dense_index_pairs(targets, alarm_set):
     """Reference pair list of AlarmTargetIndex: the dense join minus each
-    alarm's own trigger, found by position."""
+    alarm's own trigger, found by id."""
     t, a = dense_pairs_within_km(
         targets.latitudes(),
         targets.longitudes(),
@@ -79,8 +79,8 @@ def dense_index_pairs(targets, alarm_set):
         [x.center.lon for x in alarm_set],
         [x.radius_km for x in alarm_set],
     )
-    trig = np.array([x.trigger_index for x in alarm_set], dtype=np.int64)
-    keep = trig[a] != t
+    trig = np.array([x.trigger_id for x in alarm_set], dtype=object)
+    keep = trig[a] != np.array(targets.source_ids(), dtype=object)[t]
     return t[keep], a[keep]
 
 

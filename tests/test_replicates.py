@@ -18,7 +18,6 @@ from eqalarm import (
     Rng,
     filter_catalog,
     generate_alarms,
-    permutation_test_fixed_alarms,
     poisson_binomial_pvalue,
     r_score,
     r_score_baseline,
@@ -38,7 +37,7 @@ BUDGET = 2 * 2**20
 
 
 def _sims(targets, alarms, n_reps, key=Rng(77, 3)):
-    return permutation_test_fixed_alarms(targets, alarms, n_reps, key, return_sims=True)[1]
+    return _simulated_counts(AlarmTargetIndex(targets, alarms), n_reps, key)
 
 
 @pytest.fixture(scope="module")

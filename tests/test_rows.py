@@ -230,7 +230,6 @@ def alarms(draw):
         t_start,
         t_start + timedelta(microseconds=draw(st.integers(1, 10**14))),
         draw(st.floats(-1.0, 11.0)),
-        draw(st.one_of(st.none(), st.integers(0, 10**12))),
         draw(st.one_of(st.none(), ids)),
     )
 
@@ -296,4 +295,4 @@ class TestAlarmRows:
     def test_missing_trigger_round_trips_as_none(self):
         alarm = Alarm(GeoPoint(0.0, 0.0), 50.0, EPOCH, EPOCH + timedelta(days=1), 5.5)
         (back,) = AlarmSet([alarm]).alarms
-        assert back.trigger_index is None and back.trigger_id is None
+        assert back.trigger_id is None

@@ -32,7 +32,7 @@ from eqalarm import (
     r_score_baseline,
     randomize_times_uniform,
 )
-from eqalarm.sigtests import _null_counts
+from eqalarm.sigtests import _null_counts, _simulated_counts
 
 from conftest import T0, day, make_catalog, random_catalog
 from oracles import all_orderings, enumerated_null_counts, great_circle_km, is_predicted
@@ -142,9 +142,8 @@ class TestPermutationTest:
     def test_external_alarm_set_engine(self):
         cat = filter_catalog(make_catalog(FIVE_EVENT_FIXTURE), 5.5)
         alarms = AlarmSet((Alarm(GeoPoint(0, 0), 100.0, T0, T0 + day(15), 5.5),))
-        report, sims = permutation_test_fixed_alarms(
-            cat, alarms, 200, Rng(8), return_sims=True
-        )
+        report = permutation_test_fixed_alarms(cat, alarms, 200, Rng(8))
+        sims = _simulated_counts(AlarmTargetIndex(cat, alarms), 200, Rng(8))
         assert sims.shape == (200,)
         assert report.max_sim == sims.max()
         assert report.sims_geq == int((sims >= report.observed).sum())
@@ -756,9 +755,8 @@ class TestCalibrationSmoke:
             targets = filter_catalog(
                 randomize_times_uniform(base, Rng(500, trial)), 5.5
             )
-            report, sims = permutation_test_fixed_alarms(
-                targets, alarms, 99, Rng(900, trial), return_sims=True
-            )
+            report = permutation_test_fixed_alarms(targets, alarms, 99, Rng(900, trial))
+            sims = _simulated_counts(AlarmTargetIndex(targets, alarms), 99, Rng(900, trial))
             greater = int((sims > report.observed).sum())
             ties = int((sims == report.observed).sum())
             pstars.append((greater + tie_break.uniform() * (ties + 1)) / (99 + 1))
