@@ -59,8 +59,9 @@ class TestReport:
     """Outcome of a simulation test, with enough context to rerun it.
 
     p_estimate is sims_geq / sim_count; when no replicate reaches the
-    observed statistic it is 0.0 and p_is_upper_bound marks that the true
-    p-value is below 1 / sim_count.
+    observed statistic it is 0.0, p_is_upper_bound is set and p_display
+    shows "<1/N", the paper's way of writing zero exceedances. Monte Carlo
+    does not guarantee that the true p-value is below 1 / sim_count.
     """
 
     observed: float

@@ -1,10 +1,13 @@
-"""``parse_ndk`` reads canonical hypocenter lines column-wise and hands every
-other record to ``catalog._parse_ndk_hypocenter``; these tests compare it
-with the per-record reader ``oracles.parse_ndk_by_record`` and check which
-records take which path."""
+"""``parse_ndk`` reads canonical hypocenter lines column-wise, from the input
+bytes when they are ASCII with \\n line ends and from the decoded lines
+otherwise, and hands every other record to ``catalog._parse_ndk_hypocenter``;
+these tests compare it with the per-record reader
+``oracles.parse_ndk_by_record`` on both kinds of input, check which records
+take which path and bound the memory the byte path takes."""
 
 import importlib.util
 import sys
+import tracemalloc
 from datetime import date
 from pathlib import Path
 from unittest import mock
@@ -74,13 +77,15 @@ def ndk_text(records: list[dict]) -> str:
 @example([{"lat": 90.0, "lon": 180.0, "depth": 0.0, "mb": 0.0, "ms": 0.0}])
 def test_well_formed_records_read_column_wise_as_by_record(records):
     text = ndk_text(records)
-    with count_per_record_reads() as per_record:
-        kind, cat = assert_same_as_oracle(text)
-    assert kind == "ok" and len(cat) == len(records)
-    assert per_record.call_count == 0
+    for source in (text, text.encode()):
+        with count_per_record_reads() as per_record:
+            kind, cat = assert_same_as_oracle(source)
+        assert kind == "ok" and len(cat) == len(records)
+        assert per_record.call_count == 0
 
 
-ALPHABET = "0123456789 -+./:_eExX\t\x00\ufeff٣é"
+# İ (U+0130) is "0" (0x30) in its low byte
+ALPHABET = "0123456789 -+./:_eExX\t\x00\ufeff٣éİ\r\x0b\x0c\x1c\x85\u2028"
 
 
 @st.composite
@@ -110,8 +115,14 @@ def broken_texts(draw) -> str:
 @example(ndk_file([ndk_record().replace(" 13.78", "1 3.78")]))
 @example(ndk_file([ndk_record().replace(" -88.78", " - 8.78")]))
 @example(ndk_file([ndk_record().replace(" 13.78", "   .78").replace(" -88.78", "   -.78")]))
+@example(ndk_file(["é" + ndk_record()]))  # in column 0, one code point is one column
+@example(ndk_file([ndk_record().replace("2004", "2İ04", 1)]))  # column 6 is a digit
+@example(ndk_file([ndk_record(), ndk_record()])[:-1])
+@example(ndk_file([ndk_record().rsplit("\n", 1)[0] + "\n"]))  # the last line is empty
+@example(ndk_file([ndk_record().replace("EL SALVADOR", "EL\rSALVADOR")]))
 def test_broken_records_give_the_same_catalog_or_error(text):
-    assert_same_as_oracle(text)
+    for source in (text, text.encode()):
+        assert_same_as_oracle(source)
 
 
 def test_year_9999_overflow_still_raises_from_the_per_record_reader():
@@ -135,15 +146,25 @@ class TestFastPath:
             kind, cat = assert_same_as_oracle(ndk_file(records))
         assert kind == "ok" and len(cat) == 4 and per_record.call_count == 0
 
-    def test_perfbench_catalog_never_reaches_the_per_record_reader(self, tmp_path):
-        catalogs = load_perfbench_catalogs()
-        cols = catalogs.cmt_like(np.random.default_rng([3, 20002004]), 0.05)
-        catalogs.write_ndk(tmp_path / "cmt.ndk", cols)
-        data = (tmp_path / "cmt.ndk").read_bytes()
+    def test_perfbench_catalog_never_reaches_the_per_record_reader(self, perfbench_ndk):
+        data, records = perfbench_ndk
         with count_per_record_reads() as per_record:
             kind, cat = assert_same_as_oracle(data)
-        assert kind == "ok" and len(cat) == cols["t"].size > 0
+        assert kind == "ok" and len(cat) == records > 0
         assert per_record.call_count == 0
+
+    def test_bytes_parse_peaks_below_twice_the_input(self, perfbench_ndk):
+        # the ratio does not depend on the catalog's scale
+        data, records = perfbench_ndk
+        parse_ndk(data)  # numpy's first-call set-up is not the parse's
+        tracemalloc.start()
+        try:
+            cat = parse_ndk(data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(cat) == records
+        assert peak <= 2 * len(data)
 
     @pytest.mark.parametrize(
         "record",
@@ -190,6 +211,16 @@ def test_in_range_longitudes_pass_through_normalize_lon():
     # an in-range longitude reads back as written, and -0.0 keeps its sign
     assert cat.rows["lon"].tolist() == [105.46, -0.0]
     assert str(cat.rows["lon"][1]) == str(cat.rows["lat"][1]) == "-0.0"
+
+
+@pytest.fixture(scope="module")
+def perfbench_ndk(tmp_path_factory) -> tuple[bytes, int]:
+    """The bytes of a 0.05-scale perfbench CMT-like NDK file and its record count."""
+    catalogs = load_perfbench_catalogs()
+    cols = catalogs.cmt_like(np.random.default_rng([3, 20002004]), 0.05)
+    path = tmp_path_factory.mktemp("perfbench") / "cmt.ndk"
+    catalogs.write_ndk(path, cols)
+    return path.read_bytes(), cols["t"].size
 
 
 def load_perfbench_catalogs():
