@@ -503,8 +503,8 @@ def parse_ndk(source: bytes | str | IO, magnitude_selector: str = "mb") -> Catal
             f"NDK line count {line_count} is not a multiple of {NDK_LINES_PER_RECORD}"
         )
     n = line_count // NDK_LINES_PER_RECORD
-    # a hypocenter line is never the last line: a column past its end reads
-    # the \n after it, which no constrained column accepts, nor "?"
+    # a hypocenter line is never the last line, so a column past its end reads
+    # the \n after it; column 54 is a digit, so a shorter line is never canonical
     starts, stops = np.append(0, ends[4::5] + 1)[:n], ends[::5]
     columns = np.empty((len(_NDK_LAYOUT), n), np.uint8)
     for j, column in enumerate(columns):
