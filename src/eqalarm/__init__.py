@@ -10,7 +10,6 @@ from .alarm import (
     VolumeEstimate,
     alarm_volume_fraction,
     count_predicted,
-    count_successful_alarms,
     dumps_alarms_csv,
     generate_alarms,
     score,

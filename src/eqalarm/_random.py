@@ -55,8 +55,3 @@ def as_key(rng) -> Rng:
     if isinstance(rng, (int, np.integer)):
         return Rng(int(rng))
     raise TypeError(f"need an Rng key or an integer seed, got {type(rng).__name__}")
-
-
-def as_generator(rng) -> np.random.Generator:
-    """A numpy Generator as is, else the stream of :func:`as_key`'s key."""
-    return rng if isinstance(rng, np.random.Generator) else as_key(rng).generator()

@@ -22,7 +22,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from ._random import as_generator
+from ._random import as_key
 from .catalog import _MAX_US, SECONDS_PER_DAY, Catalog, StudyVolume, _as_utc, _from_us, _to_us
 from .catalog import _seconds_to_us, format_instant
 from .geo import EARTH_RADIUS_KM, GeoPoint, cap_area_km2, check_cap_radius, great_circle_km_arrays
@@ -84,18 +84,12 @@ def _key_ranges(lat_t, lon_t, lon_a, band_lo, band_hi, half_band, half_lon):
         # the keys are the latitudes, and each alarm's band is its one range,
         # as with strips when every alarm is wide
         return lat_t, band_lo, band_hi, np.arange(m)
-    # x is a longitude plus 180, and the remainder of that by 360 (which
-    # leaves the others as they are) when some longitude is out of range.
-    # Arrays of n are built in place, for the peak memory of a large join.
+    # x is a longitude plus 180; arrays of n are built in place, for the
+    # peak memory of a large join
     x = np.concatenate((lon_t, lon_a))
-    in_range = not x.size or (x.min() >= -180.0 and x.max() <= 180.0)
-    spread = 0.0 if in_range else float(np.abs(x).max(initial=0.0, where=np.isfinite(x)))
     x += 180.0
-    if not in_range:
-        x %= 360.0
-    # x loses up to 1e-8 degrees in a key, and a longitude out of range an
-    # ulp-sized fraction of its magnitude, in x and in the window test
-    w = half_lon + (1e-6 + 2.0**-49 * spread)
+    # x loses up to 1e-8 degrees in a key
+    w = half_lon + 1e-6
     # strips h high, numbered from the south pole
     h = 180.0
     if m:
@@ -142,7 +136,8 @@ def pair_blocks(lat_t, lon_t, lat_a, lon_a, radius_km_a):
     and the slack keeps every pair it accepts. Its longitude window is, for
     an angular radius a at latitude p, asin(sin a / cos p) plus the same
     slack, or the whole circle when the band reaches a pole (so when
-    sin a >= cos p). Latitudes must lie in [-90, 90].
+    sin a >= cos p). Latitudes must lie in [-90, 90] and longitudes in
+    [-180, 180]; neither is checked.
 
     A block sorts its targets by join key (see _key_ranges) once, and takes
     each alarm's candidates from a few key ranges that cover its band and,
@@ -528,16 +523,6 @@ def count_predicted(targets: Catalog, alarm_set: AlarmSet) -> int:
     return int(index.predicted_mask(np.arange(len(targets))).sum())
 
 
-def count_successful_alarms(alarm_set: AlarmSet, targets: Catalog) -> int:
-    """Number of alarms containing at least one target event.
-
-    Containment is spatial, temporal, and above the alarm's own floor;
-    success is binary per alarm, and an alarm's own trigger never counts.
-    """
-    index = AlarmTargetIndex(targets, alarm_set)
-    return index.successful_alarms(np.arange(len(targets)))
-
-
 @dataclass(frozen=True)
 class ScoreSummary:
     """Counts and rates of alarm performance against a target catalog.
@@ -646,7 +631,7 @@ def union_volume_fraction_mc(
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
     t0, t1 = _to_us(sv.t_start), _to_us(sv.t_end)
-    lat, lon = sv.region.sample(n_samples, as_generator(rng))
+    lat, lon = sv.region.sample(n_samples, as_key(rng).generator())
     covered, estimate = _covered_us(lat, lon, alarm_set, t0, t1)
     stderr = float(covered.std()) / (t1 - t0) / math.sqrt(n_samples)
     return VolumeEstimate(estimate, stderr, n_samples)

@@ -475,8 +475,8 @@ def parse_ndk(source: bytes | str | IO, magnitude_selector: str = "mb") -> Catal
 
     Only the hypocenter line of each record is consumed. Records whose
     magnitudes are all undetermined are retained; thresholding happens in
-    :func:`filter_catalog`. ASCII bytes whose only line break is \\n, as
-    published files and ``read_bytes`` give them, are read in place, with a
+    :func:`filter_catalog`. ASCII input whose only line break is \\n, as
+    published files give it, is read as bytes (a str is encoded first), with a
     traced peak of about 1.5 bytes per input byte: one search finds the line
     ends, and columns 0-54 of each hypocenter line are gathered into a
     (55, n) uint8 matrix. Any other input is decoded and split as
@@ -487,6 +487,8 @@ def parse_ndk(source: bytes | str | IO, magnitude_selector: str = "mb") -> Catal
     """
     if not isinstance(source, (bytes, str)):
         source = source.read()
+    if isinstance(source, str) and source.isascii():
+        source = source.encode()
     lines = None
     if isinstance(source, bytes) and source.isascii() and not any(
         b in source for b in _OTHER_ASCII_BREAKS

@@ -1,7 +1,7 @@
 """Seeded generators for the stochastic null models, plus rate estimation.
 
-Every generator is a pure function of its inputs and an Rng key (or numpy
-Generator), so replicate outputs are reproducible and independent of
+Every generator is a pure function of its inputs and an Rng key (or int
+seed), so replicate outputs are reproducible and independent of
 scheduling. Marks (location, magnitude, depth) are resampled jointly from
 an observed catalog where one is supplied, preserving the empirical
 magnitude-location coupling.
@@ -15,7 +15,7 @@ from datetime import datetime
 
 import numpy as np
 
-from ._random import as_generator
+from ._random import as_key
 from .alarm import rows_within_budget
 from .catalog import _EPOCH, ROW_DTYPE, Catalog, StudyVolume, _as_utc, _seconds_to_us, _to_us
 from .geo import GlobalSphere, Region, normalize_lon
@@ -49,7 +49,7 @@ def permute_times(catalog: Catalog, rng) -> Catalog:
     is re-sorted by time.
     """
     rows = catalog.rows
-    perm = as_generator(rng).permutation(len(rows))
+    perm = as_key(rng).generator().permutation(len(rows))
     return _assemble(
         rows, rows["time_us"][perm], catalog.span, catalog.magnitude_selector, keep_ids=True
     )
@@ -57,7 +57,7 @@ def permute_times(catalog: Catalog, rng) -> Catalog:
 
 def randomize_times_uniform(catalog: Catalog, rng) -> Catalog:
     """Redraw every event time iid uniform over the span interval."""
-    offsets = as_generator(rng).uniform(0.0, catalog.span.duration_s, size=len(catalog))
+    offsets = as_key(rng).generator().uniform(0.0, catalog.span.duration_s, size=len(catalog))
     time_us = _to_us(catalog.span.t_start) + _seconds_to_us(offsets)
     return _assemble(
         catalog.rows, time_us, catalog.span, catalog.magnitude_selector, keep_ids=True
@@ -99,7 +99,7 @@ def gen_homogeneous_poisson(
     """
     if not (math.isfinite(rate_per_s) and rate_per_s >= 0.0):
         raise ValueError(f"rate must be nonnegative, got {rate_per_s!r}")
-    g = as_generator(rng)
+    g = as_key(rng).generator()
     n = int(g.poisson(rate_per_s * sv.duration_s))
     offsets = np.sort(g.uniform(0.0, sv.duration_s, size=n))
     return _marked_catalog(_to_us(sv.t_start) + _seconds_to_us(offsets), sv, marks, g)
@@ -171,8 +171,8 @@ def gen_heterogeneous_poisson(
     from the marks falling in that cell, falling back to the whole mark
     catalog when the cell has none.
     """
-    g = as_generator(rng)
     sv = StudyVolume(GlobalSphere(), *t_interval)
+    g = as_key(rng).generator()
     pool = marks.rows if marks is not None else _PLACEHOLDER[:0]
     templates, times = [pool[:0]], [np.zeros(0, dtype=np.int64)]
     for cell, rate in zip(grid.cells, grid.rates_per_s):
@@ -210,11 +210,11 @@ def _gamma_renewal_us(shape, mean_interval_s, t_interval, rng) -> np.ndarray:
         raise ValueError(f"shape must be positive, got {shape!r}")
     if not (math.isfinite(mean_interval_s) and mean_interval_s > 0.0):
         raise ValueError(f"mean interval must be positive, got {mean_interval_s!r}")
-    g = as_generator(rng)
     t_start, t_end = (_as_utc(t) for t in t_interval)
     horizon = (t_end - t_start).total_seconds()
     if horizon <= 0.0:
         raise ValueError("t_interval is empty")
+    g = as_key(rng).generator()
     scale = mean_interval_s / shape
     batch = max(16, int(1.5 * horizon / mean_interval_s) + 16)
     # each batch's running sums start from the last one: the gaps add in draw order

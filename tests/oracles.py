@@ -22,7 +22,7 @@ import numpy as np
 from eqalarm import (
     Alarm, Catalog, CatalogParseError, FloorRule, GlobalSphere, LatLonBox, SphericalCap,
 )
-from eqalarm._random import as_generator
+from eqalarm._random import as_key
 from eqalarm.catalog import (
     NDK_LINES_PER_RECORD, ROW_DTYPE, SECONDS_PER_DAY,
     _as_utc, _decode, _parse_ndk_hypocenter, _to_us,
@@ -309,14 +309,14 @@ def alarm_measure_pi(alarm_set, historical_epicenters, t_interval) -> float:
 def union_volume_covered_us(alarm_set, sv, n_samples: int, rng) -> list[int]:
     """``union_volume_fraction_mc``'s points, the region's first n_samples
     draws from ``rng``, each scored by covered_us over the study interval."""
-    lat, lon = sv.region.sample(n_samples, as_generator(rng))
+    lat, lon = sv.region.sample(n_samples, as_key(rng).generator())
     return covered_us(alarm_set, lat, lon, (sv.t_start, sv.t_end))
 
 
 def gamma_renewal_instants(shape, mean_interval_s, t_interval, rng) -> list:
     """``gen_gamma_renewal`` by adding each gap in turn to a running sum: the
     same batches of draws, each instant the interval start plus the sum."""
-    g = as_generator(rng)
+    g = as_key(rng).generator()
     t_start, t_end = (_as_utc(t) for t in t_interval)
     horizon = (t_end - t_start).total_seconds()
     batch = max(16, int(1.5 * horizon / mean_interval_s) + 16)

@@ -20,7 +20,6 @@ from eqalarm import (
     alarm_volume_fraction,
     cap_area_km2,
     count_predicted,
-    count_successful_alarms,
     filter_catalog,
     generate_alarms,
     score,
@@ -221,11 +220,16 @@ class TestIsPredicted:
         assert not is_predicted(e, aset)
 
 
+def successful_alarms(alarm_set, targets):
+    """Alarms containing at least one target, as score(...).S counts them."""
+    return AlarmTargetIndex(targets, alarm_set).successful_alarms(np.arange(len(targets)))
+
+
 class TestCounts:
     def test_one_alarm_containing_three_events_is_one_success(self):
         aset = AlarmSet((Alarm(GeoPoint(0, 0), 100.0, T0, T0 + day(10), 5.5),))
         cat = make_catalog([(1, 0, 0, 6.0), (2, 0.1, 0, 6.0), (3, 0, 0.1, 6.0)])
-        assert count_successful_alarms(aset, cat) == 1
+        assert successful_alarms(aset, cat) == 1
 
     def test_nan_floor_refused(self):
         # such an alarm would outrank every target it covers: one among the
@@ -238,7 +242,7 @@ class TestCounts:
 
     def test_empty_alarm_set(self):
         cat = make_catalog([(1, 0, 0, 6.0)])
-        assert count_successful_alarms(AlarmSet(()), cat) == 0
+        assert successful_alarms(AlarmSet(()), cat) == 0
         assert count_predicted(cat, AlarmSet(())) == 0
 
     def test_hand_enumerated_three_event_fixture(self):
@@ -250,7 +254,7 @@ class TestCounts:
             )
         )
         cat = make_catalog([(1, 0.0, 0.0, 5.9), (2, 0.1, 0.0, 6.0), (3, 40.0, 40.0, 6.0)])
-        assert count_successful_alarms(alarms, cat) == 1
+        assert successful_alarms(alarms, cat) == 1
         assert count_predicted(cat, alarms) == 2
 
     def test_generated_fixture_hand_computed(self):
@@ -260,8 +264,8 @@ class TestCounts:
         trigger = generate_alarms(cat, 5.5, floor_rule=FloorRule.TRIGGER)
         assert count_predicted(cat, threshold) == 1  # B only
         assert count_predicted(cat, trigger) == 0    # B is below A's 6.0 floor
-        assert count_successful_alarms(threshold, cat) == 1
-        assert count_successful_alarms(trigger, cat) == 0
+        assert successful_alarms(threshold, cat) == 1
+        assert successful_alarms(trigger, cat) == 0
 
     def test_repeated_target_id_rejected(self):
         # two M6.0 events a day apart at one epicenter: the first predicts the
@@ -416,6 +420,11 @@ class TestUnionVolumeMc:
             union_volume_fraction_mc(alarms, sv, 0, rng=7)
         with pytest.raises(TypeError, match="Rng key or an integer seed, got float"):
             union_volume_fraction_mc(alarms, sv, 10, rng=7.0)
+        g = np.random.default_rng(7)
+        with pytest.raises(ValueError, match="n_samples"):
+            union_volume_fraction_mc(alarms, sv, 0, rng=g)
+        with pytest.raises(TypeError, match="Rng key or an integer seed, got Generator"):
+            union_volume_fraction_mc(alarms, sv, 10, rng=g)
 
     def test_deterministic_given_seed(self):
         sv = StudyVolume(GlobalSphere(), T0, T0 + day(10))

@@ -12,6 +12,7 @@ from eqalarm import (
     GeoPoint,
     GlobalSphere,
     StudyVolume,
+    WindowTable,
     dumps_csv,
     filter_catalog,
     parse_csv,
@@ -222,6 +223,19 @@ class TestParseCsv:
     def test_accepts_bytes(self):
         text = CSV_HEADER + "2004-01-02T03:04:05Z,10.0,20.0,33.0,5.5,,a\n"
         assert len(parse_csv(text.encode())) == 1
+
+    def test_accepts_file_objects(self):
+        # a text or a binary stream gives what its bytes give
+        catalog = (
+            CSV_HEADER
+            + "2004-03-01T02:03:04.5Z,10.5,-120.25,33.0,5.5,6.1,x1\n"
+            + "2004-01-02T03:04:05Z,-10.0,-1.0,0.0,,4.8,\n"
+        ).encode()
+        windows = b"mag_min,time_days,distance_km\n-inf,5,10\n6.0,10,20\n"
+        for parse, data in ((parse_csv, catalog), (WindowTable.from_csv, windows)):
+            want = parse(data)
+            assert parse(io.StringIO(data.decode())) == want
+            assert parse(io.BytesIO(data)) == want
 
     def test_round_trip_identity(self):
         text = (

@@ -123,7 +123,7 @@ def join_inputs(draw):
             k = draw(st.integers(0, n - 1))
             dlat = draw(st.floats(-1.0, 1.0))
             lat_a.append(float(np.clip(lat_t[k] + dlat, -90.0, 90.0)))
-            lon_a.append(lon_t[k] + draw(st.floats(-1.0, 1.0)))
+            lon_a.append(normalize_lon(lon_t[k] + draw(st.floats(-1.0, 1.0))))
         else:
             lat_a.append(draw(lat_st))
             lon_a.append(draw(lon_st))
@@ -535,25 +535,6 @@ class TestStripRanges:
         for j in range(lat_a.size):
             assert (x_lo[range_alarm == j] < 0.0).any() and (x_lo[range_alarm == j] > 350.0).any()
 
-    def test_longitudes_out_of_range(self):
-        # 540 and -900 name the dateline, and k * 360 away any longitude names
-        # itself, among targets, among alarms and among both
-        rng = np.random.default_rng(23)
-        lat = rng.uniform(-5.0, 5.0, 400)
-        lon = normalize_lon(rng.uniform(175.0, 185.0, 400))
-        turns = rng.choice([-3.0, -2.0, 0.0, 1.0, 2.0], 400) * 360.0
-        odd = lon + turns
-        odd[:40:2], odd[1:40:2] = 540.0, -900.0
-        lon[:40:2], lon[1:40:2] = -180.0, -180.0
-        radius = np.full(200, 120.0)
-        sides = ((odd[:200], lon[200:]), (lon[:200], odd[200:]), (odd[:200], odd[200:]))
-        for lon_t, lon_a in sides:
-            got, _ = self.check(lat[:200], lon_t, lat[200:], lon_a, radius)
-            assert got[0].size > 100
-        # all of them at once: the same pairs as the longitudes in range
-        got, _ = self.check(lat[:200], odd[:200], lat[200:], odd[200:], radius)
-        assert_same_pairs(got, pairs_within_km(lat[:200], lon[:200], lat[200:], lon[200:], radius))
-
     def test_polar_caps(self):
         # caps on and near both poles reach every meridian and are wide: one
         # range each, beside caps that are not
@@ -914,15 +895,13 @@ class TestJoinCallersMatchLoops:
                                     rel=1e-9, abs=1e-15)
 
     def test_union_volume_one_sample(self):
-        # the one point is covered for 3 of the 10 days, and the region's
-        # draw of it is the only draw from the stream
+        # the one point is covered for 3 of the 10 days, and it is the
+        # region's first draw from the key's stream
         alarm_set = AlarmSet((Alarm(GeoPoint(0.0, 0.0), 20_000.0, T0 + day(2), T0 + day(5), 5.5),))
         sv = StudyVolume(GlobalSphere(), T0, T0 + day(10))
-        g, reference = np.random.default_rng(14), np.random.default_rng(14)
-        est = union_volume_fraction_mc(alarm_set, sv, 1, g)
-        GlobalSphere().sample(1, reference)
+        est = union_volume_fraction_mc(alarm_set, sv, 1, Rng(14))
         assert (est.estimate, est.stderr) == (0.3, 0.0)
-        assert g.integers(2**62) == reference.integers(2**62)
+        assert oracles.union_volume_covered_us(alarm_set, sv, 1, Rng(14)) == [3 * 86_400 * 10**6]
 
     def test_empty_and_one_event_catalogs(self):
         windows = WindowTable.uniform(10.0, HALF_CIRCUMFERENCE_KM)

@@ -166,6 +166,21 @@ class TestFastPath:
         assert len(cat) == records
         assert peak <= 2 * len(data)
 
+    def test_ascii_str_parse_peaks_below_three_times_the_input(self, perfbench_ndk):
+        # ASCII text is encoded once and takes the byte path: the copy plus
+        # the byte parse, not the split lines and their re-encoding
+        data, records = perfbench_ndk
+        text = data.decode()
+        parse_ndk(text)
+        tracemalloc.start()
+        try:
+            cat = parse_ndk(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert cat == parse_ndk(data) and len(cat) == records
+        assert peak <= 3 * len(text)
+
     @pytest.mark.parametrize(
         "record",
         [

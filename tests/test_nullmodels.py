@@ -56,9 +56,9 @@ class TestPermuteTimes:
         # the order of ids along the sorted times names which event got
         # which time: all 24 assignments should be equally likely
         cat = make_catalog([(i * 5.0, i, i, 6.0) for i in range(4)])
-        g = np.random.default_rng(2024)
         seen = Counter(
-            tuple(e.source_id for e in permute_times(cat, g).events) for _ in range(4800)
+            tuple(e.source_id for e in permute_times(cat, Rng(2024, i)).events)
+            for i in range(4800)
         )
         assert len(seen) == 24
         assert stats.chisquare(list(seen.values())).pvalue > 1e-3
@@ -313,6 +313,31 @@ class TestStreamContract:
         catalog = make_catalog([(1.0, 0.0, 0.0, 5.0)])
         with pytest.raises(TypeError, match="Rng key or an integer seed, got str"):
             permute_times(catalog, "1")
+
+    def test_generator_refused_after_value_errors(self):
+        # a numpy Generator names no key: each model raises its ValueErrors
+        # first, then refuses the Generator before drawing
+        catalog = make_catalog([(1.0, 0.0, 0.0, 5.0)])
+        sv = StudyVolume(GlobalSphere(), T0, T0 + day(10))
+        grid = CellGrid((GlobalSphere(),), (1e-5,))
+        g = np.random.default_rng(0)
+        for bad in (
+            lambda: gen_homogeneous_poisson(-1.0, sv, None, g),
+            lambda: gen_heterogeneous_poisson(grid, (T0, T0), None, g),
+            lambda: gen_gamma_renewal(0.0, 60.0, (T0, T0 + day(1)), g),
+            lambda: gen_gamma_renewal(1.0, 60.0, (T0, T0), g),
+        ):
+            with pytest.raises(ValueError):
+                bad()
+        for refused in (
+            lambda: permute_times(catalog, g),
+            lambda: randomize_times_uniform(catalog, g),
+            lambda: gen_homogeneous_poisson(1e-5, sv, None, g),
+            lambda: gen_heterogeneous_poisson(grid, (T0, T0 + day(10)), None, g),
+            lambda: gen_gamma_renewal(1.0, 60.0, (T0, T0 + day(1)), g),
+        ):
+            with pytest.raises(TypeError, match="Rng key or an integer seed, got Generator"):
+                refused()
 
     def test_key_fields_are_python_ints(self):
         key = Rng(np.int64(3), np.uint64(2))

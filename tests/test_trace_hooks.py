@@ -77,6 +77,19 @@ def test_table1_counts_succ_by_a_positional_count_predicted_call():
     assert value.args and not value.keywords
 
 
+def test_exact_test_counts_its_observed_value_through_counts_for_time_matrix():
+    # the tracer's sigtests.exact.perms is the row count of the exact test's
+    # counts_for_time_matrix calls, and perfbench's tests assert it is above 0
+    # on test-smallq: reading the observed count through predicted_mask, as
+    # the other engines do, would make it 0
+    methods = {
+        node.func.attr
+        for node in ast.walk(_function("sigtests", "exact_permutation_pvalue"))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+    }
+    assert "counts_for_time_matrix" in methods
+
+
 def test_n_reps_is_the_third_parameter_of_the_fixed_alarm_test():
     # the tracer reads the replicate count as argument 2 or keyword n_reps
     args = _function("sigtests", "permutation_test_fixed_alarms").args
