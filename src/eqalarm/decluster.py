@@ -19,7 +19,7 @@ from typing import IO
 
 import numpy as np
 
-from .catalog import SECONDS_PER_DAY, Catalog, CatalogParseError, _row_tuples, csv_rows
+from .catalog import ROW_DTYPE, SECONDS_PER_DAY, Catalog, CatalogParseError, _row_tuples, csv_rows
 from .catalog import _seconds_to_us
 from .alarm import pair_blocks
 
@@ -117,18 +117,41 @@ def decluster(
                 deleted[kk] = True
 
     kept = Catalog._from_rows(catalog.rows[~deleted], catalog.span, catalog.magnitude_selector)
-    return DeclusterResult(kept, tuple(int(i) for i in np.flatnonzero(deleted)))
+    return DeclusterResult(kept, tuple(np.flatnonzero(deleted).tolist()))
+
+
+def _ordered_subsequence(before: np.ndarray, after: np.ndarray) -> bool:
+    """Whether the time-sorted rows ``after`` are an ordered subsequence of
+    the time-sorted rows ``before``. Rows are equal as their tuples of Python
+    values are, so a NaN never matches."""
+    t = before["time_us"]
+    # an after row can only be one of the before rows at its own time, [lo, hi)
+    lo, hi = (np.searchsorted(t, after["time_us"], side) for side in ("left", "right"))
+    tied = hi - lo > 1
+    one = np.flatnonzero(~tied)
+    at = lo[one]
+    # a time held once in before: that row, each at most once
+    if not ((hi[one] - at == 1).all() and (np.diff(at) > 0).all()):
+        return False
+    if not all((before[name][at] == after[name][one]).all() for name in ROW_DTYPE.names):
+        return False
+    if not tied.any():
+        return True
+    # rows at different times never match, so one walk over the rows of every
+    # tied time checks each time's rows in order
+    same = t[1:] == t[:-1]
+    remaining = _row_tuples(before[np.append(same, False) | np.append(False, same)])
+    # ``in`` consumes the iterator up to the match, so order is enforced
+    return all(row in remaining for row in _row_tuples(after[tied]))
 
 
 def decluster_stats(before: Catalog, after: Catalog) -> tuple[int, float]:
     """(n_deleted, fraction_deleted) between a catalog and its declustering.
 
-    ``after`` must keep ``before``'s order, as ``decluster`` guarantees; one
-    pass checks that it is an ordered subsequence of ``before``.
+    ``after`` must keep ``before``'s order, as ``decluster`` guarantees: its
+    rows must be an ordered subsequence of ``before``'s, else ValueError.
     """
-    remaining = _row_tuples(before.rows)
-    # ``in`` consumes the iterator up to the match, so order is enforced
-    if not all(row in remaining for row in _row_tuples(after.rows)):
+    if not _ordered_subsequence(before.rows, after.rows):
         raise ValueError("after is not an ordered subset of before")
     n_deleted = len(before) - len(after)
     fraction = n_deleted / len(before) if len(before) else 0.0

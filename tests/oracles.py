@@ -5,10 +5,12 @@ pole, the rounding of durations to
 microseconds, the per-record NDK reader, the catalog invariants and the
 magnitude/window filter, alarm generation, the membership rule, alarm
 success, the batched pair kernel that counts predicted events over rows of
-event times, declustering, the covered time of points (behind the alarm
-measure and the union volume), the gamma-renewal running sums, the scheme-3
-weighted sampling of R-score baselines, the reference time-permutation
-shuffle, and the exact null distribution by enumerating all Q! orderings."""
+event times, declustering and its ordered-subset check, the covered time
+of points (behind the alarm measure and the union volume), the
+gamma-renewal running sums, the scheme-3 weighted sampling of R-score
+baselines, the reference time-permutation shuffle, the null models'
+catalog assembly, and the exact null distribution by enumerating all Q!
+orderings."""
 
 from __future__ import annotations
 
@@ -25,7 +27,7 @@ from eqalarm import (
 from eqalarm._random import as_key
 from eqalarm.catalog import (
     NDK_LINES_PER_RECORD, ROW_DTYPE, SECONDS_PER_DAY,
-    _as_utc, _decode, _parse_ndk_hypocenter, _to_us,
+    _as_utc, _decode, _parse_ndk_hypocenter, _row_tuples, _to_us,
 )
 from eqalarm.geo import EARTH_RADIUS_KM, great_circle_km_arrays
 
@@ -270,6 +272,17 @@ def decluster_deleted(catalog, windows, retained_only: bool = False) -> tuple[in
     return tuple(int(i) for i in np.flatnonzero(deleted))
 
 
+def decluster_stats(before, after) -> tuple[int, float]:
+    """``decluster_stats`` by one greedy walk over every row as a tuple."""
+    remaining = _row_tuples(before.rows)
+    # ``in`` consumes the iterator up to the match, so order is enforced
+    if not all(row in remaining for row in _row_tuples(after.rows)):
+        raise ValueError("after is not an ordered subset of before")
+    n_deleted = len(before) - len(after)
+    fraction = n_deleted / len(before) if len(before) else 0.0
+    return n_deleted, fraction
+
+
 def covered_us(alarm_set, lat, lon, t_interval) -> list[int]:
     """Per point, the microseconds of the interval during which some alarm
     covers it: each alarm's clipped window joins the list of every point
@@ -340,6 +353,16 @@ def permutation_indices(n: int, g) -> np.ndarray:
         j = int(g.integers(0, i + 1))
         idx[i], idx[j] = idx[j], idx[i]
     return idx
+
+
+def assemble(templates, time_us, span, selector, keep_ids: bool = False) -> Catalog:
+    """``nullmodels._assemble`` by copying the templates, assigning the times
+    (and the ids sim000000, ... in template order), then sorting by time."""
+    rows = templates.copy()
+    rows["time_us"] = time_us
+    if not keep_ids:
+        rows["source_id"] = [f"sim{k:06d}" for k in range(len(rows))]
+    return Catalog._from_rows(rows[np.argsort(time_us, kind="stable")], span, selector)
 
 
 def all_orderings(n: int) -> np.ndarray:

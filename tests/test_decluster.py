@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eqalarm import (
     Catalog,
@@ -13,7 +15,9 @@ from eqalarm import (
     decluster,
     decluster_stats,
 )
+from eqalarm.catalog import ROW_DTYPE, _to_us
 
+import oracles
 from conftest import T0, day, make_catalog, random_catalog
 from oracles import great_circle_km, window_lookup
 
@@ -234,3 +238,52 @@ class TestDeclusterStats:
     def test_empty_before(self):
         cat = make_catalog([])
         assert decluster_stats(cat, cat) == (0, 0.0)
+
+
+# few values per field, so times tie, rows repeat and a NaN magnitude, which
+# never equals itself, turns up often
+ROWS = st.tuples(
+    st.integers(0, 3).map(lambda s: _to_us(T0) + s * 1_000_000),
+    st.sampled_from((0.0, -0.0, 1.5)),
+    st.just(0.0),
+    st.just(10.0),
+    st.sampled_from((0.0, 5.5, math.nan)),
+    st.just(0.0),
+    st.sampled_from(("a", "b")),
+)
+
+
+def rows_catalog(rows) -> Catalog:
+    """Catalog over ROW_DTYPE tuples, sorted by time with ties in list order."""
+    return Catalog._from_rows(np.array(rows, dtype=ROW_DTYPE), None)
+
+
+@st.composite
+def before_and_after(draw) -> tuple[Catalog, Catalog]:
+    """A catalog, and one built from an ordered subset of its rows with a few
+    of them repeated, swapped or replaced by rows drawn afresh."""
+    before = rows_catalog(draw(st.lists(ROWS, max_size=8)))
+    pool = before.rows.tolist() + draw(st.lists(ROWS, min_size=1, max_size=2))
+    picks = [k for k in range(len(before)) if draw(st.booleans())]
+    for edit in draw(st.lists(st.sampled_from(("repeat", "swap", "foreign")), max_size=2)):
+        i = draw(st.integers(0, len(picks)))
+        if edit == "foreign":
+            picks.insert(i, draw(st.integers(0, len(pool) - 1)))
+        elif i < len(picks) and edit == "repeat":
+            picks.insert(i, picks[i])
+        elif i < len(picks):
+            j = draw(st.integers(0, len(picks) - 1))
+            picks[i], picks[j] = picks[j], picks[i]
+    return before, rows_catalog([pool[k] for k in picks])
+
+
+@settings(max_examples=300, deadline=None)
+@given(before_and_after())
+def test_stats_give_the_greedy_walks_result_or_error(catalogs):
+    def outcome(stats):
+        try:
+            return "ok", stats(*catalogs)
+        except ValueError as exc:
+            return ValueError, str(exc)
+
+    assert outcome(decluster_stats) == outcome(oracles.decluster_stats)

@@ -22,7 +22,8 @@ from eqalarm import (
     permute_times,
     randomize_times_uniform,
 )
-from eqalarm.catalog import _seconds_to_us, _to_us
+from eqalarm.catalog import ROW_DTYPE, _seconds_to_us, _to_us
+from eqalarm.nullmodels import _assemble
 
 import oracles
 from conftest import T0, day, make_catalog, random_catalog, utc
@@ -69,6 +70,17 @@ class TestPermuteTimes:
         shuffled = permute_times(cat, Rng(5))
         times = [e.time for e in shuffled.events]
         assert times == sorted(times)
+
+    def test_tied_times_keep_template_order(self):
+        # three events a day: the events given one day's time keep catalog order
+        cat = make_catalog([(i // 3, i, i, 6.0) for i in range(9)])
+        for seed in range(20):
+            got = permute_times(cat, Rng(seed))
+            perm = Rng(seed).generator().permutation(len(cat))
+            times = cat.rows["time_us"][perm]
+            assert got == oracles.assemble(cat.rows, times, cat.span, "mb", keep_ids=True)
+            pairs = list(zip(got.rows["time_us"].tolist(), got.rows["source_id"].tolist()))
+            assert pairs == sorted(pairs)
 
     def test_double_permutation_same_distribution(self):
         # the time landing on one fixed event should be uniform over the
@@ -382,3 +394,30 @@ def test_after_rounds_like_timedelta(t0_us, offsets):
     want = [_to_us(t0 + timedelta(seconds=s)) for s in offsets]
     got = _to_us(t0) + _seconds_to_us(np.array(offsets, dtype=float))
     assert got.tolist() == want
+
+
+@st.composite
+def templates_and_times(draw) -> tuple[np.ndarray, list[int]]:
+    """Template rows t0, t1, ... with their own marks, and a time for each
+    from a few instants, so times tie."""
+    n = draw(st.integers(0, 8))
+    templates = np.zeros(n, ROW_DTYPE)
+    templates["lat"] = draw(st.lists(st.floats(-90.0, 90.0), min_size=n, max_size=n))
+    templates["mb"] = draw(st.lists(st.floats(0.0, 10.0), min_size=n, max_size=n))
+    templates["source_id"] = [f"t{k}" for k in range(n)]
+    instants = st.integers(0, 3).map(lambda s: _to_us(T0) + s * 1_000_000)
+    return templates, draw(st.lists(instants, min_size=n, max_size=n))
+
+
+@settings(max_examples=200, deadline=None)
+@given(templates_and_times(), st.booleans(), st.booleans())
+def test_assemble_matches_copy_assign_and_sort(case, keep_ids, as_array):
+    templates, time_us = case
+    time_us = np.array(time_us, dtype=np.int64) if as_array else time_us
+    span = StudyVolume(GlobalSphere(), T0, T0 + day(1))
+    got = _assemble(templates, time_us, span, "mb", keep_ids)
+    assert got == oracles.assemble(templates, time_us, span, "mb", keep_ids)
+    # ties keep template order, and the ids name the templates in that order
+    origin = [int(s[1:] if keep_ids else s[3:]) for s in got.rows["source_id"].tolist()]
+    pairs = list(zip(got.rows["time_us"].tolist(), origin))
+    assert pairs == sorted(pairs) and sorted(origin) == list(range(len(origin)))
