@@ -418,8 +418,8 @@ def _parse_ndk_hypocenter(line: str, record_index: int) -> tuple:
 # which spells " *-?\d*", ? a column _parse_ndk_hypocenter skips, anything else itself.
 _NDK_LAYOUT = "?????DDDD/DD/DD?DD:DD:DD.D?NNN.DD?NNNN.DD?NNN.D?D.D D.D"
 _MAX_US = _to_us(datetime.max)
-# the ASCII line breaks of str.splitlines other than \n and \r
-_OTHER_ASCII_BREAKS = tuple(bytes([b]) for b in b"\x0b\x0c\x1c\x1d\x1e")
+# the ASCII line breaks of str.splitlines other than \n
+_OTHER_ASCII_BREAKS = tuple(bytes([b]) for b in b"\r\x0b\x0c\x1c\x1d\x1e")
 
 
 def _scan_ndk_hypocenters(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -470,19 +470,6 @@ def _scan_ndk_hypocenters(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return rows, ok
 
 
-def _lf_bytes(source: bytes | str) -> bytes | None:
-    """``source`` with \\n for each line break, when it is ASCII bytes whose
-    breaks are all \\n or \\r\\n (one break to str.splitlines); else None."""
-    if not isinstance(source, bytes) or not source.isascii() or any(
-        b in source for b in _OTHER_ASCII_BREAKS
-    ):
-        return None
-    if b"\r" not in source:
-        return source
-    data = source.replace(b"\r\n", b"\n")
-    return None if b"\r" in data else data  # a lone \r is a break of its own
-
-
 def parse_ndk(source: bytes | str | IO, magnitude_selector: str = "mb") -> Catalog:
     """Parse the published 5-lines-per-event NDK format.
 
@@ -492,9 +479,7 @@ def parse_ndk(source: bytes | str | IO, magnitude_selector: str = "mb") -> Catal
     published files give it, is read as bytes (a str is encoded first), with a
     traced peak of about 1.5 bytes per input byte: one search finds the line
     ends, and columns 0-54 of each hypocenter line are gathered into a
-    (55, n) uint8 matrix. ASCII input whose breaks are all \\r\\n or \\n
-    takes the same path once each \\r\\n is replaced by \\n, at about 2.5
-    bytes per input byte. Any other input is decoded and split as
+    (55, n) uint8 matrix. Any other input is decoded and split as
     str.splitlines splits it, then re-encoded a byte per code point, with "?"
     for each one above 127, and gathered the same way. Canonical records are
     read column-wise from the matrix; every other record goes through
@@ -504,8 +489,12 @@ def parse_ndk(source: bytes | str | IO, magnitude_selector: str = "mb") -> Catal
         source = source.read()
     if isinstance(source, str) and source.isascii():
         source = source.encode()
-    lines, data = None, _lf_bytes(source)
-    if data is None:
+    lines = None
+    if isinstance(source, bytes) and source.isascii() and not any(
+        b in source for b in _OTHER_ASCII_BREAKS
+    ):
+        data = source
+    else:
         lines = _decode(source).splitlines()
         data = "\n".join([*lines, ""]).encode("ascii", "replace")
     chars = np.frombuffer(data, np.uint8)

@@ -1,6 +1,6 @@
 """``parse_ndk`` reads canonical hypocenter lines column-wise, from the input
-bytes when they are ASCII with \\n or \\r\\n line ends and from the decoded
-lines otherwise, and hands every other record to ``catalog._parse_ndk_hypocenter``;
+bytes when they are ASCII with \\n line ends and from the decoded lines
+otherwise, and hands every other record to ``catalog._parse_ndk_hypocenter``;
 these tests compare it with the per-record reader
 ``oracles.parse_ndk_by_record`` on both kinds of input, check which records
 take which path and bound the memory the byte path takes."""
@@ -121,7 +121,7 @@ def broken_texts(draw) -> str:
 @example(ndk_file([ndk_record().rsplit("\n", 1)[0] + "\n"]))  # the last line is empty
 @example(ndk_file([ndk_record().replace("EL SALVADOR", "EL\rSALVADOR")]))
 def test_broken_records_give_the_same_catalog_or_error(text):
-    for source in (text, text.encode(), text.replace("\n", "\r\n").encode()):
+    for source in (text, text.encode()):
         assert_same_as_oracle(source)
 
 
@@ -165,21 +165,6 @@ class TestFastPath:
             tracemalloc.stop()
         assert len(cat) == records
         assert peak <= 2 * len(data)
-
-    def test_crlf_bytes_parse_peaks_below_three_times_the_input(self, perfbench_ndk):
-        # \r\n becomes \n in one copy, and the copy takes the byte path: not
-        # the split lines and their re-encoding
-        data, records = perfbench_ndk
-        crlf = data.replace(b"\n", b"\r\n")
-        parse_ndk(crlf)
-        tracemalloc.start()
-        try:
-            cat = parse_ndk(crlf)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert cat == parse_ndk(data) and len(cat) == records
-        assert peak <= 3 * len(crlf)
 
     def test_ascii_str_parse_peaks_below_three_times_the_input(self, perfbench_ndk):
         # ASCII text is encoded once and takes the byte path: the copy plus
